@@ -106,11 +106,45 @@ def _report_cohomology(sig):
     }
 
 
+def _links_have_euler_zero(tri):
+    """Whether every vertex link of a closed triangulation is a torus or
+    Klein bottle, from the edge classes alone (``vertex_classes`` walks
+    the links and costs several times more).  A link has one vertex per
+    edge end at its vertex and one triangle per corner, so twice its
+    Euler characteristic is 2 * ends - corners."""
+    root = list(range(4 * tri.n))     # corner 4t + v -> union-find parent
+
+    def find(c):
+        while root[c] != c:
+            root[c] = root[root[c]]
+            c = root[c]
+        return c
+
+    ends = []
+    for e in tri.edge_classes:
+        for end in (0, 1):
+            corners = [4 * t + pair[end if sign > 0 else 1 - end]
+                       for t, pair, sign in e.occurrences]
+            for c in corners[1:]:
+                root[find(c)] = find(corners[0])
+            ends.append(corners[0])
+    twice_chi = [0] * (4 * tri.n)     # per root corner
+    for c in ends:
+        twice_chi[find(c)] += 2
+    for c in range(4 * tri.n):
+        twice_chi[find(c)] -= 1
+    return not any(twice_chi)
+
+
 def _report_certificate(sig):
     tri = _load(sig)
     if not tri.is_closed:
         raise CliError(EXIT_INAPPLICABLE, "inapplicable",
                        "certificates need a closed triangulation")
+    if not _links_have_euler_zero(tri):
+        raise CliError(EXIT_INAPPLICABLE, "inapplicable",
+                       "certificates need every vertex link to be a torus "
+                       "or Klein bottle")
     basis = cocycle_space(tri)
     cert = bound_certificate(tri)
     report = {
@@ -170,7 +204,7 @@ def _report_monodromy(word):
         "cover_degree": bc.cover_degree,
         "covered_word": bc.covered_word,
         "tetrahedra": bc.tetrahedra,
-        "signature": encode_canonical(bc.bundle.tri),
+        "signature": bc.bundle.signature,
         "certificate_found": bc.found,
         "convention": "letters layer positionally; closure takes the "
                       "lexicographically least admissible signature",

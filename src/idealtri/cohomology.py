@@ -21,7 +21,8 @@ class ParityError(ValueError):
 
 
 class IdentityError(AssertionError):
-    """A counting identity failed: an implementation bug somewhere."""
+    """A counting identity failed on input meeting its hypotheses: an
+    implementation bug somewhere."""
 
 
 @dataclass(frozen=True)
@@ -262,8 +263,10 @@ def check_identities(rc, chi1, chi2, chi3):
     """Verify the counting identities tying tetrahedron types, 0-even
     edges and the Euler characteristics of the three canonical surfaces.
 
-    Any failure raises IdentityError: the identities are theorems, so a
-    failure is an implementation bug, never bad input.
+    Any failure raises IdentityError.  The identities are theorems for
+    closed triangulations whose vertex links are tori or Klein bottles;
+    on such input a failure is an implementation bug.  Callers check
+    those hypotheses first.
     """
     tri = rc.tri
     n = tri.n

@@ -7,108 +7,124 @@ type-2 joins, and gluing permutations as indices into the fixed
 ordering of S4.  The canonical string is the lexicographic minimum over
 all choices of start tetrahedron and start labelling.
 
+Every start emits segments of the same lengths (one action per boundary
+facet or glued pair, one destination and one gluing per type-2 join),
+so comparing prefixes is exact.  A start is dropped as soon as one of
+its action characters exceeds the best start's; starts that tie on all
+actions compare their destination and gluing characters.  Characters
+compare by code point, as strings do, not by their 6-bit values.
+
 Two triangulations have the same canonical signature exactly when they
 are combinatorially isomorphic.
 """
 
 from __future__ import annotations
 
-from .perms import S4, S4_INDEX, compose, inverse
+from .perms import COMPOSE, INVERSE, S4, S4_INDEX
 from .triangulation import Triangulation
 
 SCHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _SVAL = {c: i for i, c in enumerate(SCHARS)}
+# Code point of each character: SCHARS is not in code-point order, and
+# signatures compare as strings.
+_ORD = tuple(map(ord, SCHARS))
 
 
 class MalformedSignature(ValueError):
     """The string is not a well-formed signature."""
 
 
-def _encode_int(val, n_chars):
-    out = []
-    for _ in range(n_chars):
-        out.append(SCHARS[val & 0x3F])
-        val >>= 6
-    return "".join(out)
-
-
 def _size_chars(size):
+    """The size prefix, and the number of characters per tetrahedron label."""
     if size < 63:
         return SCHARS[size], 1
-    n_chars = 0
-    tmp = size
-    while tmp > 0:
-        tmp >>= 6
-        n_chars += 1
-    return SCHARS[63] + SCHARS[n_chars] + _encode_int(size, n_chars), n_chars
+    n_chars = (size.bit_length() + 5) // 6
+    return (SCHARS[63] + SCHARS[n_chars]
+            + "".join(SCHARS[(size >> 6 * i) & 0x3F] for i in range(n_chars)),
+            n_chars)
 
 
-def _sig_from(tri, start, start_perm):
-    """Signature string for the labelling grown from one start choice."""
-    n = tri.n
-    image = [None] * n          # tet -> its new label
-    preimage = [None] * n       # new label -> tet
-    vertex_map = [None] * n     # tet -> relabelling of its vertices
+def _grow(dest, perm_index, n_actions, start, start_perm, bound):
+    """Grow the labelling from one start choice: the code points of its
+    action characters, the labels and gluings of its type-2 joins, and
+    whether its actions tie ``bound``, the best start's action code
+    points.  None as soon as an action character exceeds ``bound``'s."""
+    n = len(dest) // 4
+    image = [-1] * n            # tet -> its new label
+    order = [start]             # new label -> tet
+    vmap = [0] * n              # tet -> S4 index relabelling its vertices
     image[start] = 0
-    preimage[0] = start
-    vertex_map[start] = start_perm
-    next_label = 1
-
-    used = [[False] * 4 for _ in range(n)]
+    vmap[start] = start_perm
+    used = [False] * (4 * n)
     actions = []
-    join_dests = []
-    join_gluings = []
-
-    for label in range(n):
-        t = preimage[label]
-        inv = inverse(vertex_map[t])
-        for f_img in range(4):
-            f = inv[f_img]
-            if used[t][f]:
+    dests = []
+    gluings = []
+    chunk = shift = 0
+    for t in order:
+        vt = vmap[t]
+        inv = INVERSE[vt]
+        base = 4 * t
+        for f in S4[inv]:
+            s = base + f
+            if used[s]:
                 continue
-            used[t][f] = True
-            g = tri.gluings[t][f]
-            if g is None:
-                actions.append(0)
-                continue
-            t2, perm = g
-            used[t2][perm[f]] = True
-            if image[t2] is None:
-                actions.append(1)
-                image[t2] = next_label
-                preimage[next_label] = t2
-                vertex_map[t2] = compose(vertex_map[t], inverse(perm))
-                next_label += 1
-            else:
-                actions.append(2)
-                join_dests.append(image[t2])
-                relabelled = compose(vertex_map[t2],
-                                     compose(perm, inverse(vertex_map[t])))
-                join_gluings.append(S4_INDEX[relabelled])
-
-    size_str, n_chars = _size_chars(n)
-    out = [size_str]
-    for i in range(0, len(actions), 3):
-        chunk = actions[i:i + 3]
-        val = sum(a << (2 * j) for j, a in enumerate(chunk))
-        out.append(SCHARS[val])
-    for dest in join_dests:
-        out.append(_encode_int(dest, n_chars))
-    for idx in join_gluings:
-        out.append(SCHARS[idx])
-    return "".join(out)
+            used[s] = True
+            d = dest[s]
+            if d >= 0:
+                p = perm_index[s]
+                used[4 * d + S4[p][f]] = True
+                if image[d] < 0:
+                    chunk |= 1 << shift
+                    image[d] = len(order)
+                    order.append(d)
+                    vmap[d] = COMPOSE[vt][INVERSE[p]]
+                else:
+                    chunk |= 2 << shift
+                    dests.append(image[d])
+                    gluings.append(COMPOSE[vmap[d]][COMPOSE[p][inv]])
+            shift += 2
+            n_actions -= 1
+            if shift == 6 or not n_actions:
+                c = _ORD[chunk]
+                if bound is not None:
+                    b = bound[len(actions)]
+                    if c > b:
+                        return None
+                    if c < b:
+                        bound = None
+                actions.append(c)
+                chunk = shift = 0
+    return actions, dests, gluings, bound is not None
 
 
 def encode_canonical(tri):
     """Smallest signature over all start choices: a complete isomorphism
     invariant."""
-    best = None
-    for start in range(tri.n):
-        for perm in S4:
-            s = _sig_from(tri, start, perm)
-            if best is None or s < best:
-                best = s
-    return best
+    n = tri.n
+    dest = [-1] * (4 * n)
+    perm_index = [0] * (4 * n)
+    for t, row in enumerate(tri.gluings):
+        for f, g in enumerate(row):
+            if g is not None:
+                dest[4 * t + f] = g[0]
+                perm_index[4 * t + f] = S4_INDEX[g[1]]
+    n_actions = 4 * n - sum(d >= 0 for d in dest) // 2
+    size_str, n_chars = _size_chars(n)
+
+    best_actions = best_tail = None
+    for start in range(n):
+        for start_perm in range(24):
+            grown = _grow(dest, perm_index, n_actions, start, start_perm,
+                          best_actions)
+            if grown is None:
+                continue
+            actions, dests, gluings, tied = grown
+            tail = [_ORD[(d >> 6 * i) & 0x3F]
+                    for d in dests for i in range(n_chars)]
+            tail += [_ORD[g] for g in gluings]
+            if not tied or tail < best_tail:
+                best_actions, best_tail = actions, tail
+    return size_str + "".join(map(chr, best_actions + best_tail))
 
 
 def decode(sig):

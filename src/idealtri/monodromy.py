@@ -63,16 +63,10 @@ def _normalize(v):
 @dataclass(frozen=True)
 class MonodromyWord:
     word: str
+    matrix: tuple
     trace: int
     mod2: tuple
     mod2_order: int
-
-    @property
-    def matrix(self):
-        m = IDENT
-        for letter in self.word:
-            m = _mat_mul(m, R_MAT if letter == "R" else L_MAT)
-        return m
 
 
 def word_analysis(word):
@@ -95,7 +89,8 @@ def word_analysis(word):
         order = 2
     else:
         order = 3
-    return MonodromyWord(word=word, trace=trace, mod2=mod2, mod2_order=order)
+    return MonodromyWord(word=word, matrix=m, trace=trace, mod2=mod2,
+                         mod2_order=order)
 
 
 def cover(word, k):
@@ -112,6 +107,7 @@ class BundleTriangulation:
     tri: Triangulation
     analysis: MonodromyWord
     fibre_slopes: tuple    # frozenset of slopes per fibre level, 0..|word|
+    signature: str         # canonical signature of tri
     horizontal_quad: int = HORIZONTAL_QUAD
 
     @property
@@ -142,12 +138,6 @@ class _Fibre:
         self.face_b = face_b
         self.slopes_a = slopes_a      # {frozenset pair: slope}
         self.slopes_b = slopes_b
-
-
-def _face_edges(face):
-    t, f = face
-    verts = [v for v in range(4) if v != f]
-    return [frozenset((verts[i], verts[(i + 1) % 3])) for i in range(3)]
 
 
 def build_bundle(word):
@@ -299,7 +289,7 @@ def _close_bundle(tri, analysis, triples, fibre, fibre0):
             continue
         if any(e.degree % 2 for e in closed.edge_classes):
             continue
-        candidates.append(closed)
+        candidates.append((encode_canonical(closed), closed))
 
     if not candidates:
         raise AssertionError("no admissible monodromy closure found")
@@ -307,9 +297,10 @@ def _close_bundle(tri, analysis, triples, fibre, fibre0):
     # appear; they are the factorisations of the two signs of the
     # monodromy.  Take the lexicographically least signature for a
     # deterministic, rotation-stable choice.
-    best = min(candidates, key=encode_canonical)
+    signature, best = min(candidates, key=lambda c: c[0])
     return BundleTriangulation(tri=best, analysis=analysis,
-                               fibre_slopes=tuple(triples))
+                               fibre_slopes=tuple(triples),
+                               signature=signature)
 
 
 # ---------------------------------------------------------------------------

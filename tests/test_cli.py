@@ -2,8 +2,18 @@
 
 import io
 import json
+import random
 
-from idealtri.cli import EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, run
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from idealtri import InvalidTriangulation
+from idealtri.cli import (
+    EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE,
+    _links_have_euler_zero, run,
+)
+
+from helpers import random_complex
 
 FIXTURE = "gLLMQbeefffehhqxhqq"
 
@@ -22,6 +32,32 @@ def test_decode_reports_shape():
     assert payload["orientable"] is True
     assert payload["vertices"] == 1
     assert payload["links"][0]["torus"] is True
+
+
+# Closed 2-tetrahedron complexes with sphere or projective-plane vertex
+# links: outside the hypotheses of the counting identities.
+@pytest.mark.parametrize("sig", ["cMcabbgag", "cPcbbbaaa", "cPcbbbabb",
+                                 "cPcbbbahh", "cPcbbbqxh"])
+def test_certificate_rejects_non_cusped_links(sig):
+    code, out = invoke(["certificate", sig])
+    assert code == EXIT_INAPPLICABLE
+    lines = out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "inapplicable"
+    assert "vertex link" in error["message"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_link_check_matches_vertex_classes(n, seed):
+    tri = random_complex(random.Random(seed), n, closed=True)
+    try:
+        tri.edge_classes
+    except InvalidTriangulation:
+        return   # an edge identified with itself in reverse
+    assert _links_have_euler_zero(tri) == all(
+        v.link_euler == 0 for v in tri.vertex_classes)
 
 
 def test_certificate_fixture():

@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealtri import (
-    MalformedSignature, decode, encode_canonical, read_census, relabelled,
+    MalformedSignature, build_bundle, cover, decode, encode_canonical,
+    lst_build, read_census, relabelled,
 )
 from idealtri.perms import ALL_PERMS
+
+from helpers import random_admissible, random_complex, reference_encode_canonical
 
 CENSUS_FIXTURES = [
     ("gLLMQbeefffehhqxhqq", 6),
@@ -101,3 +105,59 @@ def test_large_size_prefix_round_trip():
     again = decode(sig)
     assert again.n == 71
     assert encode_canonical(again) == sig
+
+
+# -- differential oracle: the fast encoder against the reference ---------
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+def random_relabelling(tri, rng):
+    tet_map = list(range(tri.n))
+    rng.shuffle(tet_map)
+    return relabelled(tri, tet_map, [rng.choice(ALL_PERMS) for _ in range(tri.n)])
+
+
+def assert_matches_reference(tri, rng):
+    sig = encode_canonical(tri)
+    assert sig == reference_encode_canonical(tri)
+    assert encode_canonical(random_relabelling(tri, rng)) == sig
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([sig for sig, _ in CENSUS_FIXTURES]), SEEDS)
+def test_oracle_census_relabellings(sig, seed):
+    rng = random.Random(seed)
+    tri = random_relabelling(decode(sig), rng)
+    assert encode_canonical(tri) == reference_encode_canonical(tri) == sig
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS)
+def test_oracle_move_walks(seed):
+    rng = random.Random(seed)
+    assert_matches_reference(random_admissible(rng), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), SEEDS)
+def test_oracle_bounded_complexes(n, seed):
+    rng = random.Random(seed)
+    tri = random_complex(rng, n)
+    assert_matches_reference(tri, rng)
+    assert encode_canonical(decode(encode_canonical(tri))) == encode_canonical(tri)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.text("RL", min_size=2, max_size=24).filter(
+    lambda w: "R" in w and "L" in w), st.sampled_from([1, 2, 3]), SEEDS)
+def test_oracle_bundles_and_covers(word, k, seed):
+    bundle = build_bundle(cover(word, k))
+    assert bundle.signature == reference_encode_canonical(bundle.tri)
+    assert_matches_reference(bundle.tri, random.Random(seed))
+
+
+def test_oracle_large_size_prefix():
+    tri = lst_build("ab" * 35).tri
+    assert tri.n >= 63
+    assert_matches_reference(tri, random.Random(3))

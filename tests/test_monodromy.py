@@ -18,6 +18,7 @@ def admissible_words(length):
 
 def test_word_analysis_rl():
     wa = word_analysis("RL")
+    assert wa.matrix == ((2, 1), (1, 1))
     assert wa.trace == 3
     assert wa.mod2_order == 3
 
@@ -59,6 +60,7 @@ def test_bundle_shape_invariants():
         assert len(tri.vertex_classes) == 1
         assert tri.vertex_classes[0].is_torus_link
         assert all(e.degree % 2 == 0 for e in tri.edge_classes)
+        assert bundle.signature == encode_canonical(tri)
 
 
 def test_fig8_bundle():
