@@ -2,14 +2,17 @@
 
 Single inputs produce one JSON document; a census file (one signature
 per line, '#' comments) produces one JSON line per input line, in input
-order.  Exit codes: 0 success, 2 malformed input, 3 I/O failure,
-4 inapplicable request, 1 usage errors.
+order: the line's report, or ``{"error": ...}`` when that line fails.
+Exit codes: 0 success, 2 malformed input, 3 I/O failure, 4 inapplicable
+request, 1 usage errors; a census batch exits with the code of its
+first failing line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -52,14 +55,13 @@ def _load(sig):
 
 def _inputs(value):
     """A literal signature, or a census file of signatures."""
-    import os
     if os.path.exists(value):
         try:
             with open(value, "r", encoding="utf-8") as fh:
-                return read_census(fh.read()), True
+                return read_census(fh.read())
         except OSError as exc:
             raise CliError(EXIT_IO, "io", str(exc))
-    return [value], False
+    return [value]
 
 
 def _report_decode(sig):
@@ -106,42 +108,12 @@ def _report_cohomology(sig):
     }
 
 
-def _links_have_euler_zero(tri):
-    """Whether every vertex link of a closed triangulation is a torus or
-    Klein bottle, from the edge classes alone (``vertex_classes`` walks
-    the links and costs several times more).  A link has one vertex per
-    edge end at its vertex and one triangle per corner, so twice its
-    Euler characteristic is 2 * ends - corners."""
-    root = list(range(4 * tri.n))     # corner 4t + v -> union-find parent
-
-    def find(c):
-        while root[c] != c:
-            root[c] = root[root[c]]
-            c = root[c]
-        return c
-
-    ends = []
-    for e in tri.edge_classes:
-        for end in (0, 1):
-            corners = [4 * t + pair[end if sign > 0 else 1 - end]
-                       for t, pair, sign in e.occurrences]
-            for c in corners[1:]:
-                root[find(c)] = find(corners[0])
-            ends.append(corners[0])
-    twice_chi = [0] * (4 * tri.n)     # per root corner
-    for c in ends:
-        twice_chi[find(c)] += 2
-    for c in range(4 * tri.n):
-        twice_chi[find(c)] -= 1
-    return not any(twice_chi)
-
-
 def _report_certificate(sig):
     tri = _load(sig)
     if not tri.is_closed:
         raise CliError(EXIT_INAPPLICABLE, "inapplicable",
                        "certificates need a closed triangulation")
-    if not _links_have_euler_zero(tri):
+    if any(v.link_euler for v in tri.vertex_classes):
         raise CliError(EXIT_INAPPLICABLE, "inapplicable",
                        "certificates need every vertex link to be a torus "
                        "or Klein bottle")
@@ -322,40 +294,49 @@ _SINGLE = {
     "moves": _report_moves,
 }
 
+_PARSER = build_parser()
+
+
+def _outcome(report, *args):
+    """The exit code and the JSON payload of one report."""
+    try:
+        return EXIT_OK, report(*args)
+    except CliError as exc:
+        return exc.code, {"error": {"kind": exc.kind, "message": str(exc)}}
+    except ValueError as exc:
+        return EXIT_MALFORMED, {"error": {"kind": "invalid-input",
+                                          "message": str(exc)}}
+
 
 def run(argv, out=None):
     """Entry point; returns the exit code."""
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     if args.command is None:
-        parser.print_usage(out)
+        _PARSER.print_usage(out)
         return EXIT_USAGE
-    try:
-        if args.command in _SINGLE:
-            sigs, batch = _inputs(args.input)
-            reports = [_SINGLE[args.command](s) for s in sigs]
-            if batch:
-                for r in reports:
-                    _emit(r, out)
-            else:
-                _emit(reports[0], out)
-        elif args.command == "monodromy":
-            _emit(_report_monodromy(args.word), out)
-        elif args.command == "enumerate":
-            _emit(_report_enumerate(args.tets, args.filter_name), out)
-        elif args.command == "minsearch":
-            _emit(_report_minsearch(args.input, args.cap, args.depth), out)
-        return EXIT_OK
-    except CliError as exc:
-        _emit({"error": {"kind": exc.kind, "message": str(exc)}}, out)
-        return exc.code
-    except ValueError as exc:
-        _emit({"error": {"kind": "invalid-input", "message": str(exc)}}, out)
-        return EXIT_MALFORMED
+    if args.command in _SINGLE:
+        code, sigs = _outcome(_inputs, args.input)
+        if code:                        # sigs is the error payload
+            _emit(sigs, out)
+            return code
+        for sig in sigs:
+            line_code, payload = _outcome(_SINGLE[args.command], sig)
+            _emit(payload, out)
+            code = code or line_code
+        return code
+    if args.command == "monodromy":
+        code, payload = _outcome(_report_monodromy, args.word)
+    elif args.command == "enumerate":
+        code, payload = _outcome(_report_enumerate, args.tets, args.filter_name)
+    else:
+        code, payload = _outcome(_report_minsearch, args.input, args.cap,
+                                 args.depth)
+    _emit(payload, out)
+    return code
 
 
 def main():

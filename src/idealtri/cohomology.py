@@ -33,7 +33,7 @@ class Cocycle:
     mask: int
 
     def __post_init__(self):
-        for row in _parity_rows(self.tri):
+        for row in self.tri.parity_rows:
             if bin(self.mask & row).count("1") % 2:
                 raise ParityError("face with odd edge-colour sum")
 
@@ -50,24 +50,6 @@ class Cocycle:
         if other.tri is not self.tri:
             raise ValueError("cocycles on different triangulations")
         return Cocycle(self.tri, self.mask ^ other.mask)
-
-
-def _parity_rows(tri):
-    """One bitmask per face class: edges appearing an odd number of times."""
-    cached = getattr(tri, "_parity_rows", None)
-    if cached is not None:
-        return cached
-    rows = []
-    for fc in tri.face_classes:
-        t, f = fc.sides[0]
-        verts = [v for v in range(4) if v != f]
-        row = 0
-        for i in range(3):
-            x, y = verts[i], verts[(i + 1) % 3]
-            row ^= 1 << tri.edge_class_of(t, x, y)
-        rows.append(row)
-    tri._parity_rows = rows
-    return rows
 
 
 @dataclass(frozen=True)
@@ -96,7 +78,7 @@ def cocycle_space(tri):
     Pivoting is by increasing edge index, so the basis is deterministic.
     """
     m = len(tri.edge_classes)
-    rows = _parity_rows(tri)
+    rows = tri.parity_rows
     pivot_of_col = {}
     for row in rows:
         for col, prow in pivot_of_col.items():

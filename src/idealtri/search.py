@@ -12,19 +12,14 @@ from dataclasses import dataclass
 
 from .isosig import decode, encode_canonical
 from .moves import apply_move, enumerate_moves
+from .perms import S4
 from .triangulation import (
     InvalidTriangulation, Triangulation, boundary_surface,
 )
 
-_FACE_PERMS = {}
-
-
-def _perms_fixing(f1, f2):
-    key = (f1, f2)
-    if key not in _FACE_PERMS:
-        from .perms import ALL_PERMS
-        _FACE_PERMS[key] = tuple(p for p in ALL_PERMS if p[f1] == f2)
-    return _FACE_PERMS[key]
+# _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
+_PERMS_TAKING = tuple(tuple(tuple(p for p in S4 if p[f1] == f2)
+                            for f2 in range(4)) for f1 in range(4))
 
 
 def enumerate_complexes(n, predicate=None, boundary_faces=0):
@@ -69,7 +64,7 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0):
             recurse(rest, pairs, next_free)
         for i, other in enumerate(rest):
             remaining = rest[:i] + rest[i + 1:]
-            for perm in _perms_fixing(first[1], other[1]):
+            for perm in _PERMS_TAKING[first[1]][other[1]]:
                 recurse(remaining, pairs + [(first, other, perm)], free_left)
 
     recurse(faces, [], boundary_faces)

@@ -8,8 +8,20 @@ where ``perm`` maps all four vertex labels of ``t`` to those of ``t2``.
 
 Quotients are only accepted when the projection is injective on the
 interior of every simplex: faces may not be glued to themselves, and an
-edge identified with itself in reverse is rejected when edge classes
-are computed.
+edge identified with itself in reverse raises ``InvalidEdge`` when the
+edge classes, or the vertex classes that read them, are computed.
+
+Derived classes are signed orbits of dense integer items under the
+gluings, all found by one kernel, ``_signed_orbits``:
+
+- edge slot ``6t + k`` is the ``k``-th edge of tetrahedron ``t`` in the
+  order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), signed by direction;
+- corner ``4t + v`` is vertex ``v`` of tetrahedron ``t``, signed by the
+  orientation of its link triangle.  Across face ``f != v`` glued by
+  ``perm`` the sign flips when ``sign(perm) == (-1)**(v + perm[v])``,
+  and a link is orientable when its corner signs are consistent;
+- tetrahedron ``t`` is signed by orientation, flipping across every
+  gluing by an even permutation.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .perms import compose, inverse, is_perm, sign
+from .perms import S4, compose, inverse, is_perm, sign
 
 
 class InvalidTriangulation(ValueError):
@@ -79,6 +91,63 @@ class FaceClass:
     index: int
     sides: tuple        # ((t, f),) or ((t, f), (t2, f2))
     boundary: bool
+
+
+def _signed_orbits(size, moves):
+    """Orbits of the items ``0..size-1`` with a sign on every item.
+
+    A move ``(a, b, flip)`` takes item ``a`` to item ``b``, reversing
+    the sign when ``flip`` is true; every move must also be listed from
+    ``b``.  Returns ``(orbit, signs, consistent)``: ``orbit[i]`` numbers
+    the orbit of ``i``, orbits counted in the order of their least items;
+    ``signs[i]`` is the sign of ``i`` relative to that least item; and
+    ``consistent[k]`` tells whether orbit ``k`` has no move that
+    contradicts those signs.
+    """
+    links = [[] for _ in range(size)]
+    for a, b, flip in moves:
+        links[a].append((b, flip))
+    orbit = [-1] * size
+    signs = [1] * size
+    consistent = []
+    for least in range(size):
+        if orbit[least] >= 0:
+            continue
+        k = len(consistent)
+        orbit[least] = k
+        ok = True
+        stack = [least]
+        while stack:
+            a = stack.pop()
+            for b, flip in links[a]:
+                s = -signs[a] if flip else signs[a]
+                if orbit[b] < 0:
+                    orbit[b] = k
+                    signs[b] = s
+                    stack.append(b)
+                elif signs[b] != s:
+                    ok = False
+        consistent.append(ok)
+    return orbit, signs, consistent
+
+
+# Edge slot 6t + k is edge _PAIRS[k] of tetrahedron t; _SLOT[a][b] = k.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_SLOT = [[_PAIRS.index((min(a, b), max(a, b))) if a != b else None
+          for b in range(4)] for a in range(4)]
+
+# The moves a gluing of face f by perm makes on one tetrahedron's items,
+# as (item, image, flip), indexed [perm][f]; the module docstring gives
+# the flip rules.
+_EDGE_MOVES = {p: tuple(tuple((k, _SLOT[p[a]][p[b]], p[a] > p[b])
+                              for k, (a, b) in enumerate(_PAIRS)
+                              if f != a and f != b) for f in range(4))
+               for p in S4}
+_CORNER_MOVES = {p: tuple(tuple((v, p[v], sign(p) == (-1) ** (v + p[v]))
+                                for v in range(4) if v != f)
+                          for f in range(4))
+                 for p in S4}
+_TET_MOVES = {p: (((0, 0, sign(p) == 1),),) * 4 for p in S4}
 
 
 class Triangulation:
@@ -173,214 +242,108 @@ class Triangulation:
 
     # -- derived classes -------------------------------------------------
 
+    def _orbits(self, width, moves_of):
+        """Signed orbits of the ``width * n`` items ``width * t + i``
+        under the gluings; ``moves_of[perm][f]`` lists the moves that
+        the gluing of face ``f`` by ``perm`` makes on one tetrahedron's
+        items."""
+        moves = []
+        for t, row in enumerate(self.gluings):
+            for f, g in enumerate(row):
+                if g is not None:
+                    base, base2 = width * t, width * g[0]
+                    moves += [(base + i, base2 + j, flip)
+                              for i, j, flip in moves_of[g[1]][f]]
+        return _signed_orbits(width * self.n, moves)
+
+    @cached_property
+    def _edge_slots(self):
+        orbit, signs, consistent = self._orbits(6, _EDGE_MOVES)
+        if not all(consistent):
+            t, k = divmod(orbit.index(consistent.index(False)), 6)
+            a, b = _PAIRS[k]
+            raise InvalidEdge(
+                f"edge ({t},{{{a},{b}}}) identified with itself in reverse")
+        return orbit, signs
+
     @cached_property
     def edge_classes(self):
         """Edge orbits with direction signs; raises InvalidEdge on a
         reversed self-identification."""
-        classes = []
-        slot_class = {}
-        for t0 in range(self.n):
-            for a0 in range(4):
-                for b0 in range(a0 + 1, 4):
-                    if (t0, a0, b0) in slot_class:
-                        continue
-                    # BFS over ordered pairs, seeded positively at the
-                    # lexicographically least slot of the orbit.
-                    signs = {(t0, a0, b0): 1}
-                    queue = [(t0, a0, b0)]
-                    while queue:
-                        t, a, b = queue.pop()
-                        lo, hi = min(a, b), max(a, b)
-                        s = signs[(t, lo, hi)] if (a, b) == (lo, hi) else -signs[(t, lo, hi)]
-                        for f in range(4):
-                            if f == a or f == b:
-                                continue
-                            g = self.gluings[t][f]
-                            if g is None:
-                                continue
-                            t2, perm = g
-                            a2, b2 = perm[a], perm[b]
-                            lo2, hi2 = min(a2, b2), max(a2, b2)
-                            s2 = s if (a2, b2) == (lo2, hi2) else -s
-                            key = (t2, lo2, hi2)
-                            if key in signs:
-                                if signs[key] != s2:
-                                    raise InvalidEdge(
-                                        f"edge ({t0},{{{a0},{b0}}}) identified "
-                                        "with itself in reverse")
-                            else:
-                                signs[key] = s2
-                                queue.append((t2, a2, b2))
-                    occs = sorted(signs.items())
-                    boundary = any(
-                        self.gluings[t][f] is None
-                        for (t, a, b), _ in occs
-                        for f in range(4) if f != a and f != b)
-                    cls = EdgeClass(
-                        index=len(classes),
-                        occurrences=tuple((t, (a, b), s) for (t, a, b), s in occs),
-                        boundary=boundary)
-                    classes.append(cls)
-                    for (t, a, b), _ in occs:
-                        slot_class[(t, a, b)] = cls.index
-        self._edge_slot_class = slot_class
-        return tuple(classes)
+        orbit, signs = self._edge_slots
+        occurrences = [[] for _ in range(max(orbit) + 1)]
+        boundary = [False] * len(occurrences)
+        for slot, k in enumerate(orbit):
+            t, i = divmod(slot, 6)
+            occurrences[k].append((t, _PAIRS[i], signs[slot]))
+            c, d = _PAIRS[5 - i]        # the two faces containing the edge
+            row = self.gluings[t]
+            boundary[k] = boundary[k] or row[c] is None or row[d] is None
+        return tuple(EdgeClass(k, tuple(occs), boundary[k])
+                     for k, occs in enumerate(occurrences))
 
     def edge_class_of(self, t, a, b):
         """Index of the edge class containing edge {a,b} of tetrahedron t."""
-        self.edge_classes
-        return self._edge_slot_class[(t, min(a, b), max(a, b))]
+        return self._edge_slots[0][6 * t + _SLOT[a][b]]
 
     def edge_sign_of(self, t, a, b):
         """Sign of the direction a -> b of the given slot."""
-        cls = self.edge_classes[self.edge_class_of(t, a, b)]
-        for tt, (lo, hi), s in cls.occurrences:
-            if tt == t and {lo, hi} == {a, b}:
-                return s if (a, b) == (lo, hi) else -s
-        raise KeyError((t, a, b))
+        s = self._edge_slots[1][6 * t + _SLOT[a][b]]
+        return s if a < b else -s
+
+    @cached_property
+    def _corners(self):
+        return self._orbits(4, _CORNER_MOVES)
 
     @cached_property
     def vertex_classes(self):
         """Vertex orbits together with link Euler characteristic and
-        orientability (via orientation propagation over link triangles)."""
-        corner_class = {}
-        orbits = []
-        for t0 in range(self.n):
-            for v0 in range(4):
-                if (t0, v0) in corner_class:
-                    continue
-                orbit = {(t0, v0)}
-                queue = [(t0, v0)]
-                while queue:
-                    t, v = queue.pop()
-                    for f in range(4):
-                        if f == v:
-                            continue
-                        g = self.gluings[t][f]
-                        if g is None:
-                            continue
-                        t2, perm = g
-                        key = (t2, perm[v])
-                        if key not in orbit:
-                            orbit.add(key)
-                            queue.append(key)
-                idx = len(orbits)
-                orbits.append(sorted(orbit))
-                for c in orbit:
-                    corner_class[c] = idx
-
-        # Corner-of-link-triangle orbits: (t, v, w) is the corner of the
-        # link triangle at (t, v) sitting on edge {v, w}.
-        end_class = {}
-        n_end_orbits = [0] * len(orbits)
-        for t0 in range(self.n):
-            for v0 in range(4):
-                for w0 in range(4):
-                    if v0 == w0 or (t0, v0, w0) in end_class:
-                        continue
-                    orbit = {(t0, v0, w0)}
-                    queue = [(t0, v0, w0)]
-                    while queue:
-                        t, v, w = queue.pop()
-                        for f in range(4):
-                            if f == v or f == w:
-                                continue
-                            g = self.gluings[t][f]
-                            if g is None:
-                                continue
-                            t2, perm = g
-                            key = (t2, perm[v], perm[w])
-                            if key not in orbit:
-                                orbit.add(key)
-                                queue.append(key)
-                    vi = corner_class[(t0, v0)]
-                    n_end_orbits[vi] += 1
-                    for c in orbit:
-                        end_class[c] = True
-
-        # Sides of link triangles: (t, v, f) lies in face f; it is glued
-        # to (t2, perm[v], perm[f]) when face f is glued.
-        classes = []
-        for idx, orbit in enumerate(orbits):
-            faces = len(orbit)
-            glued_sides = 0
-            free_sides = 0
-            for (t, v) in orbit:
-                for f in range(4):
-                    if f == v:
-                        continue
-                    if self.gluings[t][f] is None:
-                        free_sides += 1
-                    else:
-                        glued_sides += 1
-            edges = glued_sides // 2 + free_sides
-            euler = n_end_orbits[idx] - edges + faces
-            orientable = self._link_orientable(orbit)
-            classes.append(VertexClass(
-                index=idx,
-                corners=tuple(orbit),
-                link_euler=euler,
-                link_orientable=orientable,
-                link_closed=(free_sides == 0)))
-        self._corner_class = corner_class
-        return tuple(classes)
-
-    def _link_orientable(self, orbit):
-        # Reference orientation of the link triangle at (t, v): the cyclic
-        # order of its corner labels sorted increasingly.
-        def successor(v, x):
-            labels = [i for i in range(4) if i != v]
-            return labels[(labels.index(x) + 1) % 3]
-
-        eps = {orbit[0]: 1}
-        queue = [orbit[0]]
-        ok = True
-        while queue:
-            t, v = queue.pop()
-            labels = [i for i in range(4) if i != v]
-            for f in labels:
-                g = self.gluings[t][f]
-                if g is None:
-                    continue
-                t2, perm = g
-                v2 = perm[v]
-                x, y = [i for i in labels if i != f]
-                d_a = 1 if successor(v, x) == y else -1
-                d_b = 1 if successor(v2, perm[x]) == perm[y] else -1
-                val = -eps[(t, v)] * d_a * d_b
-                key = (t2, v2)
-                if key in eps:
-                    if eps[key] != val:
-                        ok = False
-                else:
-                    eps[key] = val
-                    queue.append(key)
-        return ok
+        orientability; raises InvalidEdge like ``edge_classes``."""
+        orbit, _, orientable = self._corners
+        corners = [[] for _ in orientable]
+        free = [0] * len(orientable)
+        ends = [0] * len(orientable)
+        for c, k in enumerate(orbit):
+            t, v = divmod(c, 4)
+            corners[k].append((t, v))
+            free[k] += sum(1 for f, g in enumerate(self.gluings[t])
+                           if f != v and g is None)
+        for e in self.edge_classes:
+            t, (a, b), _ = e.occurrences[0]
+            ends[orbit[4 * t + a]] += 1
+            ends[orbit[4 * t + b]] += 1
+        # A link has a vertex per edge-class end, a triangle per corner
+        # and 3 sides per triangle, free ones once and glued ones in
+        # pairs: twice its Euler characteristic is 2 ends - corners - free.
+        return tuple(VertexClass(
+            index=k,
+            corners=tuple(corners[k]),
+            link_euler=(2 * ends[k] - len(corners[k]) - free[k]) // 2,
+            link_orientable=orientable[k],
+            link_closed=(free[k] == 0)) for k in range(len(orientable)))
 
     def vertex_class_of(self, t, v):
-        self.vertex_classes
-        return self._corner_class[(t, v)]
+        return self._corners[0][4 * t + v]
 
     @cached_property
     def orientation_signs(self):
         """Coherent orientation signs per tetrahedron, or None."""
-        signs = {0: 1}
-        queue = [0]
-        while queue:
-            t = queue.pop()
-            for f in range(4):
-                g = self.gluings[t][f]
-                if g is None:
-                    continue
-                t2, perm = g
-                val = -sign(perm) * signs[t]
-                if t2 in signs:
-                    if signs[t2] != val:
-                        return None
-                else:
-                    signs[t2] = val
-                    queue.append(t2)
-        return tuple(signs[t] for t in range(self.n))
+        _, signs, consistent = self._orbits(1, _TET_MOVES)
+        return tuple(signs) if consistent[0] else None
+
+    @cached_property
+    def parity_rows(self):
+        """One bitmask over edge-class indices per face class: the edge
+        classes met an odd number of times by the face's boundary."""
+        rows = []
+        for fc in self.face_classes:
+            t, f = fc.sides[0]
+            row = 0
+            for a, b in _PAIRS:
+                if f != a and f != b:
+                    row ^= 1 << self.edge_class_of(t, a, b)
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def is_orientable(self):

@@ -5,8 +5,9 @@ import random
 from idealtri import build, decode
 from idealtri.isosig import SCHARS
 from idealtri.monodromy import build_bundle
-from idealtri.perms import S4, S4_INDEX, compose, inverse
+from idealtri.perms import S4, S4_INDEX, compose, inverse, sign
 from idealtri.search import random_move_walk
+from idealtri.triangulation import EdgeClass, InvalidEdge, VertexClass
 
 
 def admissible_keep(tri):
@@ -169,3 +170,197 @@ def reference_encode_canonical(tri):
             if best is None or s < best:
                 best = s
     return best
+
+
+# The dict-keyed walks that derived the edge and vertex classes and the
+# orientation before the signed-orbit kernel.  The differential oracle
+# for ``Triangulation.edge_classes``, ``vertex_classes`` and
+# ``orientation_signs``.
+
+def reference_edge_classes(tri):
+    """Edge classes and the slot -> class map, or raises InvalidEdge."""
+    classes = []
+    slot_class = {}
+    for t0 in range(tri.n):
+        for a0 in range(4):
+            for b0 in range(a0 + 1, 4):
+                if (t0, a0, b0) in slot_class:
+                    continue
+                # BFS over ordered pairs, seeded positively at the
+                # lexicographically least slot of the orbit.
+                signs = {(t0, a0, b0): 1}
+                queue = [(t0, a0, b0)]
+                while queue:
+                    t, a, b = queue.pop()
+                    lo, hi = min(a, b), max(a, b)
+                    s = signs[(t, lo, hi)] if (a, b) == (lo, hi) else -signs[(t, lo, hi)]
+                    for f in range(4):
+                        if f == a or f == b:
+                            continue
+                        g = tri.gluings[t][f]
+                        if g is None:
+                            continue
+                        t2, perm = g
+                        a2, b2 = perm[a], perm[b]
+                        lo2, hi2 = min(a2, b2), max(a2, b2)
+                        s2 = s if (a2, b2) == (lo2, hi2) else -s
+                        key = (t2, lo2, hi2)
+                        if key in signs:
+                            if signs[key] != s2:
+                                raise InvalidEdge(
+                                    f"edge ({t0},{{{a0},{b0}}}) identified "
+                                    "with itself in reverse")
+                        else:
+                            signs[key] = s2
+                            queue.append((t2, a2, b2))
+                occs = sorted(signs.items())
+                boundary = any(
+                    tri.gluings[t][f] is None
+                    for (t, a, b), _ in occs
+                    for f in range(4) if f != a and f != b)
+                cls = EdgeClass(
+                    index=len(classes),
+                    occurrences=tuple((t, (a, b), s) for (t, a, b), s in occs),
+                    boundary=boundary)
+                classes.append(cls)
+                for (t, a, b), _ in occs:
+                    slot_class[(t, a, b)] = cls.index
+    return tuple(classes), slot_class
+
+
+def reference_vertex_classes(tri):
+    """Vertex classes and the corner -> class map."""
+    corner_class = {}
+    orbits = []
+    for t0 in range(tri.n):
+        for v0 in range(4):
+            if (t0, v0) in corner_class:
+                continue
+            orbit = {(t0, v0)}
+            queue = [(t0, v0)]
+            while queue:
+                t, v = queue.pop()
+                for f in range(4):
+                    if f == v:
+                        continue
+                    g = tri.gluings[t][f]
+                    if g is None:
+                        continue
+                    t2, perm = g
+                    key = (t2, perm[v])
+                    if key not in orbit:
+                        orbit.add(key)
+                        queue.append(key)
+            idx = len(orbits)
+            orbits.append(sorted(orbit))
+            for c in orbit:
+                corner_class[c] = idx
+
+    # Corner-of-link-triangle orbits: (t, v, w) is the corner of the
+    # link triangle at (t, v) sitting on edge {v, w}.
+    end_class = {}
+    n_end_orbits = [0] * len(orbits)
+    for t0 in range(tri.n):
+        for v0 in range(4):
+            for w0 in range(4):
+                if v0 == w0 or (t0, v0, w0) in end_class:
+                    continue
+                orbit = {(t0, v0, w0)}
+                queue = [(t0, v0, w0)]
+                while queue:
+                    t, v, w = queue.pop()
+                    for f in range(4):
+                        if f == v or f == w:
+                            continue
+                        g = tri.gluings[t][f]
+                        if g is None:
+                            continue
+                        t2, perm = g
+                        key = (t2, perm[v], perm[w])
+                        if key not in orbit:
+                            orbit.add(key)
+                            queue.append(key)
+                vi = corner_class[(t0, v0)]
+                n_end_orbits[vi] += 1
+                for c in orbit:
+                    end_class[c] = True
+
+    # Sides of link triangles: (t, v, f) lies in face f; it is glued
+    # to (t2, perm[v], perm[f]) when face f is glued.
+    classes = []
+    for idx, orbit in enumerate(orbits):
+        faces = len(orbit)
+        glued_sides = 0
+        free_sides = 0
+        for (t, v) in orbit:
+            for f in range(4):
+                if f == v:
+                    continue
+                if tri.gluings[t][f] is None:
+                    free_sides += 1
+                else:
+                    glued_sides += 1
+        edges = glued_sides // 2 + free_sides
+        euler = n_end_orbits[idx] - edges + faces
+        orientable = reference_link_orientable(tri, orbit)
+        classes.append(VertexClass(
+            index=idx,
+            corners=tuple(orbit),
+            link_euler=euler,
+            link_orientable=orientable,
+            link_closed=(free_sides == 0)))
+    return tuple(classes), corner_class
+
+
+def reference_link_orientable(tri, orbit):
+    # Reference orientation of the link triangle at (t, v): the cyclic
+    # order of its corner labels sorted increasingly.
+    def successor(v, x):
+        labels = [i for i in range(4) if i != v]
+        return labels[(labels.index(x) + 1) % 3]
+
+    eps = {orbit[0]: 1}
+    queue = [orbit[0]]
+    ok = True
+    while queue:
+        t, v = queue.pop()
+        labels = [i for i in range(4) if i != v]
+        for f in labels:
+            g = tri.gluings[t][f]
+            if g is None:
+                continue
+            t2, perm = g
+            v2 = perm[v]
+            x, y = [i for i in labels if i != f]
+            d_a = 1 if successor(v, x) == y else -1
+            d_b = 1 if successor(v2, perm[x]) == perm[y] else -1
+            val = -eps[(t, v)] * d_a * d_b
+            key = (t2, v2)
+            if key in eps:
+                if eps[key] != val:
+                    ok = False
+            else:
+                eps[key] = val
+                queue.append(key)
+    return ok
+
+
+def reference_orientation_signs(tri):
+    """Coherent orientation signs per tetrahedron, or None."""
+    signs = {0: 1}
+    queue = [0]
+    while queue:
+        t = queue.pop()
+        for f in range(4):
+            g = tri.gluings[t][f]
+            if g is None:
+                continue
+            t2, perm = g
+            val = -sign(perm) * signs[t]
+            if t2 in signs:
+                if signs[t2] != val:
+                    return None
+            else:
+                signs[t2] = val
+                queue.append(t2)
+    return tuple(signs[t] for t in range(tri.n))

@@ -7,11 +7,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealtri import InvalidTriangulation
 from idealtri.cli import (
-    EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE,
-    _links_have_euler_zero, run,
+    EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, _SINGLE, run,
 )
+from idealtri.isosig import encode_canonical
 
 from helpers import random_complex
 
@@ -48,16 +47,31 @@ def test_certificate_rejects_non_cusped_links(sig):
     assert "vertex link" in error["message"]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-def test_link_check_matches_vertex_classes(n, seed):
-    tri = random_complex(random.Random(seed), n, closed=True)
-    try:
-        tri.edge_classes
-    except InvalidTriangulation:
-        return   # an edge identified with itself in reverse
-    assert _links_have_euler_zero(tri) == all(
-        v.link_euler == 0 for v in tri.vertex_classes)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_every_command_reports_one_json_line(n, closed, seed):
+    sig = encode_canonical(random_complex(random.Random(seed), n, closed=closed))
+    for argv in [[command, sig] for command in _SINGLE] + [
+            ["minsearch", sig, "--depth", "1"]]:
+        code, out = invoke(argv)
+        assert code in (EXIT_OK, EXIT_MALFORMED, EXIT_INAPPLICABLE), argv
+        lines = out.splitlines()
+        assert len(lines) == 1, argv
+        json.loads(lines[0])
+
+
+def test_batch_reports_every_line(tmp_path):
+    sigs = ["cPcbbbiht", "cMcabbgag", "not_a_sig", FIXTURE]
+    path = tmp_path / "census.txt"
+    path.write_text("\n".join(sigs), encoding="utf-8")
+    code, out = invoke(["certificate", str(path)])
+    assert code == EXIT_INAPPLICABLE     # the first failing line's code
+    lines = out.splitlines()
+    assert len(lines) == len(sigs)
+    for sig, line in zip(sigs, lines):
+        assert line + "\n" == invoke(["certificate", sig])[1]
+    assert json.loads(lines[1])["error"]["kind"] == "inapplicable"
+    assert json.loads(lines[2])["error"]["kind"] == "malformed-signature"
 
 
 def test_certificate_fixture():

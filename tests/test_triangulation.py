@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealtri import (
     InvalidEdge, InvalidTriangulation, FaceType,
@@ -10,6 +11,11 @@ from idealtri import (
     face_type_counts, relabelled,
 )
 from idealtri.perms import ALL_PERMS, inverse
+
+from helpers import (
+    random_complex, reference_edge_classes, reference_orientation_signs,
+    reference_vertex_classes,
+)
 
 FIG8 = "cPcbbbiht"
 CENSUS_FIXTURES = [
@@ -129,6 +135,32 @@ def test_reversed_edge_identification_rejected():
     tri = build(1, {(0, 0): (0, (1, 0, 3, 2))}, closed=False)
     with pytest.raises(InvalidEdge):
         tri.edge_classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_derived_classes_match_reference_walks(n, closed, seed):
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    assert tri.orientation_signs == reference_orientation_signs(tri)
+    vertices, corner_class = reference_vertex_classes(tri)
+    for (t, v), k in corner_class.items():
+        assert tri.vertex_class_of(t, v) == k
+    try:
+        edges, slot_class = reference_edge_classes(tri)
+    except InvalidEdge as exc:
+        for prop in ("edge_classes", "vertex_classes"):
+            with pytest.raises(InvalidEdge) as raised:
+                getattr(tri, prop)
+            assert str(raised.value) == str(exc)
+        return
+    assert tri.edge_classes == edges
+    for e in edges:
+        for t, (a, b), s in e.occurrences:
+            assert tri.edge_class_of(t, a, b) == tri.edge_class_of(t, b, a) \
+                == slot_class[(t, a, b)]
+            assert tri.edge_sign_of(t, a, b) == s
+            assert tri.edge_sign_of(t, b, a) == -s
+    assert tri.vertex_classes == vertices
 
 
 def test_derived_data_invariant_under_relabelling():
