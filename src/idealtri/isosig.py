@@ -15,7 +15,10 @@ actions compare their destination and gluing characters.  Characters
 compare by code point, as strings do, not by their 6-bit values.
 
 Two triangulations have the same canonical signature exactly when they
-are combinatorially isomorphic.
+are combinatorially isomorphic.  The same labelling kernel, ``_grow``,
+also decides isomorphism: ``triangulation.find_isomorphism`` grows one
+triangulation from a fixed start and looks for a start of the other
+whose labelled stream is equal.
 """
 
 from __future__ import annotations
@@ -44,11 +47,30 @@ def _size_chars(size):
             n_chars)
 
 
+def _flatten(tri):
+    """The gluings as flat arrays over facets ``4t + f``: the destination
+    tetrahedron (-1 when free), the S4 index of the gluing, and the
+    number of facet actions (free facets plus glued pairs)."""
+    n = tri.n
+    dest = [-1] * (4 * n)
+    perm_index = [0] * (4 * n)
+    for t, row in enumerate(tri.gluings):
+        for f, g in enumerate(row):
+            if g is not None:
+                dest[4 * t + f] = g[0]
+                perm_index[4 * t + f] = S4_INDEX[g[1]]
+    return dest, perm_index, 4 * n - sum(d >= 0 for d in dest) // 2
+
+
 def _grow(dest, perm_index, n_actions, start, start_perm, bound):
-    """Grow the labelling from one start choice: the code points of its
-    action characters, the labels and gluings of its type-2 joins, and
-    whether its actions tie ``bound``, the best start's action code
-    points.  None as soon as an action character exceeds ``bound``'s."""
+    """Grow the labelling from one start choice.
+
+    Returns ``(actions, dests, gluings, tied, order, vmap)``: the code
+    points of its action characters, the labels and gluings of its
+    type-2 joins, whether its actions tie ``bound``, the best start's
+    action code points, the tetrahedron given each new label, and the
+    S4 index relabelling each tetrahedron's vertices.  None as soon as
+    an action character exceeds ``bound``'s."""
     n = len(dest) // 4
     image = [-1] * n            # tet -> its new label
     order = [start]             # new label -> tet
@@ -94,31 +116,23 @@ def _grow(dest, perm_index, n_actions, start, start_perm, bound):
                         bound = None
                 actions.append(c)
                 chunk = shift = 0
-    return actions, dests, gluings, bound is not None
+    return actions, dests, gluings, bound is not None, order, vmap
 
 
 def encode_canonical(tri):
     """Smallest signature over all start choices: a complete isomorphism
     invariant."""
-    n = tri.n
-    dest = [-1] * (4 * n)
-    perm_index = [0] * (4 * n)
-    for t, row in enumerate(tri.gluings):
-        for f, g in enumerate(row):
-            if g is not None:
-                dest[4 * t + f] = g[0]
-                perm_index[4 * t + f] = S4_INDEX[g[1]]
-    n_actions = 4 * n - sum(d >= 0 for d in dest) // 2
-    size_str, n_chars = _size_chars(n)
+    dest, perm_index, n_actions = _flatten(tri)
+    size_str, n_chars = _size_chars(tri.n)
 
     best_actions = best_tail = None
-    for start in range(n):
+    for start in range(tri.n):
         for start_perm in range(24):
             grown = _grow(dest, perm_index, n_actions, start, start_perm,
                           best_actions)
             if grown is None:
                 continue
-            actions, dests, gluings, tied = grown
+            actions, dests, gluings, tied, _, _ = grown
             tail = [_ORD[(d >> 6 * i) & 0x3F]
                     for d in dests for i in range(n_chars)]
             tail += [_ORD[g] for g in gluings]

@@ -47,5 +47,3 @@ S4_INDEX = {p: i for i, p in enumerate(S4)}
 # compose(S4[i], S4[j]), INVERSE[i] the index of inverse(S4[i]).
 COMPOSE = tuple(tuple(S4_INDEX[compose(p, q)] for q in S4) for p in S4)
 INVERSE = tuple(S4_INDEX[inverse(p)] for p in S4)
-
-ALL_PERMS = S4

@@ -31,6 +31,8 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0):
     ``predicate`` filters the valid ones.  Returns a dict mapping the
     canonical signature to one representative.
     """
+    if n < 1:
+        raise ValueError("need at least one tetrahedron")
     if n > 2:
         raise ValueError("exhaustive enumeration is desk-scale: n <= 2")
     faces = [(t, f) for t in range(n) for f in range(4)]
@@ -133,6 +135,8 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
     with fewer tetrahedra than the start satisfies the admissibility
     filter, and an explicit truncation flag when a cap cut the search.
     """
+    if max_depth < 0:
+        raise ValueError("search depth must be at least 0")
     start = encode_canonical(tri)
     seen = {start}
     frontier = [start]

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cohomology import classify_tet_rank1
+from .triangulation import _signed_orbits
 
 
 class SurfaceError(ValueError):
@@ -246,28 +247,19 @@ class SurfaceComponents:
 
 
 def components(surface):
-    """Connected components with Euler characteristic and orientability.
+    """Connected components with Euler characteristic and orientability,
+    in the order of their least disc sheet.
 
-    Orientability is by a two-sheeted orientation cover over the disc
-    adjacency graph: a component is non-orientable exactly when its
-    cover is connected.
+    The components are the signed orbits of the disc sheets under the
+    matched arcs.  A sheet's sign orients its disc; joined arcs must
+    induce opposite directions, so the sign flips across an arc whose
+    two discs traverse it the same way.  A component is orientable
+    exactly when its signs are consistent.
     """
     tri = surface.tri
     sheets = _disc_sheets(surface)
     index = {s: i for i, s in enumerate(sheets)}
-    parent = list(range(len(sheets)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    # matched arcs: (sheet_a, sheet_b, parity)
-    arcs = []
+    moves = []      # each matched arc, from both sides
     for fc in tri.face_classes:
         (t, f), (t2, f2) = fc.sides
         perm = tri.gluings[t][f][1]
@@ -284,65 +276,34 @@ def components(surface):
                 enter_a, leave_a = cyc_a[f]
                 enter_b, leave_b = cyc_b[f2]
                 image = frozenset(perm[x] for x in enter_a)
-                if image == enter_b:
-                    parity = 1      # same traversal direction
-                elif image == leave_b:
-                    parity = -1
-                else:
+                if image != enter_b and image != leave_b:
                     raise SurfaceError("arc endpoints scrambled by a gluing")
-                arcs.append((index[sa], index[sb], parity))
-                union(index[sa], index[sb])
-
-    # orientation cover: eps[sheet] in {+1,-1}; joined arcs must induce
-    # opposite directions, so eps_b = -parity * eps_a.
-    eps = {}
-    adjacency = {}
-    for a, b, parity in arcs:
-        adjacency.setdefault(a, []).append((b, parity))
-        adjacency.setdefault(b, []).append((a, parity))
-    orientable_root = {}
-    for start in range(len(sheets)):
-        if start in eps:
-            continue
-        eps[start] = 1
-        ok = True
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y, parity in adjacency.get(x, ()):
-                val = -parity * eps[x]
-                if y in eps:
-                    if eps[y] != val:
-                        ok = False
-                else:
-                    eps[y] = val
-                    queue.append(y)
-        root = find(start)
-        orientable_root[root] = orientable_root.get(root, True) and ok
-
-    return _assemble_components(surface, sheets, index, find, arcs,
-                                orientable_root)
+                flip = image == enter_b     # same traversal direction
+                moves += [(index[sa], index[sb], flip),
+                          (index[sb], index[sa], flip)]
+    orbit, _, orientable = _signed_orbits(len(sheets), moves)
+    return _assemble_components(surface, index, orbit, moves, orientable)
 
 
-def _assemble_components(surface, sheets, index, find, arcs, orientable_root):
+def _assemble_components(surface, index, orbit, moves, orientable):
     tri = surface.tri
-    discs = {}
-    for s in sheets:
-        discs[find(index[s])] = discs.get(find(index[s]), 0) + 1
-    arcs_per = {}
-    for a, _b, _p in arcs:
-        arcs_per[find(a)] = arcs_per.get(find(a), 0) + 1
+    discs = [0] * len(orientable)
+    for k in orbit:
+        discs[k] += 1
+    arcs = [0] * len(orientable)
+    for a, _, _ in moves[::2]:      # one move per arc
+        arcs[orbit[a]] += 1
 
     # 0-cells: points along each edge class, heights taken from the
     # positive end; each incident slot stacks triangle-at-min, quads,
     # triangle-at-max from the smaller vertex.
-    points_per = {}
+    points = [0] * len(orientable)
     weights = surface.edge_weights()
     for e in tri.edge_classes:
         w = weights[e.index]
         if w == 0:
             continue
-        roots_at_height = [set() for _ in range(w)]
+        orbits_at_height = [set() for _ in range(w)]
         for t, (a, b), sign in e.occurrences:
             stack = [("tri", t, a, k) for k in range(surface.triangles[t][a])]
             qt = quad_type_of_pair(a, b)
@@ -361,21 +322,16 @@ def _assemble_components(surface, sheets, index, find, arcs, orientable_root):
             if sign == -1:
                 stack.reverse()
             for h, sheet in enumerate(stack):
-                roots_at_height[h].add(find(index[sheet]))
+                orbits_at_height[h].add(orbit[index[sheet]])
         for h in range(w):
-            if len(roots_at_height[h]) != 1:
+            if len(orbits_at_height[h]) != 1:
                 raise SurfaceError("edge point meets several components")
-            root = roots_at_height[h].pop()
-            points_per[root] = points_per.get(root, 0) + 1
+            points[orbits_at_height[h].pop()] += 1
 
-    comps = []
-    for root in sorted(discs):
-        chi = points_per.get(root, 0) - arcs_per.get(root, 0) + discs[root]
-        comps.append(SurfaceComponent(
-            euler=chi,
-            orientable=orientable_root.get(root, True),
-            discs=discs[root]))
-    return SurfaceComponents(surface=surface, components=tuple(comps))
+    comps = tuple(SurfaceComponent(euler=points[k] - arcs[k] + discs[k],
+                                   orientable=orientable[k], discs=discs[k])
+                  for k in range(len(orientable)))
+    return SurfaceComponents(surface=surface, components=comps)
 
 
 def chi_minus(surface):

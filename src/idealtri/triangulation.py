@@ -21,7 +21,12 @@ gluings, all found by one kernel, ``_signed_orbits``:
   ``perm`` the sign flips when ``sign(perm) == (-1)**(v + perm[v])``,
   and a link is orientable when its corner signs are consistent;
 - tetrahedron ``t`` is signed by orientation, flipping across every
-  gluing by an even permutation.
+  gluing by an even permutation;
+- free-face corner ``16t + 4f + v`` is vertex ``v`` of free face ``f``
+  of tetrahedron ``t``; its orbits are the vertices of the boundary
+  surface.
+
+``surfaces.components`` uses the same kernel over normal disc sheets.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .perms import S4, compose, inverse, is_perm, sign
+from .perms import COMPOSE, INVERSE, S4, compose, inverse, is_perm, sign
 
 
 class InvalidTriangulation(ValueError):
@@ -446,121 +451,68 @@ def boundary_surface(tri):
     """Cell counts of the boundary surface built from unglued faces.
 
     Returns (vertices, edges, triangles, euler) of the surface swept out
-    by the boundary faces, or None for a closed triangulation.
+    by the boundary faces, or None for a closed triangulation.  An edge
+    class with free faces is one path of wedges, so it is one boundary
+    edge with exactly two free-face slots.  Boundary vertices are the
+    orbits of free-face corners ``16t + 4f + v``, matched tail to tail
+    and head to head, by the edge's direction signs, across each such
+    pair of slots.  A bounded triangulation with an edge identified with
+    itself in reverse raises InvalidEdge, as ``vertex_classes`` does;
+    the ``degree3-lst-context`` predicate reads the edge classes first.
     """
     free = [(t, f) for t in range(tri.n) for f in range(4)
             if tri.gluings[t][f] is None]
     if not free:
         return None
-    free_set = set(free)
-
-    # Boundary edge slots: (t, f, {x, y}) for each edge of each free face.
-    # Two slots are identified when they belong to the same edge class and
-    # are connected through the interior around that edge: walk around the
-    # edge class from one free face to the next.
-    def walk(t, f, x, y):
-        # Rotate around edge {x,y} starting through the other face.
-        while True:
-            others = [h for h in range(4) if h not in (x, y, f)]
-            g = others[0]
-            glu = tri.gluings[t][g]
-            if glu is None:
-                return (t, g, x, y)
-            t2, perm = glu
-            t, f, x, y = t2, perm[g], perm[x], perm[y]
-
-    slot_ids = {}
-    pair_count = 0
-    for (t, f) in free:
-        verts = [v for v in range(4) if v != f]
-        for i in range(3):
-            x, y = verts[i], verts[(i + 1) % 3]
-            key = (t, f, min(x, y), max(x, y))
-            if key in slot_ids:
-                continue
-            t2, g2, x2, y2 = walk(t, f, x, y)
-            key2 = (t2, g2, min(x2, y2), max(x2, y2))
-            assert (t2, g2) in free_set
-            slot_ids[key] = pair_count
-            slot_ids[key2] = pair_count
-            pair_count += 1
-    edges = pair_count
-
-    # Boundary vertex corners: (t, f, v) for v a vertex of the free face.
-    def corner_walk(t, f, v):
-        # All corners identified with (t, f, v) across boundary edges.
-        seen = {(t, f, v)}
-        stack = [(t, f, v)]
-        while stack:
-            tt, ff, vv = stack.pop()
-            for u in range(4):
-                if u == ff or u == vv:
-                    continue
-                t2, g2, v2, _ = walk(tt, ff, vv, u)
-                key = (t2, g2, v2)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(key)
-        return seen
-
-    corner_class = {}
-    n_vertices = 0
-    for (t, f) in free:
-        for v in range(4):
-            if v == f or (t, f, v) in corner_class:
-                continue
-            orbit = corner_walk(t, f, v)
-            for c in orbit:
-                corner_class[c] = n_vertices
-            n_vertices += 1
-
-    triangles = len(free)
-    euler = n_vertices - edges + triangles
-    return {"vertices": n_vertices, "edges": edges,
-            "triangles": triangles, "euler": euler}
+    moves = []
+    edges = 0
+    for e in tri.edge_classes:
+        ends = []       # (tail, head) corners of each free-face slot
+        for t, (a, b), s in e.occurrences:
+            tail, head = (a, b) if s > 0 else (b, a)
+            ends += [(16 * t + 4 * f + tail, 16 * t + 4 * f + head)
+                     for f in _PAIRS[5 - _SLOT[a][b]]
+                     if tri.gluings[t][f] is None]
+        if ends:
+            (tail, head), (tail2, head2) = ends
+            moves += [(tail, tail2, False), (tail2, tail, False),
+                      (head, head2, False), (head2, head, False)]
+            edges += 1
+    orbit, _, _ = _signed_orbits(16 * tri.n, moves)
+    vertices = len({orbit[16 * t + 4 * f + v]
+                    for t, f in free for v in range(4) if v != f})
+    return {"vertices": vertices, "edges": edges,
+            "triangles": len(free), "euler": vertices - edges + len(free)}
 
 
 def find_isomorphism(t1, t2):
     """A combinatorial isomorphism t1 -> t2, or None.
 
     Returns (tet_map, vertex_maps): tetrahedron t of t1 corresponds to
-    tet_map[t] of t2 with vertices relabelled by vertex_maps[t].
+    tet_map[t] of t2 with vertices relabelled by vertex_maps[t].  The
+    labelling of t1 grown from tetrahedron 0 is matched against the
+    labellings of t2 from every start, which are tried so that the
+    vertex map of tetrahedron 0 runs through S4 in index order.
     """
-    if t1.n != t2.n:
+    from .isosig import _flatten, _grow
+    flat1, flat2 = _flatten(t1), _flatten(t2)
+    if t1.n != t2.n or flat1[2] != flat2[2]:
         return None
-    from .perms import ALL_PERMS
+    actions, dests, gluings, _, order1, vmap1 = _grow(*flat1, 0, 0, None)
     for t0 in range(t2.n):
-        for p0 in ALL_PERMS:
-            tet_map = {0: t0}
-            vmaps = {0: p0}
-            queue = [0]
-            ok = True
-            while queue and ok:
-                t = queue.pop()
-                for f in range(4):
-                    g1 = t1.gluings[t][f]
-                    img_t = tet_map[t]
-                    img_f = vmaps[t][f]
-                    g2 = t2.gluings[img_t][img_f]
-                    if g1 is None and g2 is None:
-                        continue
-                    if (g1 is None) != (g2 is None):
-                        ok = False
-                        break
-                    s1, perm1 = g1
-                    s2, perm2 = g2
-                    req = compose(perm2, compose(vmaps[t], inverse(perm1)))
-                    if s1 in tet_map:
-                        if tet_map[s1] != s2 or vmaps[s1] != req:
-                            ok = False
-                            break
-                    else:
-                        tet_map[s1] = s2
-                        vmaps[s1] = req
-                        queue.append(s1)
-            if ok and len(tet_map) == t1.n and len(set(tet_map.values())) == t1.n:
-                return ([tet_map[t] for t in range(t1.n)],
-                        [vmaps[t] for t in range(t1.n)])
+        for i in range(24):
+            grown = _grow(*flat2, t0, INVERSE[i], actions)
+            if grown is None:
+                continue
+            _, dests2, gluings2, tied, order2, vmap2 = grown
+            if not (tied and dests2 == dests and gluings2 == gluings):
+                continue
+            tet_map = [0] * t1.n
+            vertex_maps = [None] * t1.n
+            for t, u in zip(order1, order2):
+                tet_map[t] = u
+                vertex_maps[t] = S4[COMPOSE[INVERSE[vmap2[u]]][vmap1[t]]]
+            return tet_map, vertex_maps
     return None
 
 

@@ -7,6 +7,10 @@ from idealtri.isosig import SCHARS
 from idealtri.monodromy import build_bundle
 from idealtri.perms import S4, S4_INDEX, compose, inverse, sign
 from idealtri.search import random_move_walk
+from idealtri.surfaces import (
+    SurfaceComponent, SurfaceComponents, SurfaceError, _arc_stack,
+    _boundary_cycle, _disc_sheets, quad_type_of_pair,
+)
 from idealtri.triangulation import EdgeClass, InvalidEdge, VertexClass
 
 
@@ -364,3 +368,280 @@ def reference_orientation_signs(tri):
                 signs[t2] = val
                 queue.append(t2)
     return tuple(signs[t] for t in range(tri.n))
+
+
+# The walks that searched for isomorphisms, components and the boundary
+# surface before they ran on the labelling and signed-orbit kernels.
+# The differential oracles for ``find_isomorphism``, ``components`` and
+# ``boundary_surface``.
+
+def reference_find_isomorphism(t1, t2):
+    """A combinatorial isomorphism t1 -> t2, or None.
+
+    Returns (tet_map, vertex_maps): tetrahedron t of t1 corresponds to
+    tet_map[t] of t2 with vertices relabelled by vertex_maps[t].
+    """
+    if t1.n != t2.n:
+        return None
+    for t0 in range(t2.n):
+        for p0 in S4:
+            tet_map = {0: t0}
+            vmaps = {0: p0}
+            queue = [0]
+            ok = True
+            while queue and ok:
+                t = queue.pop()
+                for f in range(4):
+                    g1 = t1.gluings[t][f]
+                    img_t = tet_map[t]
+                    img_f = vmaps[t][f]
+                    g2 = t2.gluings[img_t][img_f]
+                    if g1 is None and g2 is None:
+                        continue
+                    if (g1 is None) != (g2 is None):
+                        ok = False
+                        break
+                    s1, perm1 = g1
+                    s2, perm2 = g2
+                    req = compose(perm2, compose(vmaps[t], inverse(perm1)))
+                    if s1 in tet_map:
+                        if tet_map[s1] != s2 or vmaps[s1] != req:
+                            ok = False
+                            break
+                    else:
+                        tet_map[s1] = s2
+                        vmaps[s1] = req
+                        queue.append(s1)
+            if ok and len(tet_map) == t1.n and len(set(tet_map.values())) == t1.n:
+                return ([tet_map[t] for t in range(t1.n)],
+                        [vmaps[t] for t in range(t1.n)])
+    return None
+
+
+def _reference_union_find(surface):
+    """Disc sheets, their index, the union-find over matched arcs, and
+    the arcs as (sheet_a, sheet_b, parity)."""
+    tri = surface.tri
+    sheets = _disc_sheets(surface)
+    index = {s: i for i, s in enumerate(sheets)}
+    parent = list(range(len(sheets)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    # matched arcs: (sheet_a, sheet_b, parity)
+    arcs = []
+    for fc in tri.face_classes:
+        (t, f), (t2, f2) = fc.sides
+        perm = tri.gluings[t][f][1]
+        for v in range(4):
+            if v == f:
+                continue
+            side_a = _arc_stack(surface, t, f, v)
+            side_b = _arc_stack(surface, t2, f2, perm[v])
+            if len(side_a) != len(side_b):
+                raise SurfaceError("arc stacks mismatch across a gluing")
+            for sa, sb in zip(side_a, side_b):
+                cyc_a = _boundary_cycle(sa[0], sa[1], sa[2])
+                cyc_b = _boundary_cycle(sb[0], sb[1], sb[2])
+                enter_a, leave_a = cyc_a[f]
+                enter_b, leave_b = cyc_b[f2]
+                image = frozenset(perm[x] for x in enter_a)
+                if image == enter_b:
+                    parity = 1      # same traversal direction
+                elif image == leave_b:
+                    parity = -1
+                else:
+                    raise SurfaceError("arc endpoints scrambled by a gluing")
+                arcs.append((index[sa], index[sb], parity))
+                union(index[sa], index[sb])
+    return sheets, index, find, arcs
+
+
+def reference_components(surface):
+    """Connected components with Euler characteristic and orientability,
+    listed in the order of their union-find roots.
+
+    Orientability is by a two-sheeted orientation cover over the disc
+    adjacency graph: a component is non-orientable exactly when its
+    cover is connected.
+    """
+    sheets, index, find, arcs = _reference_union_find(surface)
+
+    # orientation cover: eps[sheet] in {+1,-1}; joined arcs must induce
+    # opposite directions, so eps_b = -parity * eps_a.
+    eps = {}
+    adjacency = {}
+    for a, b, parity in arcs:
+        adjacency.setdefault(a, []).append((b, parity))
+        adjacency.setdefault(b, []).append((a, parity))
+    orientable_root = {}
+    for start in range(len(sheets)):
+        if start in eps:
+            continue
+        eps[start] = 1
+        ok = True
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            for y, parity in adjacency.get(x, ()):
+                val = -parity * eps[x]
+                if y in eps:
+                    if eps[y] != val:
+                        ok = False
+                else:
+                    eps[y] = val
+                    queue.append(y)
+        root = find(start)
+        orientable_root[root] = orientable_root.get(root, True) and ok
+
+    return _reference_assemble(surface, sheets, index, find, arcs,
+                               orientable_root)
+
+
+def reference_least_sheets(surface):
+    """The least disc sheet of each ``reference_components`` component,
+    in the order that function lists them."""
+    sheets, _, find, _ = _reference_union_find(surface)
+    least = {}
+    for i in range(len(sheets)):
+        least.setdefault(find(i), i)
+    return [least[root] for root in sorted(least)]
+
+
+def _reference_assemble(surface, sheets, index, find, arcs, orientable_root):
+    tri = surface.tri
+    discs = {}
+    for s in sheets:
+        discs[find(index[s])] = discs.get(find(index[s]), 0) + 1
+    arcs_per = {}
+    for a, _b, _p in arcs:
+        arcs_per[find(a)] = arcs_per.get(find(a), 0) + 1
+
+    # 0-cells: points along each edge class, heights taken from the
+    # positive end; each incident slot stacks triangle-at-min, quads,
+    # triangle-at-max from the smaller vertex.
+    points_per = {}
+    weights = surface.edge_weights()
+    for e in tri.edge_classes:
+        w = weights[e.index]
+        if w == 0:
+            continue
+        roots_at_height = [set() for _ in range(w)]
+        for t, (a, b), sign in e.occurrences:
+            stack = [("tri", t, a, k) for k in range(surface.triangles[t][a])]
+            qt = quad_type_of_pair(a, b)
+            for i in (1, 2, 3):
+                if i == qt:
+                    continue
+                # the quad of type i separates a from b; copy 0 sits on
+                # the {0, i} side, so the order from a flips when a is
+                # on the far side
+                copies = range(surface.quads[t][i - 1])
+                if a != 0 and a != i:
+                    copies = reversed(copies)
+                stack.extend(("quad", t, i, k) for k in copies)
+            stack.extend(("tri", t, b, k)
+                         for k in reversed(range(surface.triangles[t][b])))
+            if sign == -1:
+                stack.reverse()
+            for h, sheet in enumerate(stack):
+                roots_at_height[h].add(find(index[sheet]))
+        for h in range(w):
+            if len(roots_at_height[h]) != 1:
+                raise SurfaceError("edge point meets several components")
+            root = roots_at_height[h].pop()
+            points_per[root] = points_per.get(root, 0) + 1
+
+    comps = []
+    for root in sorted(discs):
+        chi = points_per.get(root, 0) - arcs_per.get(root, 0) + discs[root]
+        comps.append(SurfaceComponent(
+            euler=chi,
+            orientable=orientable_root.get(root, True),
+            discs=discs[root]))
+    return SurfaceComponents(surface=surface, components=tuple(comps))
+
+
+def reference_boundary_surface(tri):
+    """Cell counts of the boundary surface built from unglued faces.
+
+    Returns (vertices, edges, triangles, euler) of the surface swept out
+    by the boundary faces, or None for a closed triangulation.
+    """
+    free = [(t, f) for t in range(tri.n) for f in range(4)
+            if tri.gluings[t][f] is None]
+    if not free:
+        return None
+    free_set = set(free)
+
+    # Boundary edge slots: (t, f, {x, y}) for each edge of each free face.
+    # Two slots are identified when they belong to the same edge class and
+    # are connected through the interior around that edge: walk around the
+    # edge class from one free face to the next.
+    def walk(t, f, x, y):
+        # Rotate around edge {x,y} starting through the other face.
+        while True:
+            others = [h for h in range(4) if h not in (x, y, f)]
+            g = others[0]
+            glu = tri.gluings[t][g]
+            if glu is None:
+                return (t, g, x, y)
+            t2, perm = glu
+            t, f, x, y = t2, perm[g], perm[x], perm[y]
+
+    slot_ids = {}
+    pair_count = 0
+    for (t, f) in free:
+        verts = [v for v in range(4) if v != f]
+        for i in range(3):
+            x, y = verts[i], verts[(i + 1) % 3]
+            key = (t, f, min(x, y), max(x, y))
+            if key in slot_ids:
+                continue
+            t2, g2, x2, y2 = walk(t, f, x, y)
+            key2 = (t2, g2, min(x2, y2), max(x2, y2))
+            assert (t2, g2) in free_set
+            slot_ids[key] = pair_count
+            slot_ids[key2] = pair_count
+            pair_count += 1
+    edges = pair_count
+
+    # Boundary vertex corners: (t, f, v) for v a vertex of the free face.
+    def corner_walk(t, f, v):
+        # All corners identified with (t, f, v) across boundary edges.
+        seen = {(t, f, v)}
+        stack = [(t, f, v)]
+        while stack:
+            tt, ff, vv = stack.pop()
+            for u in range(4):
+                if u == ff or u == vv:
+                    continue
+                t2, g2, v2, _ = walk(tt, ff, vv, u)
+                key = (t2, g2, v2)
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(key)
+        return seen
+
+    corner_class = {}
+    n_vertices = 0
+    for (t, f) in free:
+        for v in range(4):
+            if v == f or (t, f, v) in corner_class:
+                continue
+            orbit = corner_walk(t, f, v)
+            for c in orbit:
+                corner_class[c] = n_vertices
+            n_vertices += 1
+
+    triangles = len(free)
+    euler = n_vertices - edges + triangles
+    return {"vertices": n_vertices, "edges": edges,
+            "triangles": triangles, "euler": euler}

@@ -15,7 +15,7 @@ from idealtri import (
     enumerate_complexes, enumerate_moves, euler_characteristic, lst_build,
     rank2_subgroups, relabelled, word_analysis,
 )
-from idealtri.perms import ALL_PERMS
+from idealtri.perms import S4
 from idealtri.search import has_interior_degree3_and_torus_boundary
 
 from helpers import octahedron_model, random_admissible
@@ -144,7 +144,7 @@ def test_criterion_5_isosig_laws():
         for _ in range(100):
             tet_map = list(range(tri.n))
             rng.shuffle(tet_map)
-            vmaps = [rng.choice(ALL_PERMS) for _ in range(tri.n)]
+            vmaps = [rng.choice(S4) for _ in range(tri.n)]
             assert encode_canonical(relabelled(tri, tet_map, vmaps)) == base
             trials += 1
     assert trials == 1000

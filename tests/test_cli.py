@@ -23,6 +23,15 @@ def invoke(argv):
     return code, out.getvalue()
 
 
+def assert_invalid_input(argv):
+    """A request no report can answer: one JSON error, exit code 2."""
+    code, out = invoke(argv)
+    assert code == EXIT_MALFORMED, argv
+    lines = out.splitlines()
+    assert len(lines) == 1, argv
+    assert json.loads(lines[0])["error"]["kind"] == "invalid-input", argv
+
+
 def test_decode_reports_shape():
     code, out = invoke(["decode", FIXTURE])
     assert code == EXIT_OK
@@ -171,6 +180,7 @@ def test_minsearch_command():
     assert code == EXIT_OK
     assert payload["min_tetrahedra"] == 2
     assert payload["smaller_admissible"] == []
+    assert_invalid_input(["minsearch", "cPcbbbiht", "--depth", "-1"])
 
 
 def test_enumerate_command():
@@ -180,6 +190,8 @@ def test_enumerate_command():
     assert payload["count"] == 0
     code, _ = invoke(["enumerate", "--tets", "1", "--filter", "nonsense"])
     assert code == EXIT_USAGE
+    for tets in ("0", "-3", "3"):
+        assert_invalid_input(["enumerate", "--tets", tets])
 
 
 def test_cohomology_command():

@@ -197,14 +197,14 @@ def test_certificate_independent_of_basis_choice():
     # The subgroup-level result does not depend on which basis the
     # elimination produced: permuting labels gives the same subgroup set.
     from idealtri import relabelled
-    from idealtri.perms import ALL_PERMS
+    from idealtri.perms import S4
     rng = random.Random(53)
     tri = decode(CENSUS_FIXTURES[0])
     base = bound_certificate(tri)
     for _ in range(5):
         tet_map = list(range(tri.n))
         rng.shuffle(tet_map)
-        vmaps = [rng.choice(ALL_PERMS) for _ in range(tri.n)]
+        vmaps = [rng.choice(S4) for _ in range(tri.n)]
         other = relabelled(tri, tet_map, vmaps)
         cert = bound_certificate(other)
         assert cert is not None

@@ -12,7 +12,7 @@ from idealtri.lst import (
     detect_degree3, maximal_extension, pairwise_intersection, LstCertificate,
 )
 from idealtri.triangulation import Triangulation
-from idealtri.perms import ALL_PERMS
+from idealtri.perms import S4
 
 
 def test_seed_is_the_one_tetrahedron_torus():
@@ -86,10 +86,10 @@ def _glue_boundaries(c1, c2):
     b1, b2 = c2.free_faces
     out = []
     for x, y in [(b1, b2), (b2, b1)]:
-        for p in ALL_PERMS:
+        for p in S4:
             if p[a1[1]] != x[1]:
                 continue
-            for q in ALL_PERMS:
+            for q in S4:
                 if q[a2[1]] != y[1]:
                     continue
                 gl = dict(base)

@@ -4,6 +4,7 @@ characteristics, components, orientability."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealtri import (
     Cocycle, SurfaceError, canonical_surface, chi_minus, cocycle_space,
@@ -13,7 +14,9 @@ from idealtri import (
 from idealtri.cohomology import classify_rank2
 from idealtri.monodromy import build_bundle
 
-from helpers import random_admissible
+from helpers import (
+    random_admissible, reference_components, reference_least_sheets,
+)
 
 CENSUS_FIXTURES = [
     "gLLMQbeefffehhqxhqq",
@@ -187,6 +190,27 @@ def test_sum_with_vertex_link_splits_into_both():
                      for c in components(both).components)
         assert got == expected
         assert euler_characteristic(both) == euler_characteristic(surface)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_components_match_reference(seed):
+    # The same components as the union-find oracle, listed in the order
+    # of their least disc sheet.
+    tri = random_admissible(random.Random(seed))
+    link = vertex_link_surface(tri)
+    surfaces = [link]
+    for phi in cocycle_space(tri).nonzero_elements():
+        vector = canonical_surface(tri, phi).coordinate_vector()
+        surfaces += [
+            from_coordinates(tri, vector),
+            from_coordinates(tri, [2 * x for x in vector]),
+            from_coordinates(tri, [x + y for x, y in zip(
+                vector, link.coordinate_vector())])]
+    for surface in surfaces:
+        expected = reference_components(surface).components
+        by_least = sorted(zip(reference_least_sheets(surface), expected))
+        assert components(surface).components == tuple(c for _, c in by_least)
 
 
 def test_chi_minus_over_mixed_components():

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from idealtri import (
     InvalidEdge, InvalidTriangulation, FaceType,
-    anatomy_report, build, decode, degree_histogram,
-    face_type_counts, relabelled,
+    anatomy_report, boundary_surface, build, decode, degree_histogram,
+    face_type_counts, find_isomorphism, relabelled,
 )
-from idealtri.perms import ALL_PERMS, inverse
+from idealtri.perms import S4, inverse
 
 from helpers import (
-    random_complex, reference_edge_classes, reference_orientation_signs,
+    random_complex, reference_boundary_surface, reference_edge_classes,
+    reference_find_isomorphism, reference_orientation_signs,
     reference_vertex_classes,
 )
 
@@ -174,7 +175,7 @@ def test_derived_data_invariant_under_relabelling():
         for _ in range(25):
             tet_map = list(range(tri.n))
             rng.shuffle(tet_map)
-            vmaps = [rng.choice(ALL_PERMS) for _ in range(tri.n)]
+            vmaps = [rng.choice(S4) for _ in range(tri.n)]
             other = relabelled(tri, tet_map, vmaps)
             assert degree_histogram(other) == base_hist
             assert {ft.value: c for ft, c in face_type_counts(other).items()} == base_faces
@@ -184,21 +185,48 @@ def test_derived_data_invariant_under_relabelling():
 
 
 def test_find_isomorphism_recovers_relabellings():
-    from idealtri import find_isomorphism
     rng = random.Random(77)
     tri = decode(CENSUS_FIXTURES[0])
     for _ in range(10):
         tet_map = list(range(tri.n))
         rng.shuffle(tet_map)
-        vmaps = [rng.choice(ALL_PERMS) for _ in range(tri.n)]
+        vmaps = [rng.choice(S4) for _ in range(tri.n)]
         other = relabelled(tri, tet_map, vmaps)
         iso = find_isomorphism(tri, other)
         assert iso is not None
+        assert iso == reference_find_isomorphism(tri, other)
         found_tets, found_vmaps = iso
         assert relabelled(tri, found_tets, found_vmaps) == other
     # non-isomorphic pairs have no isomorphism
     assert find_isomorphism(decode(CENSUS_FIXTURES[1]),
                             decode(CENSUS_FIXTURES[2])) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_find_isomorphism_matches_reference(n, closed, seed):
+    rng = random.Random(seed)
+    tri = random_complex(rng, n, closed=closed)
+    tet_map = list(range(n))
+    rng.shuffle(tet_map)
+    other = relabelled(tri, tet_map, [rng.choice(S4) for _ in range(n)])
+    stranger = random_complex(rng, rng.randint(1, 4), closed=rng.random() < 0.5)
+    for a, b in [(tri, other), (other, tri), (tri, stranger), (stranger, tri)]:
+        assert find_isomorphism(a, b) == reference_find_isomorphism(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_boundary_surface_matches_reference(n, closed, seed):
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    if not tri.is_closed:
+        try:
+            tri.edge_classes
+        except InvalidEdge:
+            with pytest.raises(InvalidEdge):
+                boundary_surface(tri)
+            return
+    assert boundary_surface(tri) == reference_boundary_surface(tri)
 
 
 def test_anatomy_report_fixture():
