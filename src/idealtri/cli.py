@@ -230,7 +230,11 @@ def _report_enumerate(n, filter_name):
                        f"choose from {sorted(PREDICATES)}")
     predicate = PREDICATES[filter_name]
     boundary = 2 if filter_name == "degree3-lst-context" else 0
-    found = enumerate_complexes(n, predicate, boundary_faces=boundary)
+    # Both predicates reject every non-orientable complex, so the walk
+    # may cut them early.
+    orientable = filter_name in ("closed-admissible", "torus-links")
+    found = enumerate_complexes(n, predicate, boundary_faces=boundary,
+                                orientable=orientable)
     return {
         "tetrahedra": n,
         "filter": filter_name,

@@ -3,7 +3,12 @@
 The enumerator walks every face pairing of a handful of tetrahedra
 (optionally leaving a fixed number of faces unglued), validates the
 pseudo-manifold axioms, filters by a predicate and deduplicates by
-canonical signature, so the result is complete up to isomorphism.
+canonical signature, so the result is complete up to isomorphism.  An
+undoable signed union-find over edge slots and tetrahedra cuts every
+partial gluing that already reverses an edge, or, when the caller asks
+for ``orientable`` complexes only, already breaks the orientation
+(after Burton, "Enumeration of non-orientable 3-manifolds using
+face-pairing graphs and union-find", 2007).
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from .isosig import decode, encode_canonical
 from .moves import apply_move, enumerate_moves
 from .perms import S4
 from .triangulation import (
-    InvalidTriangulation, Triangulation, boundary_surface,
+    _EDGE_MOVES, _TET_MOVES, InvalidTriangulation, Triangulation,
+    boundary_surface,
 )
 
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
@@ -22,14 +28,25 @@ _PERMS_TAKING = tuple(tuple(tuple(p for p in S4 if p[f1] == f2)
                             for f2 in range(4)) for f1 in range(4))
 
 
-def enumerate_complexes(n, predicate=None, boundary_faces=0):
+def enumerate_complexes(n, predicate=None, boundary_faces=0,
+                        orientable=False):
     """All connected complexes on n tetrahedra, up to isomorphism.
 
     ``boundary_faces`` fixes the number of unglued faces (0 gives closed
     pseudo-manifolds; None allows any number).  Invalid gluings (broken
     involutions, reversed edges, disconnected results) are skipped;
-    ``predicate`` filters the valid ones.  Returns a dict mapping the
-    canonical signature to one representative.
+    ``predicate`` filters the valid ones.  With ``orientable`` true only
+    orientable complexes are kept.  Returns a dict mapping the canonical
+    signature to one representative, in the order first visited.
+
+    The walk pairs faces one gluing at a time and keeps a signed
+    union-find over edge slots ``6t + k`` and tetrahedra ``6n + t``,
+    merged by the moves of ``triangulation._EDGE_MOVES`` and
+    ``_TET_MOVES``.  A gluing that reverses an edge, or that breaks the
+    orientation when ``orientable`` is true, stays so under every further
+    gluing, so its whole subtree is cut.  Each leaf that survives is
+    still built and validated by ``Triangulation``; the visit order is
+    unchanged, so the result equals the unpruned walk's.
     """
     if n < 1:
         raise ValueError("need at least one tetrahedron")
@@ -37,6 +54,43 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0):
         raise ValueError("exhaustive enumeration is desk-scale: n <= 2")
     faces = [(t, f) for t in range(n) for f in range(4)]
     results = {}
+    # The union-find: each item's parent and its sign relative to it, and
+    # each root's size.  Without path compression a union is undone by
+    # making its attached root a root again.
+    parent = list(range(7 * n))
+    flipped = [False] * (7 * n)
+    size = [1] * (7 * n)
+    attached = []
+
+    def find(x):
+        s = False
+        while parent[x] != x:
+            s ^= flipped[x]
+            x = parent[x]
+        return x, s
+
+    def merge(moves, base, base2):
+        """Apply the moves ``(i, j, flip)`` from items ``base + i`` to
+        ``base2 + j``; False at the first one that contradicts a sign."""
+        for i, j, flip in moves:
+            (a, sa), (b, sb) = find(base + i), find(base2 + j)
+            if a == b:
+                if sa ^ sb != flip:
+                    return False
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            flipped[b] = sa ^ sb ^ flip
+            size[a] += size[b]
+            attached.append(b)
+        return True
+
+    def glue(t1, f1, t2, perm):
+        if not merge(_EDGE_MOVES[perm][f1], 6 * t1, 6 * t2):
+            return False
+        return not orientable or merge(_TET_MOVES[perm][f1],
+                                       6 * n + t1, 6 * n + t2)
 
     def validate(pairs):
         gluings = {}
@@ -67,7 +121,14 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0):
         for i, other in enumerate(rest):
             remaining = rest[:i] + rest[i + 1:]
             for perm in _PERMS_TAKING[first[1]][other[1]]:
-                recurse(remaining, pairs + [(first, other, perm)], free_left)
+                mark = len(attached)
+                if glue(*first, other[0], perm):
+                    recurse(remaining, pairs + [(first, other, perm)],
+                            free_left)
+                while len(attached) > mark:
+                    b = attached.pop()
+                    size[parent[b]] -= size[b]
+                    parent[b] = b
 
     recurse(faces, [], boundary_faces)
     return results
@@ -124,7 +185,11 @@ class SearchResult:
     min_tetrahedra: int
     smaller_admissible: tuple    # sigs below the start size passing the filter
     depth_reached: int
-    truncated: bool
+    truncation_reason: str | None    # "max_nodes", "max_depth" or None
+
+    @property
+    def truncated(self):
+        return self.truncation_reason is not None
 
 
 def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
@@ -133,14 +198,16 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
 
     Reports every canonical signature reached, whether any triangulation
     with fewer tetrahedra than the start satisfies the admissibility
-    filter, and an explicit truncation flag when a cap cut the search.
+    filter, and which cap cut the search, if any: ``"max_nodes"`` when
+    a new signature came after ``max_nodes`` were seen, ``"max_depth"``
+    when the frontier was still live at ``max_depth``.
     """
     if max_depth < 0:
         raise ValueError("search depth must be at least 0")
     start = encode_canonical(tri)
     seen = {start}
     frontier = [start]
-    truncated = False
+    reason = None
     depth = 0
     for depth in range(1, max_depth + 1):
         next_frontier = []
@@ -154,18 +221,18 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
                 if new_sig in seen:
                     continue
                 if len(seen) >= max_nodes:
-                    truncated = True
+                    reason = "max_nodes"
                     break
                 seen.add(new_sig)
                 next_frontier.append(new_sig)
-            if truncated:
+            if reason:
                 break
-        if truncated or not next_frontier:
+        if reason or not next_frontier:
             frontier = next_frontier
             break
         frontier = next_frontier
-    if frontier and not truncated and depth == max_depth:
-        truncated = True
+    if frontier and not reason and depth == max_depth:
+        reason = "max_depth"
 
     sizes = {}
     smaller = []
@@ -180,7 +247,7 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
         min_tetrahedra=min(sizes.values()),
         smaller_admissible=tuple(sorted(smaller)),
         depth_reached=depth,
-        truncated=truncated)
+        truncation_reason=reason)
 
 
 def random_move_walk(tri, steps, rng, max_tets=8, keep=None):

@@ -3,15 +3,17 @@
 import random
 
 from idealtri import build, decode
-from idealtri.isosig import SCHARS
+from idealtri.isosig import SCHARS, encode_canonical
 from idealtri.monodromy import build_bundle
 from idealtri.perms import S4, S4_INDEX, compose, inverse, sign
-from idealtri.search import random_move_walk
+from idealtri.search import _PERMS_TAKING, random_move_walk
 from idealtri.surfaces import (
     SurfaceComponent, SurfaceComponents, SurfaceError, _arc_stack,
     _boundary_cycle, _disc_sheets, quad_type_of_pair,
 )
-from idealtri.triangulation import EdgeClass, InvalidEdge, VertexClass
+from idealtri.triangulation import (
+    EdgeClass, InvalidEdge, InvalidTriangulation, Triangulation, VertexClass,
+)
 
 
 def admissible_keep(tri):
@@ -645,3 +647,54 @@ def reference_boundary_surface(tri):
     euler = n_vertices - edges + triangles
     return {"vertices": n_vertices, "edges": edges,
             "triangles": triangles, "euler": euler}
+
+
+def reference_enumerate_complexes(n, predicate=None, boundary_faces=0):
+    """All connected complexes on n tetrahedra, up to isomorphism.
+
+    ``boundary_faces`` fixes the number of unglued faces (0 gives closed
+    pseudo-manifolds; None allows any number).  Invalid gluings (broken
+    involutions, reversed edges, disconnected results) are skipped;
+    ``predicate`` filters the valid ones.  Returns a dict mapping the
+    canonical signature to one representative.
+    """
+    if n < 1:
+        raise ValueError("need at least one tetrahedron")
+    if n > 2:
+        raise ValueError("exhaustive enumeration is desk-scale: n <= 2")
+    faces = [(t, f) for t in range(n) for f in range(4)]
+    results = {}
+
+    def validate(pairs):
+        gluings = {}
+        for (t1, f1), (t2, f2), perm in pairs:
+            gluings[(t1, f1)] = (t2, perm)
+        free_count = 4 * n - 2 * len(pairs)
+        try:
+            tri = Triangulation(n, gluings, closed=(free_count == 0))
+            tri.edge_classes
+        except InvalidTriangulation:
+            return
+        if predicate is not None and not predicate(tri):
+            return
+        sig = encode_canonical(tri)
+        if sig not in results:
+            results[sig] = tri
+
+    def recurse(unmatched, pairs, free_left):
+        if not unmatched:
+            if free_left is None or free_left == 0:
+                validate(pairs)
+            return
+        first = unmatched[0]
+        rest = unmatched[1:]
+        if free_left is None or free_left > 0:
+            next_free = None if free_left is None else free_left - 1
+            recurse(rest, pairs, next_free)
+        for i, other in enumerate(rest):
+            remaining = rest[:i] + rest[i + 1:]
+            for perm in _PERMS_TAKING[first[1]][other[1]]:
+                recurse(remaining, pairs + [(first, other, perm)], free_left)
+
+    recurse(faces, [], boundary_faces)
+    return results

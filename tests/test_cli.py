@@ -7,10 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealtri import cli
 from idealtri.cli import (
     EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, _SINGLE, run,
 )
 from idealtri.isosig import encode_canonical
+from idealtri.search import PREDICATES, enumerate_complexes
 
 from helpers import random_complex
 
@@ -192,6 +194,39 @@ def test_enumerate_command():
     assert code == EXIT_USAGE
     for tets in ("0", "-3", "3"):
         assert_invalid_input(["enumerate", "--tets", tets])
+
+
+def test_enumerate_torus_links_report_is_frozen():
+    # the report the unpruned walk printed
+    code, out = invoke(["enumerate", "--tets", "2", "--filter", "torus-links"])
+    assert code == EXIT_OK
+    assert out == (
+        '{"boundary_faces":0,"count":10,"filter":"torus-links",'
+        '"signatures":["cMcabbgds","cMcabbgij","cMcabbgik","cPcbbbadh",'
+        '"cPcbbbadu","cPcbbbali","cPcbbbalm","cPcbbbdei","cPcbbbdxm",'
+        '"cPcbbbiht"],"tetrahedra":2}\n')
+
+
+def test_orientable_pruning_only_under_orientable_filters(monkeypatch):
+    # a filter may ask the walk to cut non-orientable gluings only if its
+    # predicate rejects every non-orientable complex
+    everything = enumerate_complexes(1, None, boundary_faces=None)
+    non_orientable = [t for t in everything.values() if not t.is_orientable]
+    assert non_orientable
+    asked = {}
+
+    def spy(n, predicate, boundary_faces, orientable=False):
+        asked[predicate] = orientable
+        return {}
+
+    monkeypatch.setattr(cli, "enumerate_complexes", spy)
+    for name in PREDICATES:
+        assert invoke(["enumerate", "--tets", "1", "--filter", name])[0] == 0
+    assert len(asked) == len(PREDICATES)
+    orientable_only = [p for p, orientable in asked.items() if orientable]
+    assert orientable_only
+    for predicate in orientable_only:
+        assert not any(predicate(t) for t in non_orientable)
 
 
 def test_cohomology_command():

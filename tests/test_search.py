@@ -6,12 +6,15 @@ import pytest
 
 from idealtri import (
     bounded_move_search, build_bundle, decode, encode_canonical,
-    enumerate_complexes, lst_build,
+    enumerate_complexes, lst_build, search,
 )
 from idealtri.search import (
-    closed_admissible, has_interior_degree3_and_torus_boundary,
+    PREDICATES, closed_admissible, has_interior_degree3_and_torus_boundary,
     random_move_walk, torus_links_only,
 )
+from idealtri.triangulation import Triangulation
+
+from helpers import reference_enumerate_complexes
 
 
 def test_degree3_context_is_unique_and_is_lst134():
@@ -56,10 +59,57 @@ def test_enumeration_cap():
 
 
 def test_enumeration_order_independent():
-    # rerunning gives the same canonical-signature set
-    a = enumerate_complexes(1, closed_admissible, boundary_faces=0)
-    b = enumerate_complexes(1, closed_admissible, boundary_faces=0)
-    assert sorted(a) == sorted(b)
+    # rerunning gives the same representatives in the same order
+    a = enumerate_complexes(1, None, boundary_faces=None)
+    b = enumerate_complexes(1, None, boundary_faces=None)
+    assert a
+    assert list(a.items()) == list(b.items())
+
+
+def _orientable_only(predicate):
+    return lambda tri: tri.is_orientable and (
+        predicate is None or predicate(tri))
+
+
+@pytest.mark.parametrize("name", sorted(PREDICATES))
+def test_one_tet_enumeration_matches_unpruned_walk(name):
+    predicate = PREDICATES[name]
+    for boundary in (0, 1, 2, None):
+        ref = reference_enumerate_complexes(1, predicate, boundary)
+        found = enumerate_complexes(1, predicate, boundary)
+        assert list(found.items()) == list(ref.items())
+        ref = reference_enumerate_complexes(
+            1, _orientable_only(predicate), boundary)
+        found = enumerate_complexes(1, predicate, boundary, orientable=True)
+        assert list(found.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize("orientable", [False, True])
+def test_pruning_builds_no_doomed_leaf(monkeypatch, orientable):
+    # every gluing with a reversed edge, and with `orientable` every
+    # non-orientable one, is cut before its leaf is built
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(Triangulation(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(search, "Triangulation", spy)
+    for n, boundary in ((1, None), (2, 4)):
+        enumerate_complexes(n, lambda tri: False, boundary, orientable)
+    assert built
+    for tri in built:
+        tri.edge_classes    # raises InvalidEdge on a reversed edge
+        assert tri.is_orientable or not orientable
+
+
+def test_two_tet_admissible_matches_unpruned_walk():
+    # closed_admissible rejects non-orientable complexes, so one
+    # reference run serves both settings
+    ref = list(reference_enumerate_complexes(2, closed_admissible).items())
+    for orientable in (False, True):
+        found = enumerate_complexes(2, closed_admissible, 0, orientable)
+        assert list(found.items()) == ref
 
 
 def test_bounded_search_fig8():
@@ -68,6 +118,7 @@ def test_bounded_search_fig8():
     assert result.min_tetrahedra == 2
     assert result.smaller_admissible == ()
     assert not result.truncated
+    assert result.truncation_reason is None
     assert encode_canonical(tri) in result.reachable
 
 
@@ -86,6 +137,16 @@ def test_bounded_search_truncation_flag():
     tri = decode("gLLMQbeefffehhqxhqq")
     result = bounded_move_search(tri, max_tets=7, max_depth=1)
     assert result.truncated  # depth cap with a live frontier is reported
+    assert result.truncation_reason == "max_depth"
+
+
+def test_bounded_search_node_cap_reason():
+    tri = decode("gLLMQbeefffehhqxhqq")
+    result = bounded_move_search(tri, max_tets=7, max_depth=3, max_nodes=5)
+    assert result.truncated
+    assert result.truncation_reason == "max_nodes"
+    assert len(result.reachable) == 5
+    assert result.depth_reached < 3    # cut before the depth cap
 
 
 def test_random_move_walk_respects_filter():
