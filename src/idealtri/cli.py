@@ -40,8 +40,7 @@ class CliError(Exception):
 
 
 def _emit(payload, out):
-    json.dump(payload, out, sort_keys=True, separators=(",", ":"))
-    out.write("\n")
+    out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _load(sig):

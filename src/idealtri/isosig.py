@@ -14,6 +14,15 @@ its action characters exceeds the best start's; starts that tie on all
 actions compare their destination and gluing characters.  Characters
 compare by code point, as strings do, not by their 6-bit values.
 
+Two starts that grow the same full string differ by an automorphism,
+and every start in one orbit of the automorphism group grows the same
+string.  The first such pair builds a union-find over the starts; each
+automorphism found merges their orbits, and a start whose class
+already holds a processed start is skipped (the search-tree pruning of
+McKay, *Practical graph isomorphism*, 1981).  A periodic bundle of n
+tetrahedra then grows about 24n / |Aut| starts; an asymmetric complex
+never builds the union-find.
+
 Two triangulations have the same canonical signature exactly when they
 are combinatorially isomorphic.  The same labelling kernel, ``_grow``,
 also decides isomorphism: ``triangulation.find_isomorphism`` grows one
@@ -122,23 +131,75 @@ def _grow(dest, perm_index, n_actions, start, start_perm, bound):
 def encode_canonical(tri):
     """Smallest signature over all start choices: a complete isomorphism
     invariant."""
+    return _canonical(tri)[0]
+
+
+def _canonical(tri):
+    """The canonical signature and the order of the automorphism group.
+
+    Starts are numbered ``24 * tet + perm``.  Two grown starts with the
+    same full string give an automorphism; the union-find, built at the
+    first one, merges the orbits of the starts under the automorphisms
+    found, and a start whose class already holds a processed start is
+    skipped.  The best start's class is its orbit under the whole group.
+    """
     dest, perm_index, n_actions = _flatten(tri)
     size_str, n_chars = _size_chars(tri.n)
 
     best_actions = best_tail = None
-    for start in range(tri.n):
-        for start_perm in range(24):
-            grown = _grow(dest, perm_index, n_actions, start, start_perm,
-                          best_actions)
-            if grown is None:
+    best_start = 0
+    # Tail -> (start, order, vmap) for the grown starts whose actions
+    # are the best start's: a later start reaches the end only if its
+    # actions tie the best, so no other string can recur.
+    grown_from = {}
+    parent = done = None
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        return s
+
+    for s in range(24 * tri.n):
+        if parent is not None:
+            root = find(s)
+            if done[root]:
                 continue
-            actions, dests, gluings, tied, _, _ = grown
-            tail = [_ORD[(d >> 6 * i) & 0x3F]
-                    for d in dests for i in range(n_chars)]
-            tail += [_ORD[g] for g in gluings]
-            if not tied or tail < best_tail:
-                best_actions, best_tail = actions, tail
-    return size_str + "".join(map(chr, best_actions + best_tail))
+            done[root] = True
+        start, start_perm = divmod(s, 24)
+        grown = _grow(dest, perm_index, n_actions, start, start_perm,
+                      best_actions)
+        if grown is None:
+            continue
+        actions, dests, gluings, tied, order, vmap = grown
+        tail = [_ORD[(d >> 6 * i) & 0x3F]
+                for d in dests for i in range(n_chars)]
+        tail += [_ORD[g] for g in gluings]
+        if not tied:
+            best_actions, best_tail, best_start = actions, tail, s
+            grown_from = {}
+        elif tail < best_tail:
+            best_tail, best_start = tail, s
+        seen = grown_from.setdefault(bytes(tail), (s, order, vmap))
+        if seen[0] == s:
+            continue
+        # The two labellings differ by an automorphism taking tetrahedron
+        # a = order_a[i] to b = order[i]; it sends start 24a + p to
+        # 24b + p.tau.  Merge the starts' orbits under it.
+        if parent is None:
+            parent = list(range(24 * tri.n))
+            done = [i <= s for i in range(24 * tri.n)]
+        _, order_a, vmap_a = seen
+        for a, b in zip(order_a, order):
+            tau = COMPOSE[INVERSE[vmap_a[a]]][vmap[b]]
+            for p in range(24):
+                x, y = find(24 * a + p), find(24 * b + COMPOSE[p][tau])
+                parent[y] = x
+                done[x] |= done[y]
+    signature = size_str + "".join(map(chr, best_actions + best_tail))
+    if parent is None:
+        return signature, 1
+    root = find(best_start)
+    return signature, sum(find(s) == root for s in range(24 * tri.n))
 
 
 def decode(sig):

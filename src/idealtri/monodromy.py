@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .lst import layer_tetrahedron
 from .isosig import encode_canonical
-from .triangulation import Triangulation
+from .triangulation import InvalidTriangulation, Triangulation
 
 R_MAT = ((1, 1), (0, 1))
 L_MAT = ((1, 0), (1, 1))
@@ -279,7 +279,7 @@ def _close_bundle(tri, analysis, triples, fibre, fibre0):
         try:
             closed = Triangulation(tri.n, gluings, closed=True)
             closed.edge_classes
-        except Exception:
+        except InvalidTriangulation:
             continue
         if not closed.is_orientable:
             continue

@@ -205,7 +205,11 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
     if max_depth < 0:
         raise ValueError("search depth must be at least 0")
     start = encode_canonical(tri)
-    seen = {start}
+    # Signature -> number of tetrahedra.  Size and admissibility are
+    # isomorphism invariants, so both are read off the triangulation
+    # that first reaches a signature.
+    seen = {start: tri.n}
+    smaller = []
     frontier = [start]
     reason = None
     depth = 0
@@ -223,7 +227,9 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
                 if len(seen) >= max_nodes:
                     reason = "max_nodes"
                     break
-                seen.add(new_sig)
+                seen[new_sig] = image.n
+                if image.n < tri.n and admissible(image):
+                    smaller.append(new_sig)
                 next_frontier.append(new_sig)
             if reason:
                 break
@@ -234,17 +240,10 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
     if frontier and not reason and depth == max_depth:
         reason = "max_depth"
 
-    sizes = {}
-    smaller = []
-    for sig in seen:
-        t = decode(sig)
-        sizes[sig] = t.n
-        if t.n < tri.n and admissible(t):
-            smaller.append(sig)
     return SearchResult(
         start=start,
         reachable=frozenset(seen),
-        min_tetrahedra=min(sizes.values()),
+        min_tetrahedra=min(seen.values()),
         smaller_admissible=tuple(sorted(smaller)),
         depth_reached=depth,
         truncation_reason=reason)

@@ -178,6 +178,15 @@ def reference_encode_canonical(tri):
     return best
 
 
+def reference_canonical_starts(tri):
+    """The canonical signature, and the number of start choices that
+    grow it: the order of the automorphism group, which acts freely on
+    the starts of a connected complex."""
+    sigs = [_sig_from(tri, start, perm) for start in range(tri.n) for perm in S4]
+    best = min(sigs)
+    return best, sigs.count(best)
+
+
 # The dict-keyed walks that derived the edge and vertex classes and the
 # orientation before the signed-orbit kernel.  The differential oracle
 # for ``Triangulation.edge_classes``, ``vertex_classes`` and

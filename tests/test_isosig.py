@@ -1,5 +1,6 @@
 """Signature codec laws: fixtures, round trips, canonicality."""
 
+import itertools
 import random
 
 import pytest
@@ -9,9 +10,13 @@ from idealtri import (
     MalformedSignature, build_bundle, cover, decode, encode_canonical,
     lst_build, read_census, relabelled,
 )
+from idealtri.isosig import _canonical
 from idealtri.perms import S4
 
-from helpers import random_admissible, random_complex, reference_encode_canonical
+from helpers import (
+    random_admissible, random_complex, reference_canonical_starts,
+    reference_encode_canonical,
+)
 
 CENSUS_FIXTURES = [
     ("gLLMQbeefffehhqxhqq", 6),
@@ -161,3 +166,49 @@ def test_oracle_large_size_prefix():
     tri = lst_build("ab" * 35).tri
     assert tri.n >= 63
     assert_matches_reference(tri, random.Random(3))
+
+
+# -- automorphisms: skipped starts and the group order -------------------
+
+# Periodic words: each rotation of the word, the elliptic involution and,
+# for the covers, the deck group are automorphisms of the bundle.
+SYMMETRIC_WORDS = (["RL" * k for k in (1, 2, 3, 6, 12)]
+                   + ["RRL" * k for k in (1, 2, 4)]
+                   + ["RRLL" * 3, "RLL" * 3, "RRRLLRLRLL"])
+
+
+@pytest.mark.parametrize("word", SYMMETRIC_WORDS)
+def test_oracle_symmetric_bundles(word):
+    # Relabelled copies put the canonical orbit at different points of
+    # the start order, so the skip meets it early, late and split.
+    bundle = build_bundle(word)
+    reference = reference_canonical_starts(bundle.tri)
+    assert reference[0] == bundle.signature
+    rng = random.Random(word)
+    for _ in range(3):
+        assert _canonical(random_relabelling(bundle.tri, rng)) == reference
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.booleans(), SEEDS)
+def test_group_order_counts_canonical_starts(n, closed, seed):
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    assert _canonical(tri) == reference_canonical_starts(tri)
+
+
+def test_bundle_group_order_law():
+    # The rotations fixing a word act on its bundle, so they divide the
+    # group order; the elliptic involution fixes every fibre, so it is
+    # not a rotation and doubles it.
+    for length in range(2, 7):
+        for letters in itertools.product("RL", repeat=length):
+            if "R" not in letters or "L" not in letters:
+                continue
+            for k in (1, 2, 3):
+                word = cover("".join(letters), k)
+                bundle = build_bundle(word)
+                signature, order = _canonical(bundle.tri)
+                assert signature == bundle.signature
+                rotations = sum(word[i:] + word[:i] == word
+                                for i in range(len(word)))
+                assert order % (2 * rotations) == 0, (word, order)

@@ -9,6 +9,7 @@ from idealtri import (
     canonical_surface, encode_canonical, euler_characteristic, word_analysis,
 )
 from idealtri.monodromy import _mat_mul, _mat_mod2, IDENT
+from idealtri.triangulation import Triangulation
 
 
 def admissible_words(length):
@@ -161,3 +162,18 @@ def test_fibre_slopes_are_farey_triples():
                 previous = bundle.fibre_slopes[level - 1]
                 assert len(triple - previous) == 1
                 assert len(previous - triple) == 1
+
+
+def test_closure_lets_unexpected_errors_surface(monkeypatch):
+    # Only an invalid candidate closure is skipped; any other error in
+    # building one is a bug and must not be read as "no closure".
+    from idealtri import monodromy
+
+    def broken(n, gluings, closed=True):
+        if closed:
+            raise RuntimeError("bug")
+        return Triangulation(n, gluings, closed=closed)
+
+    monkeypatch.setattr(monodromy, "Triangulation", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        build_bundle("RL")

@@ -14,7 +14,7 @@ from idealtri.search import (
 )
 from idealtri.triangulation import Triangulation
 
-from helpers import reference_enumerate_complexes
+from helpers import random_admissible, reference_enumerate_complexes
 
 
 def test_degree3_context_is_unique_and_is_lst134():
@@ -131,6 +131,23 @@ def test_bounded_search_finds_simplification():
     result = bounded_move_search(bigger, max_tets=3, max_depth=1)
     assert result.min_tetrahedra == 2
     assert result.smaller_admissible
+
+
+@pytest.mark.parametrize("admissible", [closed_admissible, torus_links_only])
+def test_bounded_search_sizes_match_decoded_signatures(admissible):
+    # Sizes and admissibility are read off the triangulation that first
+    # reaches each signature; decoding every reachable signature agrees.
+    rng = random.Random(11)
+    found_smaller = False
+    for _ in range(8):
+        tri = random_admissible(rng, min_tets=3, max_tets=5)
+        result = bounded_move_search(tri, tri.n + 1, 2, admissible=admissible)
+        decoded = {sig: decode(sig) for sig in result.reachable}
+        assert result.min_tetrahedra == min(t.n for t in decoded.values())
+        assert result.smaller_admissible == tuple(sorted(
+            sig for sig, t in decoded.items() if t.n < tri.n and admissible(t)))
+        found_smaller |= bool(result.smaller_admissible)
+    assert found_smaller
 
 
 def test_bounded_search_truncation_flag():
