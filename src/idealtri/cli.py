@@ -129,10 +129,8 @@ def _report_certificate(sig):
         chis = cert.chi
         identities = check_identities(rc, *chis)
         report.update({
-            "subgroup": [sorted(Cocycle(tri, m).odd_edges())
-                         for m in cert.subgroup],
-            "surfaces": [canonical_surface(tri, p).coordinate_vector()
-                         for p in rc.phi],
+            "subgroup": [sorted(p.odd_edges()) for p in rc.phi],
+            "surfaces": [s.coordinate_vector() for s in cert.surfaces],
             "chi": list(chis),
             "sum_neg_chi": cert.sum_neg_chi,
             "tetrahedra_even": cert.even_count_check,

@@ -317,6 +317,7 @@ class BoundCertificate:
     tri: object
     subgroup: tuple          # masks of the three nonzero cocycles, sorted
     colouring: RankTwoColouring
+    surfaces: tuple          # canonical surfaces of colouring.phi, in order
     chi: tuple               # Euler characteristics of the three surfaces
     sum_neg_chi: int
     tetrahedra: int
@@ -387,8 +388,8 @@ def bound_certificate(tri):
         rc = classify_rank2(tri, phi1, phi2)
         if rc.counts["qqq"] != tri.n:
             continue
-        chis = tuple(euler_characteristic(canonical_surface(tri, p))
-                     for p in rc.phi)
+        surfaces = tuple(canonical_surface(tri, p) for p in rc.phi)
+        chis = tuple(euler_characteristic(s) for s in surfaces)
         total = sum(-x for x in chis)
         if total != tri.n:
             raise IdentityError(
@@ -397,8 +398,8 @@ def bound_certificate(tri):
         if tri.n % 2:
             raise IdentityError("all-quadrilateral certificate with odd size")
         return BoundCertificate(
-            tri=tri, subgroup=subgroup, colouring=rc, chi=chis,
-            sum_neg_chi=total, tetrahedra=tri.n,
+            tri=tri, subgroup=subgroup, colouring=rc, surfaces=surfaces,
+            chi=chis, sum_neg_chi=total, tetrahedra=tri.n,
             even_count_check=(tri.n % 2 == 0),
             orientation_types=types)
     return None

@@ -33,7 +33,7 @@ whose labelled stream is equal.
 from __future__ import annotations
 
 from .perms import COMPOSE, INVERSE, S4, S4_INDEX
-from .triangulation import Triangulation
+from .triangulation import InvalidTriangulation, Triangulation
 
 SCHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _SVAL = {c: i for i, c in enumerate(SCHARS)}
@@ -307,7 +307,7 @@ def decode(sig):
     closed = all(all(row) for row in filled)
     try:
         return Triangulation(n, table, closed=closed)
-    except Exception as exc:
+    except InvalidTriangulation as exc:
         raise MalformedSignature(f"inconsistent gluing stream: {exc}") from exc
 
 

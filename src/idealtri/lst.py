@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .triangulation import Triangulation, find_isomorphism, subcomplex
+from .perms import inverse
+from .triangulation import Triangulation, _from_table, find_isomorphism, subcomplex
 
 # One tetrahedron, face 2 glued to face 3; the edges of degree 3, 2, 1
 # meet the meridian disc 1, 2 and 3 times respectively.
@@ -70,23 +71,23 @@ def layer_tetrahedron(tri, slot_a, slot_b):
     """
     (ta, fa, (p, q)) = slot_a
     (tb, fb, (p2, q2)) = slot_b
-    if tri.gluings[ta][fa] is not None or tri.gluings[tb][fb] is not None:
-        raise LstError("layering target face is not free")
+    for t, f, edge in (slot_a, slot_b):
+        if not (0 <= t < tri.n and 0 <= f < 4) or tri.gluings[t][f] is not None:
+            raise LstError("layering target face is not free")
+        if len({f, *edge} & {0, 1, 2, 3}) != 3:    # f, p, q distinct labels
+            raise LstError("layering edge does not lie in its face")
+    if (ta, fa) == (tb, fb):
+        raise LstError("layering needs two distinct faces")
     xa = next(v for v in range(4) if v not in (fa, p, q))
     xb = next(v for v in range(4) if v not in (fb, p2, q2))
     n = tri.n
-    gluings = {}
-    for t in range(n):
-        for f in range(4):
-            if tri.gluings[t][f] is not None:
-                gluings[(t, f)] = tri.gluings[t][f]
-    perm3 = [None] * 4
-    perm3[0], perm3[1], perm3[2], perm3[3] = p, q, xa, fa
-    perm2 = [None] * 4
-    perm2[0], perm2[1], perm2[3], perm2[2] = p2, q2, xb, fb
-    gluings[(n, 3)] = (ta, tuple(perm3))
-    gluings[(n, 2)] = (tb, tuple(perm2))
-    return Triangulation(n + 1, gluings, closed=False)
+    perm3 = (p, q, xa, fa)
+    perm2 = (p2, q2, fb, xb)
+    rows = [list(row) for row in tri.gluings]
+    rows.append([None, None, (tb, perm2), (ta, perm3)])
+    rows[ta][fa] = (n, inverse(perm3))
+    rows[tb][fb] = (n, inverse(perm2))
+    return _from_table(rows)
 
 
 def _directed_slot(tri, face, edge_class):
@@ -169,7 +170,7 @@ class DetectionFailure:
 
 def _match_template(tri, tets, word):
     """Match the subcomplex on ``tets`` against lst_build(word); returns
-    (ordered tets, template) or None."""
+    (ordered tets, template, subcomplex, index_of) or None."""
     template = lst_build(word)
     sub, index_of = subcomplex(tri, tets)
     iso = find_isomorphism(template.tri, sub)
@@ -178,18 +179,18 @@ def _match_template(tri, tets, word):
     tet_map, _ = iso
     back = {v: k for k, v in index_of.items()}
     ordered = tuple(back[tet_map[i]] for i in range(template.tri.n))
-    return ordered, template
+    return ordered, template, sub, index_of
 
 
-def _certificate_from_match(tri, edge_index, ordered, template, maximal):
-    sub, index_of = subcomplex(tri, ordered)
+def _certificate_from_match(tri, edge_index, match):
+    ordered, template, sub, index_of = match
+    tets = sorted(index_of, key=index_of.get)
     boundary_edges = []
     for e in sub.edge_classes:
         if not e.boundary:
             continue
         t_sub, (x, y), _ = e.occurrences[0]
-        t_orig = sorted(index_of, key=index_of.get)[t_sub]
-        boundary_edges.append((tri.edge_class_of(t_orig, x, y), e.degree))
+        boundary_edges.append((tri.edge_class_of(tets[t_sub], x, y), e.degree))
     return LstCertificate(
         edge=edge_index,
         tets=ordered,
@@ -197,7 +198,7 @@ def _certificate_from_match(tri, edge_index, ordered, template, maximal):
         params=template.params.as_tuple(),
         word=template.word,
         boundary_edges=tuple(sorted(boundary_edges)),
-        maximal=maximal)
+        maximal=False)
 
 
 def detect_degree3(tri):
@@ -225,9 +226,7 @@ def detect_degree3(tri):
             failures.append(DetectionFailure(
                 e.index, "two tetrahedra do not form LST(1,3,4)"))
             continue
-        ordered, template = match
-        certificates.append(_certificate_from_match(tri, e.index, ordered,
-                                                    template, False))
+        certificates.append(_certificate_from_match(tri, e.index, match))
     return certificates, failures
 
 
@@ -261,9 +260,7 @@ def maximal_extension(cert, tri):
             except LstError:
                 continue
             if match is not None:
-                ordered, template = match
-                extended = _certificate_from_match(
-                    tri, current.edge, ordered, template, False)
+                extended = _certificate_from_match(tri, current.edge, match)
                 break
         if extended is None:
             break

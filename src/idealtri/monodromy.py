@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .lst import layer_tetrahedron
 from .isosig import encode_canonical
-from .triangulation import InvalidTriangulation, Triangulation
+from .perms import inverse
+from .triangulation import InvalidTriangulation, Triangulation, _from_table
 
 R_MAT = ((1, 1), (0, 1))
 L_MAT = ((1, 0), (1, 1))
@@ -186,12 +187,12 @@ def _layer_step(tri, fibre, triples, level):
     xa = next(v for v in range(4) if v != fa and v not in pair_a)
     xb = next(v for v in range(4) if v != fb and v not in pair_b)
 
-    # Direct the layered edge.  If its two slots already lie in one edge
-    # class, transport the direction; otherwise the crossing rule below
-    # fixes the relative direction and the absolute choice is a
-    # relabelling of the new tetrahedron.
+    # Direct the layered edge.  The crossing rule below fixes the
+    # relative direction, and the absolute choice is a relabelling of the
+    # new tetrahedron.  If the two slots already lie in one edge class
+    # with opposite directions, the edge stays reversed in every closure,
+    # which ``_close_bundle`` rejects.
     u1, v1 = sorted(pair_a)
-    same_class = (tri.edge_class_of(ta, *pair_a) == tri.edge_class_of(tb, *pair_b))
     # crossing: the tail neighbour in face a and the head neighbour in
     # face b must carry the same slope (they become one side pair).
     tail_slope = fibre.slopes_a[frozenset((u1, xa))]
@@ -202,11 +203,6 @@ def _layer_step(tri, fibre, triples, level):
         u2, v2 = q, p
     if fibre.slopes_b[frozenset((v2, xb))] != tail_slope:
         raise AssertionError("no crossing-compatible direction")
-    if same_class:
-        s1 = tri.edge_sign_of(ta, u1, v1)
-        s2 = tri.edge_sign_of(tb, u2, v2)
-        if s1 != s2:
-            raise AssertionError("crossing direction fights edge transport")
 
     new = layer_tetrahedron(tri, (ta, fa, (u1, v1)), (tb, fb, (u2, v2)))
     t = new.n - 1
@@ -256,11 +252,8 @@ def _close_bundle(tri, analysis, triples, fibre, fibre0):
             mapping[v] = target
         if len(set(mapping.values())) != 3:
             return None
-        perm = [None] * 4
-        for v, bv in mapping.items():
-            perm[v] = bv
-        perm[tf] = bf
-        return tuple(perm)
+        mapping[tf] = bf
+        return tuple(mapping[v] for v in range(4))
 
     candidates = []
     bottoms = [(fibre0.face_a, fibre0.slopes_a), (fibre0.face_b, fibre0.slopes_b)]
@@ -269,15 +262,14 @@ def _close_bundle(tri, analysis, triples, fibre, fibre0):
         perm_b = match_face(fibre.face_b, fibre.slopes_b, *bottoms[second])
         if perm_a is None or perm_b is None:
             continue
-        gluings = {}
-        for t in range(tri.n):
-            for f in range(4):
-                if tri.gluings[t][f] is not None:
-                    gluings[(t, f)] = tri.gluings[t][f]
-        gluings[fibre.face_a] = (bottoms[first][0][0], perm_a)
-        gluings[fibre.face_b] = (bottoms[second][0][0], perm_b)
+        rows = [list(row) for row in tri.gluings]
+        for (t, f), ((b, _), _), perm in (
+                (fibre.face_a, bottoms[first], perm_a),
+                (fibre.face_b, bottoms[second], perm_b)):
+            rows[t][f] = (b, perm)
+            rows[b][perm[f]] = (t, inverse(perm))
         try:
-            closed = Triangulation(tri.n, gluings, closed=True)
+            closed = _from_table(rows)
             closed.edge_classes
         except InvalidTriangulation:
             continue
@@ -341,7 +333,6 @@ def bundle_certificate(word):
     base follows from minimality of the cover.
     """
     from .cohomology import bound_certificate
-    from .surfaces import canonical_surface, euler_characteristic
 
     analysis = word_analysis(word)
     k = analysis.mod2_order
@@ -355,8 +346,7 @@ def bundle_certificate(word):
 
     horizontal = []
     used = [set() for _ in range(bundle.tri.n)]
-    for i, phi in enumerate(cert.colouring.phi):
-        surface = canonical_surface(bundle.tri, phi)
+    for surface, chi in zip(cert.surfaces, cert.chi):
         count = 0
         for t in range(bundle.tri.n):
             quad_types = [q + 1 for q in range(3) if surface.quads[t][q]]
@@ -366,7 +356,6 @@ def bundle_certificate(word):
             used[t].add(quad_types[0])
             if quad_types[0] == bundle.horizontal_quad:
                 count += 1
-        chi = euler_characteristic(surface)
         if chi != -count:
             raise AssertionError(
                 f"chi {chi} does not equal minus the horizontal count {count}")

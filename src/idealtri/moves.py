@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perms import compose, inverse
-from .triangulation import Triangulation
+from .triangulation import _from_table
 
 
 class MoveError(ValueError):
@@ -73,15 +73,17 @@ def apply_move(tri, site):
 def _replace_cluster(tri, cluster, new_count, internal, interface):
     """Swap the tetrahedra in ``cluster`` for ``new_count`` fresh ones.
 
-    ``internal``: gluings among new tetrahedra, in local indices.
+    ``internal``: gluings among new tetrahedra, in local indices, each
+    listed from one side.
     ``interface``: for each boundary face (t, f) of the cluster, a pair
     (local new tetrahedron, omega) with omega mapping the new labels to
     the labels of t; the face inherits whatever was glued to (t, f).
+    The result is valid by construction, so its table is adopted as is.
     """
     keep = [t for t in range(tri.n) if t not in cluster]
     new_index = {t: i for i, t in enumerate(keep)}
     base = len(keep)
-    gluings = {}
+    rows = [[None] * 4 for _ in range(base + new_count)]
     for t in keep:
         for f in range(4):
             g = tri.gluings[t][f]
@@ -90,12 +92,13 @@ def _replace_cluster(tri, cluster, new_count, internal, interface):
             t2, perm = g
             if t2 in cluster:
                 local, omega = interface[(t2, perm[f])]
-                gluings[(new_index[t], f)] = (
+                rows[new_index[t]][f] = (
                     base + local, compose(inverse(omega), perm))
             else:
-                gluings[(new_index[t], f)] = (new_index[t2], perm)
+                rows[new_index[t]][f] = (new_index[t2], perm)
     for (ni, f), (nj, perm) in internal.items():
-        gluings[(base + ni, f)] = (base + nj, perm)
+        rows[base + ni][f] = (base + nj, perm)
+        rows[base + nj][perm[f]] = (base + ni, inverse(perm))
     for (t, g), (local, omega) in interface.items():
         old = tri.gluings[t][g]
         if old is None:
@@ -104,13 +107,12 @@ def _replace_cluster(tri, cluster, new_count, internal, interface):
         new_face = inverse(omega)[g]
         if t2 in cluster:
             local2, omega2 = interface[(t2, perm[g])]
-            gluings[(base + local, new_face)] = (
+            rows[base + local][new_face] = (
                 base + local2, compose(inverse(omega2), compose(perm, omega)))
         else:
-            gluings[(base + local, new_face)] = (
+            rows[base + local][new_face] = (
                 new_index[t2], compose(perm, omega))
-    return Triangulation(len(keep) + new_count, gluings,
-                         closed=tri.is_closed)
+    return _from_table(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ so it is disjoint from exactly that pair of opposite edges.
 The induced cell structure has one 0-cell per intersection point with
 an edge, one 1-cell per matched arc in a face, and the discs as
 2-cells; the Euler characteristic is computed from these counts.
+
+``from_coordinates`` checks a vector from outside: its length, signs,
+one quad type per tetrahedron and the matching equations.  Canonical
+and vertex-linking surfaces meet these by construction, so a
+``NormalSurface`` itself only checks that its triangulation is closed.
 """
 
 from __future__ import annotations
@@ -31,12 +36,6 @@ def quad_type_of_pair(x, y):
     return ({1, 2, 3} - {x, y}).pop()
 
 
-def _quad_pairing(i):
-    """The vertex pairing induced by quad type i: 0 <-> i, j <-> k."""
-    j, k = sorted({1, 2, 3} - {i})
-    return {0: i, i: 0, j: k, k: j}
-
-
 @dataclass(frozen=True)
 class NormalSurface:
     """Vectors of triangle and quadrilateral counts per tetrahedron."""
@@ -46,26 +45,8 @@ class NormalSurface:
     quads: tuple       # quads[t][i-1] for quad types 1,2,3
 
     def __post_init__(self):
-        tri = self.tri
-        if not tri.is_closed:
+        if not self.tri.is_closed:
             raise SurfaceError("normal surfaces need a closed triangulation")
-        if len(self.triangles) != tri.n or len(self.quads) != tri.n:
-            raise SurfaceError("coordinate length mismatch")
-        for t in range(tri.n):
-            if any(c < 0 for c in self.triangles[t] + self.quads[t]):
-                raise SurfaceError("negative coordinate")
-            if sum(1 for c in self.quads[t] if c) > 1:
-                raise SurfaceError(
-                    f"two quad types in tetrahedron {t}: not embeddable")
-        for fc in tri.face_classes:
-            (t, f), (t2, f2) = fc.sides
-            perm = tri.gluings[t][f][1]
-            for v in range(4):
-                if v == f:
-                    continue
-                if self.arcs(t, f, v) != self.arcs(t2, f2, perm[v]):
-                    raise SurfaceError(
-                        f"matching equation fails across face class {fc.index}")
 
     def quad_count(self, t):
         return sum(self.quads[t])
@@ -82,13 +63,11 @@ class NormalSurface:
         return self.triangles[t][a] + self.triangles[t][b] + on_edge
 
     def edge_weights(self):
-        """Intersection count per edge class; slots must agree."""
+        """Intersection count per edge class, read at its first slot."""
         weights = []
         for e in self.tri.edge_classes:
-            counts = {self.corner_count(t, a, b) for t, (a, b), _ in e.occurrences}
-            if len(counts) != 1:
-                raise SurfaceError(f"edge class {e.index} has unequal slot counts")
-            weights.append(counts.pop())
+            t, (a, b), _ = e.occurrences[0]
+            weights.append(self.corner_count(t, a, b))
         return weights
 
     @property
@@ -110,16 +89,29 @@ class NormalSurface:
 
 
 def from_coordinates(tri, vector):
-    """Build a surface from a length-7n coordinate vector."""
+    """Build a surface from a length-7n coordinate vector, checking it:
+    non-negative, one quad type per tetrahedron, matching equations."""
     if len(vector) != 7 * tri.n:
         raise SurfaceError("coordinate vector must have length 7n")
-    triangles = []
-    quads = []
+    surface = NormalSurface(
+        tri=tri,
+        triangles=tuple(tuple(vector[7 * t: 7 * t + 4]) for t in range(tri.n)),
+        quads=tuple(tuple(vector[7 * t + 4: 7 * t + 7]) for t in range(tri.n)))
     for t in range(tri.n):
-        chunk = vector[7 * t: 7 * t + 7]
-        triangles.append(tuple(chunk[:4]))
-        quads.append(tuple(chunk[4:]))
-    return NormalSurface(tri=tri, triangles=tuple(triangles), quads=tuple(quads))
+        if any(c < 0 for c in surface.triangles[t] + surface.quads[t]):
+            raise SurfaceError("negative coordinate")
+        if sum(1 for c in surface.quads[t] if c) > 1:
+            raise SurfaceError(
+                f"two quad types in tetrahedron {t}: not embeddable")
+    for fc in tri.face_classes:
+        (t, f), (t2, f2) = fc.sides
+        perm = tri.gluings[t][f][1]
+        for v in range(4):
+            if v != f and (surface.arcs(t, f, v)
+                           != surface.arcs(t2, f2, perm[v])):
+                raise SurfaceError(
+                    f"matching equation fails across face class {fc.index}")
+    return surface
 
 
 def canonical_surface(tri, phi):
@@ -137,14 +129,10 @@ def canonical_surface(tri, phi):
             quads[t][quad_type_of_pair(a, b) - 1] = 1
         elif kind == "t":
             triangles[t][data] = 1
-    surface = NormalSurface(
+    return NormalSurface(
         tri=tri,
         triangles=tuple(tuple(r) for r in triangles),
         quads=tuple(tuple(r) for r in quads))
-    n_odd = len(phi.odd_edges())
-    if surface.weight != n_odd:
-        raise SurfaceError("canonical surface weight differs from odd edges")
-    return surface
 
 
 def vertex_link_surface(tri, vertex_index=0):

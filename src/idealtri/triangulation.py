@@ -11,6 +11,11 @@ interior of every simplex: faces may not be glued to themselves, and an
 edge identified with itself in reverse raises ``InvalidEdge`` when the
 edge classes, or the vertex classes that read them, are computed.
 
+Gluing data is checked where it enters: ``Triangulation(n, gluings,
+closed)``, ``build``, ``isosig.decode``, ``subcomplex`` and
+``relabelled`` validate it.  Layering, bistellar moves and the bundle
+closure build valid tables and adopt them through ``_from_table``.
+
 Derived classes are signed orbits of dense integer items under the
 gluings, all found by one kernel, ``_signed_orbits``:
 
@@ -373,6 +378,19 @@ class Triangulation:
                     seen.add((t, f))
                     seen.add((t2, f2))
         return tuple(classes)
+
+
+def _from_table(rows):
+    """Adopt a finished table without checks: ``rows[t][f]`` is
+    ``(t2, perm)`` with ``perm`` a 4-tuple, or None for a free face;
+    every gluing is listed from both sides, no face is glued to itself
+    and the complex is connected.  Only for builders whose output is
+    valid by construction; data from callers is validated by
+    ``Triangulation``."""
+    tri = Triangulation.__new__(Triangulation)
+    tri.n = len(rows)
+    tri.gluings = tuple(tuple(row) for row in rows)
+    return tri
 
 
 def build(n, gluings, closed=True):

@@ -33,6 +33,18 @@ SEED_SIGS = [
 SEED_WORDS = ["RRLL", "RLRLRL", "RLLRLL"]
 
 
+def assert_revalidates(tri):
+    """The validating constructor accepts the gluings of ``tri``, each
+    listed from one side only, and rebuilds an equal triangulation."""
+    one_sided = {}
+    for t, row in enumerate(tri.gluings):
+        for f, g in enumerate(row):
+            if g is not None and (t, f) <= (g[0], g[1][f]):
+                one_sided[(t, f)] = g
+    again = Triangulation(tri.n, one_sided, closed=tri.is_closed)
+    assert again == tri
+
+
 def random_admissible(rng, min_tets=2, max_tets=6, steps=None, rank2_only=False):
     """A random closed orientable torus-link triangulation with no
     degree-1/2 edges and 2..6 tetrahedra, from a move walk off a seed.

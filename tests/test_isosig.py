@@ -11,6 +11,7 @@ from idealtri import (
     lst_build, read_census, relabelled,
 )
 from idealtri.isosig import _canonical
+from idealtri.triangulation import InvalidTriangulation
 from idealtri.perms import S4
 
 from helpers import (
@@ -64,6 +65,26 @@ def test_truncated_rejected():
 def test_trailing_data_rejected():
     with pytest.raises(MalformedSignature):
         decode("cPcbbbihtt")
+
+
+def test_decode_reports_only_invalid_tables_as_malformed(monkeypatch):
+    # An invalid gluing table is a malformed signature; any other error
+    # in building the triangulation is a bug and must surface as is.
+    from idealtri import isosig
+
+    def invalid(n, gluings, closed=True):
+        raise InvalidTriangulation("face (0,0) glued to itself")
+
+    monkeypatch.setattr(isosig, "Triangulation", invalid)
+    with pytest.raises(MalformedSignature, match="glued to itself"):
+        decode("cPcbbbiht")
+
+    def broken(n, gluings, closed=True):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(isosig, "Triangulation", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        decode("cPcbbbiht")
 
 
 def test_encode_decode_idempotent():

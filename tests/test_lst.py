@@ -1,18 +1,21 @@
 """Layered solid torus arithmetic, detection, and intersections."""
 
 import math
+import random
 
 import pytest
 
 from idealtri import (
     LstError, boundary_surface, decode, degree_histogram, encode_canonical,
-    lst_build,
+    layer_tetrahedron, lst_build,
 )
 from idealtri.lst import (
     detect_degree3, maximal_extension, pairwise_intersection, LstCertificate,
 )
 from idealtri.triangulation import Triangulation
 from idealtri.perms import S4
+
+from helpers import assert_revalidates
 
 
 def test_seed_is_the_one_tetrahedron_torus():
@@ -51,6 +54,32 @@ def test_minimal_context_rejects_unital_layering():
     # the unital edge of LST(1,3,4) is the one the meridian meets 4 times
     with pytest.raises(LstError):
         lst_build("bc", minimal_context=True)
+
+
+def test_lst_build_output_revalidates():
+    # layer_tetrahedron adopts its table without checks; the validating
+    # constructor must accept it and rebuild the same triangulation.
+    rng = random.Random(113)
+    for _ in range(60):
+        word = "".join(rng.choice("abc") for _ in range(rng.randrange(8)))
+        assert_revalidates(lst_build(word).tri)
+
+
+def test_layering_rejects_bad_slots():
+    tri = lst_build("").tri          # free faces (0, 0) and (0, 1)
+    face0, face1 = (0, 0, (1, 2)), (0, 1, (0, 2))
+    layer_tetrahedron(tri, face0, face1)
+    bad_pairs = [(face0, face0),                 # the same face twice
+                 (face0, (0, 0, (2, 3)))]
+    for slot in [(0, 0, (0, 1)),     # the edge holds the face's own vertex
+                 (0, 0, (2, 2)),     # not an edge
+                 (0, 0, (1, 4)),     # vertex label out of range
+                 (0, 2, (0, 1)),     # a glued face
+                 (1, 0, (1, 2))]:    # no such tetrahedron
+        bad_pairs += [(slot, face1), (face1, slot)]
+    for slot_a, slot_b in bad_pairs:
+        with pytest.raises(LstError):
+            layer_tetrahedron(tri, slot_a, slot_b)
 
 
 def test_lst134_has_interior_degree3_edge():

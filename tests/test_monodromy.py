@@ -9,7 +9,9 @@ from idealtri import (
     canonical_surface, encode_canonical, euler_characteristic, word_analysis,
 )
 from idealtri.monodromy import _mat_mul, _mat_mod2, IDENT
-from idealtri.triangulation import Triangulation
+from idealtri.triangulation import _from_table
+
+from helpers import assert_revalidates
 
 
 def admissible_words(length):
@@ -62,6 +64,28 @@ def test_bundle_shape_invariants():
         assert tri.vertex_classes[0].is_torus_link
         assert all(e.degree % 2 == 0 for e in tri.edge_classes)
         assert bundle.signature == encode_canonical(tri)
+
+
+def test_bundles_and_covers_revalidate():
+    # Towers and closures adopt their tables without checks; the
+    # validating constructor must accept each closed bundle.
+    for length in range(2, 7):
+        for w in admissible_words(length):
+            assert_revalidates(build_bundle(w).tri)
+            k = word_analysis(w).mod2_order
+            if k > 1:
+                assert_revalidates(build_bundle(cover(w, k)).tri)
+
+
+def test_certificate_carries_its_canonical_surfaces():
+    for w in ["RRLL", "RLRLRL", "RRLRRL"]:
+        bc = bundle_certificate(w)
+        cert, tri = bc.certificate, bc.bundle.tri
+        phis = cert.colouring.phi
+        assert cert.surfaces == tuple(canonical_surface(tri, p) for p in phis)
+        assert cert.chi == tuple(euler_characteristic(s) for s in cert.surfaces)
+        # the certificate report reads the subgroup off the colouring
+        assert cert.subgroup == tuple(p.mask for p in phis)
 
 
 def test_fig8_bundle():
@@ -169,11 +193,11 @@ def test_closure_lets_unexpected_errors_surface(monkeypatch):
     # building one is a bug and must not be read as "no closure".
     from idealtri import monodromy
 
-    def broken(n, gluings, closed=True):
-        if closed:
+    def broken(rows):
+        if all(g is not None for row in rows for g in row):
             raise RuntimeError("bug")
-        return Triangulation(n, gluings, closed=closed)
+        return _from_table(rows)
 
-    monkeypatch.setattr(monodromy, "Triangulation", broken)
+    monkeypatch.setattr(monodromy, "_from_table", broken)
     with pytest.raises(RuntimeError, match="bug"):
         build_bundle("RL")

@@ -12,7 +12,7 @@ from idealtri import (
 from idealtri.cohomology import Cocycle, classify_tet_rank1
 from idealtri.monodromy import build_bundle
 
-from helpers import octahedron_model, random_admissible
+from helpers import assert_revalidates, octahedron_model, random_admissible
 
 
 def link_data(tri):
@@ -50,6 +50,16 @@ def test_two_three_then_inverse_three_two():
         back = apply_move(bigger, MoveSite("3-2", new_edge))
         assert encode_canonical(back) == base
         performed += 1
+
+
+def test_move_images_revalidate():
+    # apply_move adopts its table without checks; the validating
+    # constructor must accept it and rebuild the same triangulation.
+    rng = random.Random(103)
+    for _ in range(30):
+        tri = random_admissible(rng, max_tets=7)
+        for site in enumerate_moves(tri):
+            assert_revalidates(apply_move(tri, site))
 
 
 def test_moves_preserve_links_and_orientability():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from idealtri import (
     Cocycle, SurfaceError, canonical_surface, chi_minus, cocycle_space,
-    components, decode, euler_characteristic, from_coordinates,
+    components, decode, euler_characteristic, from_coordinates, lst_build,
     rank2_subgroups, vertex_link_surface,
 )
 from idealtri.cohomology import classify_rank2
@@ -66,28 +66,70 @@ def test_rrll_certificate_chi_sum():
     assert sum(chis) == -4
 
 
+BUNDLE_WORDS = ["RL", "RRL", "RRLL", "RLRLRL", "RRLRRL", "RRRLLRLRLL"]
+
+
+def sample_triangulations(rng, count):
+    return ([random_admissible(rng) for _ in range(count)]
+            + [build_bundle(w).tri for w in BUNDLE_WORDS])
+
+
+def assert_slots_agree(surface):
+    # edge_weights reads one slot per edge class, so all must agree
+    for e in surface.tri.edge_classes:
+        assert len({surface.corner_count(t, a, b)
+                    for t, (a, b), _ in e.occurrences}) == 1
+
+
 def test_canonical_weight_counts_odd_edges():
     rng = random.Random(61)
-    for _ in range(15):
-        tri = random_admissible(rng)
+    for tri in sample_triangulations(rng, 15):
         for phi in cocycle_space(tri).nonzero_elements():
             surface = canonical_surface(tri, phi)
+            assert_slots_agree(surface)
             assert surface.weight == len(phi.odd_edges())
+        for k in range(len(tri.vertex_classes)):
+            # the link meets each edge once per end at vertex k
+            link = vertex_link_surface(tri, k)
+            assert_slots_agree(link)
+            ends = 0
+            for e in tri.edge_classes:
+                t, (a, b), _ = e.occurrences[0]
+                ends += ((tri.vertex_class_of(t, a) == k)
+                         + (tri.vertex_class_of(t, b) == k))
+            assert link.weight == ends
 
 
 def test_matching_equations_hold_for_canonical_surfaces():
-    # construction validates them; make the check visible
+    # construction does not check them, so make the check visible; the
+    # checking entry point accepts every surface the library builds
     rng = random.Random(67)
-    for _ in range(10):
-        tri = random_admissible(rng)
-        for phi in cocycle_space(tri).nonzero_elements():
-            surface = canonical_surface(tri, phi)
+    for tri in sample_triangulations(rng, 10):
+        surfaces = [canonical_surface(tri, phi)
+                    for phi in cocycle_space(tri).nonzero_elements()]
+        surfaces += [vertex_link_surface(tri, k)
+                     for k in range(len(tri.vertex_classes))]
+        for surface in surfaces:
             for fc in tri.face_classes:
                 (t, f), (t2, f2) = fc.sides
                 perm = tri.gluings[t][f][1]
                 for v in range(4):
                     if v != f:
                         assert surface.arcs(t, f, v) == surface.arcs(t2, f2, perm[v])
+            assert_slots_agree(surface)
+            assert from_coordinates(tri, surface.coordinate_vector()) == surface
+
+
+def test_from_coordinates_rejects_bad_vectors():
+    tri = decode("cPcbbbiht")
+    for vector in [[0] * 13,                         # wrong length
+                   [-1] + [0] * 13,                  # negative
+                   [0, 0, 0, 0, 1, 1, 0] + [0] * 7,  # two quad types
+                   [1] + [0] * 13]:                  # matching fails
+        with pytest.raises(SurfaceError):
+            from_coordinates(tri, vector)
+    with pytest.raises(SurfaceError):
+        from_coordinates(lst_build("").tri, [0] * 7)
 
 
 def test_chi_from_cells_agrees_with_type_counts():
