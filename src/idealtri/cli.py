@@ -22,7 +22,7 @@ from .lst import detect_degree3, maximal_extension, pairwise_intersection
 from .monodromy import MonodromyError, bundle_certificate, word_analysis
 from .moves import enumerate_moves
 from .search import PREDICATES, bounded_move_search, enumerate_complexes
-from .surfaces import canonical_surface, euler_characteristic
+from .surfaces import euler_characteristic
 from .triangulation import InvalidTriangulation, anatomy_report
 
 EXIT_OK = 0
@@ -149,8 +149,7 @@ def _report_certificate(sig):
         subgroup_reports = []
         for sg in rank2_subgroups(basis):
             rc = classify_rank2(tri, Cocycle(tri, sg[0]), Cocycle(tri, sg[1]))
-            chis = [euler_characteristic(canonical_surface(tri, p))
-                    for p in rc.phi]
+            chis = [euler_characteristic(s) for s in rc.canonical_surfaces()]
             identities = check_identities(rc, *chis)
             subgroup_reports.append(all(
                 v["holds"] for v in identities.values()

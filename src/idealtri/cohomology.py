@@ -151,13 +151,15 @@ class RankTwoColouring:
 
     edge_labels[e] is 0 for H-even edges and i when phi_i is the unique
     vanishing colouring; tet_types[t] is one of TET_TYPES with its
-    sub-type (the distinguished colour index, or None).
+    sub-type (the distinguished colour index, or None);
+    rank1_types[i - 1][t] is the rank-1 type of phi_i on tetrahedron t.
     """
 
     tri: object
     phi: tuple            # (phi1, phi2, phi3)
     edge_labels: tuple
     tet_types: tuple      # ((type, subtype), ...)
+    rank1_types: tuple    # per colouring, classify_tet_rank1 per tetrahedron
     counts: dict
     e0: int               # number of 0-even edges
     e0_weighted: int      # number of their preimages (degree weighted)
@@ -165,11 +167,18 @@ class RankTwoColouring:
 
     def quad_of(self, t, i):
         """Quad type carried by surface i in tetrahedron t, or None."""
-        kind, data = classify_tet_rank1(self.tri, self.phi[i - 1], t)
+        kind, data = self.rank1_types[i - 1][t]
         if kind != "q":
             return None
         from .surfaces import quad_type_of_pair
         return quad_type_of_pair(*data[0])
+
+    def canonical_surfaces(self):
+        """The canonical surfaces of phi1, phi2, phi3, read off the
+        stored rank-1 types."""
+        from .surfaces import _surface_of_types
+        return tuple(_surface_of_types(self.tri, types)
+                     for types in self.rank1_types)
 
 
 def classify_rank2(tri, phi1, phi2):
@@ -183,10 +192,12 @@ def classify_rank2(tri, phi1, phi2):
         vals = (phi1.value(e.index), phi2.value(e.index))
         labels.append({(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}[vals])
 
+    by_tet = [tuple(classify_tet_rank1(tri, p, t) for p in phis)
+              for t in range(tri.n)]
     tet_types = []
     counts = {k: 0 for k in TET_TYPES}
-    for t in range(tri.n):
-        kinds = tuple(classify_tet_rank1(tri, p, t)[0] for p in phis)
+    for t, types in enumerate(by_tet):
+        kinds = tuple(kind for kind, _ in types)
         multiset = "".join(sorted(kinds))
         if multiset == "qqq":
             tet_types.append(("qqq", None))
@@ -214,7 +225,8 @@ def classify_rank2(tri, phi1, phi2):
             hist[d] = hist.get(d, 0) + 1
     return RankTwoColouring(
         tri=tri, phi=phis, edge_labels=tuple(labels),
-        tet_types=tuple(tet_types), counts=counts,
+        tet_types=tuple(tet_types), rank1_types=tuple(zip(*by_tet)),
+        counts=counts,
         e0=e0, e0_weighted=e0_weighted, e0_histogram=dict(sorted(hist.items())))
 
 
@@ -377,7 +389,7 @@ def bound_certificate(tri):
     """Search the rank-2 subgroups for one with every tetrahedron of
     type qqq; on success the sum of -chi over the three canonical
     surfaces equals the size of the triangulation, which must be even."""
-    from .surfaces import canonical_surface, euler_characteristic
+    from .surfaces import euler_characteristic
 
     basis = cocycle_space(tri)
     if basis.rank < 2:
@@ -388,7 +400,7 @@ def bound_certificate(tri):
         rc = classify_rank2(tri, phi1, phi2)
         if rc.counts["qqq"] != tri.n:
             continue
-        surfaces = tuple(canonical_surface(tri, p) for p in rc.phi)
+        surfaces = rc.canonical_surfaces()
         chis = tuple(euler_characteristic(s) for s in surfaces)
         total = sum(-x for x in chis)
         if total != tri.n:

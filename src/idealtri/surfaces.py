@@ -120,10 +120,16 @@ def canonical_surface(tri, phi):
     triangle at the odd apex in each triangle-type tetrahedron."""
     if phi.is_zero():
         raise SurfaceError("the zero colouring has no canonical surface")
+    return _surface_of_types(
+        tri, [classify_tet_rank1(tri, phi, t) for t in range(tri.n)])
+
+
+def _surface_of_types(tri, types):
+    """The canonical surface of a colouring whose rank-1 type on
+    tetrahedron t is ``types[t]``."""
     triangles = [[0, 0, 0, 0] for _ in range(tri.n)]
     quads = [[0, 0, 0] for _ in range(tri.n)]
-    for t in range(tri.n):
-        kind, data = classify_tet_rank1(tri, phi, t)
+    for t, (kind, data) in enumerate(types):
         if kind == "q":
             (a, b), _ = data
             quads[t][quad_type_of_pair(a, b) - 1] = 1

@@ -4,7 +4,11 @@ import random
 
 from idealtri import build, decode
 from idealtri.isosig import SCHARS, encode_canonical
-from idealtri.monodromy import build_bundle
+from idealtri.lst import layer_tetrahedron
+from idealtri.monodromy import (
+    BundleTriangulation, _fibre_triples, _mat_vec, _normalize, build_bundle,
+    word_analysis,
+)
 from idealtri.perms import S4, S4_INDEX, compose, inverse, sign
 from idealtri.search import _PERMS_TAKING, random_move_walk
 from idealtri.surfaces import (
@@ -13,6 +17,7 @@ from idealtri.surfaces import (
 )
 from idealtri.triangulation import (
     EdgeClass, InvalidEdge, InvalidTriangulation, Triangulation, VertexClass,
+    _from_table,
 )
 
 
@@ -719,3 +724,173 @@ def reference_enumerate_complexes(n, predicate=None, boundary_faces=0):
 
     recurse(faces, [], boundary_faces)
     return results
+
+
+# ---------------------------------------------------------------------------
+# monodromy bundles by Farey-slope tracking
+
+class _ReferenceFibre:
+    """The two free faces of the tower top, with slopes per face edge."""
+
+    def __init__(self, face_a, face_b, slopes_a, slopes_b):
+        self.face_a = face_a          # (tet, face)
+        self.face_b = face_b
+        self.slopes_a = slopes_a      # {frozenset pair: slope}
+        self.slopes_b = slopes_b
+
+
+def reference_build_bundle(word):
+    """The slope-tracking construction of ``monodromy.build_bundle``: layer
+    one tetrahedron per letter through ``lst.layer_tetrahedron``, tracking
+    the Farey slope of every fibre edge, and match the closing faces slope
+    by slope; keep the least signature among the admissible closures."""
+    analysis = word_analysis(word)
+    triples = _fibre_triples(word)
+    for level in range(len(word)):
+        if len(triples[level] - triples[level + 1]) != 1:
+            raise AssertionError("letter does not induce a diagonal flip")
+
+    # Tetrahedron 0: bottom faces 3 = {0,1,2} and 2 = {0,1,3} form fibre
+    # 0, top faces 0 = {1,2,3} and 1 = {0,2,3} form fibre 1.  The bottom
+    # diagonal {0,1} carries the first flipped slope; side pairs
+    # {0,2}/{1,3} and {1,2}/{0,3} carry the kept slopes.
+    tri = Triangulation(1, {}, closed=False)
+    (removed,) = triples[0] - triples[1]
+    (added,) = triples[1] - triples[0]
+    k1, k2 = sorted(triples[0] - {removed})
+    fibre0 = _ReferenceFibre(
+        (0, 3), (0, 2),
+        {frozenset((0, 1)): removed, frozenset((0, 2)): k1,
+         frozenset((1, 2)): k2},
+        {frozenset((0, 1)): removed, frozenset((1, 3)): k1,
+         frozenset((0, 3)): k2})
+    fibre = _ReferenceFibre(
+        (0, 0), (0, 1),
+        {frozenset((2, 3)): added, frozenset((1, 3)): k1,
+         frozenset((1, 2)): k2},
+        {frozenset((2, 3)): added, frozenset((0, 2)): k1,
+         frozenset((0, 3)): k2})
+
+    for level in range(1, len(word)):
+        tri, fibre = _reference_layer_step(tri, fibre, triples, level)
+
+    return _reference_close_bundle(tri, analysis, triples, fibre, fibre0)
+
+
+def _reference_layer_step(tri, fibre, triples, level):
+    (removed,) = triples[level] - triples[level + 1]
+    (added,) = triples[level + 1] - triples[level]
+
+    pair_a = next(p for p, s in fibre.slopes_a.items() if s == removed)
+    pair_b = next(p for p, s in fibre.slopes_b.items() if s == removed)
+    ta, fa = fibre.face_a
+    tb, fb = fibre.face_b
+    xa = next(v for v in range(4) if v != fa and v not in pair_a)
+    xb = next(v for v in range(4) if v != fb and v not in pair_b)
+
+    # Direct the layered edge.  The crossing rule below fixes the
+    # relative direction, and the absolute choice is a relabelling of the
+    # new tetrahedron.  If the two slots already lie in one edge class
+    # with opposite directions, the edge stays reversed in every closure,
+    # which ``_reference_close_bundle`` rejects.
+    u1, v1 = sorted(pair_a)
+    # crossing: the tail neighbour in face a and the head neighbour in
+    # face b must carry the same slope (they become one side pair).
+    tail_slope = fibre.slopes_a[frozenset((u1, xa))]
+    p, q = sorted(pair_b)
+    if fibre.slopes_b[frozenset((q, xb))] == tail_slope:
+        u2, v2 = p, q
+    else:
+        u2, v2 = q, p
+    if fibre.slopes_b[frozenset((v2, xb))] != tail_slope:
+        raise AssertionError("no crossing-compatible direction")
+
+    new = layer_tetrahedron(tri, (ta, fa, (u1, v1)), (tb, fb, (u2, v2)))
+    t = new.n - 1
+
+    # New side pairs: {0,2}/{1,3} inherits the tail-neighbour slope,
+    # {1,2}/{0,3} the head-neighbour slope.
+    head_slope = fibre.slopes_a[frozenset((v1, xa))]
+    if fibre.slopes_b[frozenset((u2, xb))] != head_slope:
+        raise AssertionError("head slopes disagree across the fibre")
+    new_fibre = _ReferenceFibre(
+        (t, 0), (t, 1),
+        {frozenset((2, 3)): added, frozenset((1, 3)): tail_slope,
+         frozenset((1, 2)): head_slope},
+        {frozenset((2, 3)): added, frozenset((0, 2)): tail_slope,
+         frozenset((0, 3)): head_slope})
+    return new, new_fibre
+
+
+def _reference_close_bundle(tri, analysis, triples, fibre, fibre0):
+    n = len(analysis.word)
+    a_mat = analysis.matrix
+
+    top = frozenset(fibre.slopes_a.values()) | frozenset(fibre.slopes_b.values())
+    expected = frozenset(_normalize(_mat_vec(a_mat, v))
+                         for v in [(0, 1), (1, 0), (1, 1)])
+    if top != expected or top != triples[n]:
+        raise AssertionError("final fibre slopes do not match the monodromy")
+
+    def match_face(top_face, top_slopes, bottom_face, bottom_slopes):
+        tt, tf = top_face
+        bt, bf = bottom_face
+        tverts = [v for v in range(4) if v != tf]
+        bverts = [v for v in range(4) if v != bf]
+        mapping = {}
+        for v in tverts:
+            mine = {_normalize(top_slopes[frozenset((v, w))])
+                    for w in tverts if w != v}
+            target = None
+            for bv in bverts:
+                theirs = {_normalize(_mat_vec(a_mat, bottom_slopes[frozenset((bv, w))]))
+                          for w in bverts if w != bv}
+                if theirs == mine:
+                    target = bv
+                    break
+            if target is None:
+                return None
+            mapping[v] = target
+        if len(set(mapping.values())) != 3:
+            return None
+        mapping[tf] = bf
+        return tuple(mapping[v] for v in range(4))
+
+    candidates = []
+    bottoms = [(fibre0.face_a, fibre0.slopes_a), (fibre0.face_b, fibre0.slopes_b)]
+    for first, second in [(0, 1), (1, 0)]:
+        perm_a = match_face(fibre.face_a, fibre.slopes_a, *bottoms[first])
+        perm_b = match_face(fibre.face_b, fibre.slopes_b, *bottoms[second])
+        if perm_a is None or perm_b is None:
+            continue
+        rows = [list(row) for row in tri.gluings]
+        for (t, f), ((b, _), _), perm in (
+                (fibre.face_a, bottoms[first], perm_a),
+                (fibre.face_b, bottoms[second], perm_b)):
+            rows[t][f] = (b, perm)
+            rows[b][perm[f]] = (t, inverse(perm))
+        try:
+            closed = _from_table(rows)
+            closed.edge_classes
+        except InvalidTriangulation:
+            continue
+        if not closed.is_orientable:
+            continue
+        if len(closed.vertex_classes) != 1:
+            continue
+        if not closed.vertex_classes[0].is_torus_link:
+            continue
+        if any(e.degree % 2 for e in closed.edge_classes):
+            continue
+        candidates.append((encode_canonical(closed), closed))
+
+    if not candidates:
+        raise AssertionError("no admissible monodromy closure found")
+    # Slopes are direction-blind, so the closures through A and -A both
+    # appear; they are the factorisations of the two signs of the
+    # monodromy.  Take the lexicographically least signature for a
+    # deterministic, rotation-stable choice.
+    signature, best = min(candidates, key=lambda c: c[0])
+    return BundleTriangulation(tri=best, analysis=analysis,
+                               fibre_slopes=tuple(triples),
+                               signature=signature)

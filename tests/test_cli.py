@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import io
+import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -205,6 +207,21 @@ def test_enumerate_torus_links_report_is_frozen():
         '"signatures":["cMcabbgds","cMcabbgij","cMcabbgik","cPcbbbadh",'
         '"cPcbbbadu","cPcbbbali","cPcbbbalm","cPcbbbdei","cPcbbbdxm",'
         '"cPcbbbiht"],"tetrahedra":2}\n')
+
+
+def test_monodromy_reports_are_frozen():
+    # the reports of every admissible word of length 2 to 6, as the
+    # slope-tracking construction printed them
+    golden = pathlib.Path(__file__).parent / "golden" / "monodromy_reports.txt"
+    words = ["".join(w) for length in range(2, 7)
+             for w in itertools.product("RL", repeat=length)
+             if "R" in w and "L" in w]
+    reports = []
+    for word in words:
+        code, out = invoke(["monodromy", "--word", word])
+        assert code == EXIT_OK
+        reports.append(out)
+    assert "".join(reports) == golden.read_text(encoding="utf-8")
 
 
 def test_orientable_pruning_only_under_orientable_filters(monkeypatch):

@@ -193,6 +193,26 @@ def test_qqq_colouring_uses_each_quad_type_once():
         assert quads == {1, 2, 3}
 
 
+def test_rank2_colouring_keeps_rank1_types_and_surfaces():
+    # the stored per-colouring types are the rank-1 classification, and
+    # the surfaces read off them are the canonical surfaces
+    rng = random.Random(8)
+    tris = [build_bundle(w).tri for w in ("RRLL", "RLRLRL", "RRLRL")]
+    tris += [random_admissible(rng, rank2_only=True) for _ in range(8)]
+    for tri in tris:
+        for sg in rank2_subgroups(cocycle_space(tri)):
+            rc = classify_rank2(tri, Cocycle(tri, sg[0]), Cocycle(tri, sg[1]))
+            assert rc.rank1_types == tuple(
+                tuple(classify_tet_rank1(tri, p, t) for t in range(tri.n))
+                for p in rc.phi)
+            surfaces = tuple(canonical_surface(tri, p) for p in rc.phi)
+            assert rc.canonical_surfaces() == surfaces
+            for i, surface in enumerate(surfaces, 1):
+                for t in range(tri.n):
+                    quads = [q + 1 for q in range(3) if surface.quads[t][q]]
+                    assert rc.quad_of(t, i) == (quads[0] if quads else None)
+
+
 def test_certificate_independent_of_basis_choice():
     # The subgroup-level result does not depend on which basis the
     # elimination produced: permuting labels gives the same subgroup set.

@@ -3,20 +3,70 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealtri import (
     MonodromyError, build_bundle, bundle_certificate, cover, cocycle_space,
     canonical_surface, encode_canonical, euler_characteristic, word_analysis,
 )
-from idealtri.monodromy import _mat_mul, _mat_mod2, IDENT
+from idealtri.monodromy import (
+    _ELLIPTIC, _closure, _mat_mul, _mat_mod2, _mat_vec, _normalize, IDENT,
+)
+from idealtri.perms import IDENTITY
 from idealtri.triangulation import _from_table
 
-from helpers import assert_revalidates
+from helpers import assert_revalidates, reference_build_bundle
 
 
 def admissible_words(length):
     return ["".join(w) for w in itertools.product("RL", repeat=length)
             if "R" in w and "L" in w]
+
+
+# Every admissible word of length 2 to 6 with its 2- and 3-fold repeats;
+# the mod-2 cover of each word is one of the three.
+ORACLE_WORDS = list(dict.fromkeys(
+    cover(w, k) for length in range(2, 7) for w in admissible_words(length)
+    for k in (1, 2, 3)))
+
+long_words = st.text("RL", min_size=7, max_size=40).filter(
+    lambda w: "R" in w and "L" in w)
+
+
+def assert_matches_oracle(word):
+    bundle, reference = build_bundle(word), reference_build_bundle(word)
+    assert bundle.tri.gluings == reference.tri.gluings
+    assert bundle.signature == reference.signature
+    assert bundle.fibre_slopes == reference.fibre_slopes
+
+
+def test_layer_gluings_match_slope_tracking():
+    assert len(ORACLE_WORDS) == 330
+    for w in ORACLE_WORDS:
+        assert_matches_oracle(w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_words)
+def test_long_word_layer_gluings_match_slope_tracking(word):
+    assert_matches_oracle(word)
+
+
+def test_both_closures_are_admissible():
+    # build_bundle encodes both closures without a filter; each must be
+    # a valid one-cusp orientable triangulation with even edge degrees.
+    # The two are never isomorphic (H1 has torsion of order tr A - 2 for
+    # one and tr A + 2 for the other), so the tie rule never applies.
+    for w in ORACLE_WORDS:
+        closures = [_closure(w, twist) for twist in (IDENTITY, _ELLIPTIC)]
+        assert encode_canonical(closures[0]) != encode_canonical(closures[1])
+        for closed in closures:
+            assert_revalidates(closed)
+            assert closed.edge_classes
+            assert closed.is_orientable
+            assert len(closed.vertex_classes) == 1
+            assert closed.vertex_classes[0].is_torus_link
+            assert all(e.degree % 2 == 0 for e in closed.edge_classes)
 
 
 def test_word_analysis_rl():
@@ -171,10 +221,14 @@ def test_admissible_word_counts():
 
 
 def test_fibre_slopes_are_farey_triples():
-    # consecutive fibre slopes pair with determinant +-1, and each flip
-    # replaces exactly one slope
+    # consecutive fibre slopes pair with determinant +-1, each flip
+    # replaces exactly one slope, and the last fibre is the first moved
+    # by the monodromy
     for w in ["RL", "RRLL", "RLLRL", "RRRLLL"]:
         bundle = build_bundle(w)
+        a_mat = bundle.analysis.matrix
+        assert bundle.fibre_slopes[-1] == frozenset(
+            _normalize(_mat_vec(a_mat, v)) for v in bundle.fibre_slopes[0])
         for level, triple in enumerate(bundle.fibre_slopes):
             slopes = sorted(triple)
             assert len(slopes) == 3
@@ -189,8 +243,9 @@ def test_fibre_slopes_are_farey_triples():
 
 
 def test_closure_lets_unexpected_errors_surface(monkeypatch):
-    # Only an invalid candidate closure is skipped; any other error in
-    # building one is a bug and must not be read as "no closure".
+    # Both closures are valid by construction and adopted without a
+    # filter, so an error raised while building one is a bug and must
+    # reach the caller.
     from idealtri import monodromy
 
     def broken(rows):
