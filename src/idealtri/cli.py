@@ -107,6 +107,12 @@ def _report_cohomology(sig):
     }
 
 
+def _identities_hold(rc, chis):
+    identities = check_identities(rc, *chis)
+    return all(v["holds"] for v in identities.values()
+               if isinstance(v, dict) and "holds" in v)
+
+
 def _report_certificate(sig):
     tri = _load(sig)
     if not tri.is_closed:
@@ -127,7 +133,6 @@ def _report_certificate(sig):
     if cert is not None:
         rc = cert.colouring
         chis = cert.chi
-        identities = check_identities(rc, *chis)
         report.update({
             "subgroup": [sorted(p.odd_edges()) for p in rc.phi],
             "surfaces": [s.coordinate_vector() for s in cert.surfaces],
@@ -139,9 +144,7 @@ def _report_certificate(sig):
             "n_qqq": rc.counts["qqq"],
             "e0even": rc.e0,
             "e_histogram": {str(k): v for k, v in rc.e0_histogram.items()},
-            "identities_hold": all(
-                v["holds"] for v in identities.values()
-                if isinstance(v, dict) and "holds" in v),
+            "identities_hold": _identities_hold(rc, chis),
             "orientation_types": list(cert.orientation_types),
         })
     else:
@@ -150,10 +153,7 @@ def _report_certificate(sig):
         for sg in rank2_subgroups(basis):
             rc = classify_rank2(tri, Cocycle(tri, sg[0]), Cocycle(tri, sg[1]))
             chis = [euler_characteristic(s) for s in rc.canonical_surfaces()]
-            identities = check_identities(rc, *chis)
-            subgroup_reports.append(all(
-                v["holds"] for v in identities.values()
-                if isinstance(v, dict) and "holds" in v))
+            subgroup_reports.append(_identities_hold(rc, chis))
         report["subgroups_checked"] = len(subgroup_reports)
         report["identities_hold"] = all(subgroup_reports)
     return report

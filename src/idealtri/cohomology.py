@@ -268,24 +268,25 @@ def check_identities(rc, chi1, chi2, chi3):
     chis = chi1 + chi2 + chi3
     report = {}
 
-    total = sum(c.values())
+    def record(key, holds, failure, **values):
+        report[key] = {**values, "holds": holds}
+        if not holds:
+            raise IdentityError(failure)
+
     report["type_counts"] = dict(c)
     report["tetrahedra"] = n
-    if total != n:
+    if sum(c.values()) != n:
         raise IdentityError("tetrahedron types do not partition the tetrahedra")
 
     lhs2 = c["tt"] + 2 * c["empty"] - c["qqq"]
     rhs2 = 2 * rc.e0 + chis
-    report["eq_types_vs_chi"] = {"lhs": lhs2, "rhs": rhs2, "holds": lhs2 == rhs2}
-    if lhs2 != rhs2:
-        raise IdentityError(f"type/chi identity fails: {lhs2} != {rhs2}")
+    record("eq_types_vs_chi", lhs2 == rhs2,
+           f"type/chi identity fails: {lhs2} != {rhs2}", lhs=lhs2, rhs=rhs2)
 
     rhs3 = 2 * n - c["qtt"] - c["tt"] + 4 * rc.e0 + 2 * chis
-    report["eq_weighted_even_edges"] = {
-        "lhs": rc.e0_weighted, "rhs": rhs3, "holds": rc.e0_weighted == rhs3}
-    if rc.e0_weighted != rhs3:
-        raise IdentityError(
-            f"weighted even-edge identity fails: {rc.e0_weighted} != {rhs3}")
+    record("eq_weighted_even_edges", rc.e0_weighted == rhs3,
+           f"weighted even-edge identity fails: {rc.e0_weighted} != {rhs3}",
+           lhs=rc.e0_weighted, rhs=rhs3)
 
     hist = rc.e0_histogram
     e1 = hist.get(1, 0)
@@ -293,28 +294,17 @@ def check_identities(rc, chi1, chi2, chi3):
     e3 = hist.get(3, 0)
     high = sum((d - 4) * k for d, k in hist.items() if d >= 5)
     rhs4 = c["qtt"] + c["tt"] - 2 * (n + chis) + high
-    report["eq_degree_three_even_edges"] = {
-        "lhs": e3, "rhs": rhs4, "low_degree_even_edges": e1 + e2,
-        "applicable": e1 == 0 and e2 == 0,
-        "holds": e3 == rhs4 - 3 * e1 - 2 * e2,
-    }
-    if e3 != rhs4 - 3 * e1 - 2 * e2:
-        raise IdentityError(
-            f"degree-three even-edge identity fails: {e3} != {rhs4}")
-    if e1 == 0 and e2 == 0 and e3 != rhs4:
-        raise IdentityError("degree-three identity fails in its plain form")
+    record("eq_degree_three_even_edges", e3 == rhs4 - 3 * e1 - 2 * e2,
+           f"degree-three even-edge identity fails: {e3} != {rhs4}",
+           lhs=e3, rhs=rhs4, low_degree_even_edges=e1 + e2,
+           applicable=e1 == 0 and e2 == 0)
 
+    # chi_k = -e0 + tt/2 + empty, compared doubled since tt may be odd
     chi_k = even_subcomplex_euler(rc)
-    formula = -rc.e0 + c["tt"] // 2 + c["empty"]
-    if c["tt"] % 2:
-        # half-integer form: compare doubled values
-        if 2 * chi_k != -2 * rc.e0 + c["tt"] + 2 * c["empty"]:
-            raise IdentityError("even subcomplex Euler characteristic fails")
-    elif chi_k != formula:
-        raise IdentityError(
-            f"even subcomplex Euler characteristic fails: {chi_k} != {formula}")
-    report["even_subcomplex_euler"] = {
-        "direct": chi_k, "holds": 2 * chi_k == -2 * rc.e0 + c["tt"] + 2 * c["empty"]}
+    doubled = -2 * rc.e0 + c["tt"] + 2 * c["empty"]
+    record("even_subcomplex_euler", 2 * chi_k == doubled,
+           f"even subcomplex Euler characteristic fails: 2 * {chi_k} != "
+           f"{doubled}", direct=chi_k)
     report["chi"] = [chi1, chi2, chi3]
     return report
 

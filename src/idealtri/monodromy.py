@@ -122,11 +122,6 @@ class BundleTriangulation:
     def word(self):
         return self.analysis.word
 
-    @property
-    def quad_tags(self):
-        """Quad type -> horizontal / vertical tag, uniform by layering."""
-        return {1: "horizontal", 2: "vertical-1", 3: "vertical-2"}
-
 
 def _fibre_triples(word):
     triple = [(0, 1), (1, 0), (1, 1)]

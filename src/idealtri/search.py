@@ -1,14 +1,14 @@
 """Exhaustive enumeration at desk scale, and bounded move-graph search.
 
 The enumerator walks every face pairing of a handful of tetrahedra
-(optionally leaving a fixed number of faces unglued), validates the
-pseudo-manifold axioms, filters by a predicate and deduplicates by
-canonical signature, so the result is complete up to isomorphism.  An
-undoable signed union-find over edge slots and tetrahedra cuts every
-partial gluing that already reverses an edge, or, when the caller asks
-for ``orientable`` complexes only, already breaks the orientation
-(after Burton, "Enumeration of non-orientable 3-manifolds using
-face-pairing graphs and union-find", 2007).
+(optionally leaving a fixed number of faces unglued), filters by a
+predicate and deduplicates by canonical signature, so the result is
+complete up to isomorphism.  The walk is its own validator (after
+Burton, "Enumeration of non-orientable 3-manifolds using face-pairing
+graphs and union-find", 2007): an undoable signed union-find over edge
+slots and tetrahedra cuts every partial gluing that reverses an edge,
+or breaks the orientation when only ``orientable`` complexes are asked
+for, and tells which leaves are connected; those are adopted unchecked.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 from .isosig import decode, encode_canonical
 from .moves import apply_move, enumerate_moves
-from .perms import S4
+from .perms import S4, inverse
 from .triangulation import (
-    _EDGE_MOVES, _TET_MOVES, InvalidTriangulation, Triangulation,
-    boundary_surface,
+    _EDGE_MOVES, _TET_MOVES, _from_table, boundary_surface,
 )
 
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
@@ -33,20 +32,21 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     """All connected complexes on n tetrahedra, up to isomorphism.
 
     ``boundary_faces`` fixes the number of unglued faces (0 gives closed
-    pseudo-manifolds; None allows any number).  Invalid gluings (broken
-    involutions, reversed edges, disconnected results) are skipped;
-    ``predicate`` filters the valid ones.  With ``orientable`` true only
-    orientable complexes are kept.  Returns a dict mapping the canonical
-    signature to one representative, in the order first visited.
+    pseudo-manifolds; None allows any number).  Invalid gluings (reversed
+    edges, disconnected results) are skipped; ``predicate`` filters the
+    valid ones.  With ``orientable`` true only orientable complexes are
+    kept.  Returns a dict mapping the canonical signature to one
+    representative, in the order first visited.
 
-    The walk pairs faces one gluing at a time and keeps a signed
-    union-find over edge slots ``6t + k`` and tetrahedra ``6n + t``,
-    merged by the moves of ``triangulation._EDGE_MOVES`` and
-    ``_TET_MOVES``.  A gluing that reverses an edge, or that breaks the
-    orientation when ``orientable`` is true, stays so under every further
-    gluing, so its whole subtree is cut.  Each leaf that survives is
-    still built and validated by ``Triangulation``; the visit order is
-    unchanged, so the result equals the unpruned walk's.
+    The walk pairs faces one gluing at a time, writing both sides into
+    one table, and keeps a signed union-find over edge slots ``6t + k``
+    and tetrahedra ``6n + t``, merged by the moves of
+    ``triangulation._EDGE_MOVES`` and ``_TET_MOVES``.  A reversed edge
+    cuts the whole subtree; ``orientable`` only decides whether a
+    contradiction on the tetrahedra cuts too.  A leaf is connected when
+    tetrahedron 0's root holds all n tetrahedra, and is then adopted
+    through ``triangulation._from_table``.  The visit order is that of
+    the unpruned walk, so the result is the unpruned walk's.
     """
     if n < 1:
         raise ValueError("need at least one tetrahedron")
@@ -54,6 +54,9 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
         raise ValueError("exhaustive enumeration is desk-scale: n <= 2")
     faces = [(t, f) for t in range(n) for f in range(4)]
     results = {}
+    # Both sides of every gluing on the current path; each face is
+    # written before any leaf below it, so nothing is undone.
+    rows = [[None] * 4 for _ in range(n)]
     # The union-find: each item's parent and its sign relative to it, and
     # each root's size.  Without path compression a union is undone by
     # making its attached root a root again.
@@ -89,48 +92,44 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     def glue(t1, f1, t2, perm):
         if not merge(_EDGE_MOVES[perm][f1], 6 * t1, 6 * t2):
             return False
-        return not orientable or merge(_TET_MOVES[perm][f1],
-                                       6 * n + t1, 6 * n + t2)
+        # Always merged, for connectivity; a contradiction merges nothing.
+        return (merge(_TET_MOVES[perm][f1], 6 * n + t1, 6 * n + t2)
+                or not orientable)
 
-    def validate(pairs):
-        gluings = {}
-        for (t1, f1), (t2, f2), perm in pairs:
-            gluings[(t1, f1)] = (t2, perm)
-        free_count = 4 * n - 2 * len(pairs)
-        try:
-            tri = Triangulation(n, gluings, closed=(free_count == 0))
-            tri.edge_classes
-        except InvalidTriangulation:
+    def leaf():
+        if size[find(6 * n)[0]] != n:
             return
+        tri = _from_table(rows)
         if predicate is not None and not predicate(tri):
             return
         sig = encode_canonical(tri)
         if sig not in results:
             results[sig] = tri
 
-    def recurse(unmatched, pairs, free_left):
+    def recurse(unmatched, free_left):
         if not unmatched:
             if free_left is None or free_left == 0:
-                validate(pairs)
+                leaf()
             return
-        first = unmatched[0]
-        rest = unmatched[1:]
+        (t1, f1), rest = unmatched[0], unmatched[1:]
         if free_left is None or free_left > 0:
             next_free = None if free_left is None else free_left - 1
-            recurse(rest, pairs, next_free)
-        for i, other in enumerate(rest):
+            rows[t1][f1] = None
+            recurse(rest, next_free)
+        for i, (t2, f2) in enumerate(rest):
             remaining = rest[:i] + rest[i + 1:]
-            for perm in _PERMS_TAKING[first[1]][other[1]]:
+            for perm in _PERMS_TAKING[f1][f2]:
                 mark = len(attached)
-                if glue(*first, other[0], perm):
-                    recurse(remaining, pairs + [(first, other, perm)],
-                            free_left)
+                if glue(t1, f1, t2, perm):
+                    rows[t1][f1] = (t2, perm)
+                    rows[t2][f2] = (t1, inverse(perm))
+                    recurse(remaining, free_left)
                 while len(attached) > mark:
                     b = attached.pop()
                     size[parent[b]] -= size[b]
                     parent[b] = b
 
-    recurse(faces, [], boundary_faces)
+    recurse(faces, boundary_faces)
     return results
 
 

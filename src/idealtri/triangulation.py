@@ -13,8 +13,9 @@ edge classes, or the vertex classes that read them, are computed.
 
 Gluing data is checked where it enters: ``Triangulation(n, gluings,
 closed)``, ``build``, ``isosig.decode``, ``subcomplex`` and
-``relabelled`` validate it.  Layering, bistellar moves and the bundle
-closure build valid tables and adopt them through ``_from_table``.
+``relabelled`` validate it.  Layering, bistellar moves, the bundle
+closure and the enumerator build valid tables and adopt them through
+``_from_table``.
 
 Derived classes are signed orbits of dense integer items under the
 gluings, all found by one kernel, ``_signed_orbits``:
@@ -385,7 +386,8 @@ def _from_table(rows):
     ``(t2, perm)`` with ``perm`` a 4-tuple, or None for a free face;
     every gluing is listed from both sides, no face is glued to itself
     and the complex is connected.  Only for builders whose output is
-    valid by construction; data from callers is validated by
+    valid by construction (moves, layering, the bundle closure and the
+    enumerator's leaves); data from callers is validated by
     ``Triangulation``."""
     tri = Triangulation.__new__(Triangulation)
     tri.n = len(rows)

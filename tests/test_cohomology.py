@@ -1,11 +1,12 @@
 """Cocycle space, taxonomies, counting identities, certificates."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from idealtri import (
-    Cocycle, ParityError, bound_certificate, check_identities,
+    Cocycle, IdentityError, ParityError, bound_certificate, check_identities,
     classify_rank1, classify_rank2, cocycle_space, decode, rank2_subgroups,
 )
 from idealtri.cohomology import classify_tet_rank1, even_subcomplex_euler
@@ -123,6 +124,29 @@ def test_identities_on_fixtures():
             for key in ("eq_types_vs_chi", "eq_weighted_even_edges",
                         "eq_degree_three_even_edges", "even_subcomplex_euler"):
                 assert report[key]["holds"], (sig, key)
+
+
+def test_each_identity_raises_when_its_input_is_perturbed():
+    tri = decode(CENSUS_FIXTURES[0])
+    for sg in rank2_subgroups(cocycle_space(tri)):
+        report, rc = _identity_report(tri, sg)
+        chis = report["chi"]
+        with pytest.raises(IdentityError, match="type/chi"):
+            check_identities(rc, chis[0] + 1, *chis[1:])
+        bad = replace(rc, e0_weighted=rc.e0_weighted + 1)
+        with pytest.raises(IdentityError, match="weighted even-edge"):
+            check_identities(bad, *chis)
+        hist = dict(rc.e0_histogram)
+        hist[3] = hist.get(3, 0) + 1
+        bad = replace(rc, e0_histogram=hist)
+        with pytest.raises(IdentityError, match="degree-three"):
+            check_identities(bad, *chis)
+        # one more 0-even edge, which e0 does not count
+        odd = rc.edge_labels.index(next(x for x in rc.edge_labels if x))
+        labels = rc.edge_labels[:odd] + (0,) + rc.edge_labels[odd + 1:]
+        bad = replace(rc, edge_labels=labels)
+        with pytest.raises(IdentityError, match="even subcomplex"):
+            check_identities(bad, *chis)
 
 
 def test_identities_on_random_triangulations():

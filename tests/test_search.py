@@ -12,9 +12,11 @@ from idealtri.search import (
     PREDICATES, closed_admissible, has_interior_degree3_and_torus_boundary,
     random_move_walk, torus_links_only,
 )
-from idealtri.triangulation import Triangulation
+from idealtri.triangulation import _from_table
 
-from helpers import random_admissible, reference_enumerate_complexes
+from helpers import (
+    assert_revalidates, random_admissible, reference_enumerate_complexes,
+)
 
 
 def test_degree3_context_is_unique_and_is_lst134():
@@ -87,20 +89,35 @@ def test_one_tet_enumeration_matches_unpruned_walk(name):
 @pytest.mark.parametrize("orientable", [False, True])
 def test_pruning_builds_no_doomed_leaf(monkeypatch, orientable):
     # every gluing with a reversed edge, and with `orientable` every
-    # non-orientable one, is cut before its leaf is built
+    # non-orientable one, is cut before its leaf is adopted, and every
+    # adopted table is one the validating constructor accepts
     built = []
 
-    def spy(*args, **kwargs):
-        built.append(Triangulation(*args, **kwargs))
+    def spy(rows):
+        built.append(_from_table(rows))
         return built[-1]
 
-    monkeypatch.setattr(search, "Triangulation", spy)
+    monkeypatch.setattr(search, "_from_table", spy)
     for n, boundary in ((1, None), (2, 4)):
         enumerate_complexes(n, lambda tri: False, boundary, orientable)
     assert built
     for tri in built:
+        assert_revalidates(tri)
         tri.edge_classes    # raises InvalidEdge on a reversed edge
         assert tri.is_orientable or not orientable
+
+
+@pytest.mark.parametrize("orientable", [False, True])
+def test_two_tet_bounded_walk_matches_unpruned_walk(orientable):
+    # the only walks that reach disconnected leaves with free faces
+    found = {}
+    for boundary in (4, 6, 8):
+        predicate = _orientable_only(None) if orientable else None
+        ref = reference_enumerate_complexes(2, predicate, boundary)
+        found[boundary] = enumerate_complexes(2, None, boundary, orientable)
+        assert list(found[boundary].items()) == list(ref.items())
+    assert found[8] == {}
+    assert len(found[6]) == 1
 
 
 def test_two_tet_admissible_matches_unpruned_walk():
