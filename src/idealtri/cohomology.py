@@ -375,33 +375,43 @@ def qqq_orientation_types(tri, rc):
     return tuple(types)
 
 
-def bound_certificate(tri):
-    """Search the rank-2 subgroups for one with every tetrahedron of
-    type qqq; on success the sum of -chi over the three canonical
-    surfaces equals the size of the triangulation, which must be even."""
+def rank2_colourings(basis):
+    """The rank-2 colouring of each rank-2 subgroup of the span, in the
+    order of ``rank2_subgroups``, classified as it is reached."""
+    tri = basis.tri
+    for subgroup in rank2_subgroups(basis):
+        yield classify_rank2(
+            tri, Cocycle(tri, subgroup[0]), Cocycle(tri, subgroup[1]))
+
+
+def certificate_of(rc):
+    """The bound certificate of one rank-2 colouring, or None unless
+    every tetrahedron has type qqq; then the sum of -chi over the three
+    canonical surfaces equals the size of the triangulation, which must
+    be even."""
     from .surfaces import euler_characteristic
 
-    basis = cocycle_space(tri)
-    if basis.rank < 2:
+    tri = rc.tri
+    if rc.counts["qqq"] != tri.n:
         return None
-    for subgroup in rank2_subgroups(basis):
-        phi1 = Cocycle(tri, subgroup[0])
-        phi2 = Cocycle(tri, subgroup[1])
-        rc = classify_rank2(tri, phi1, phi2)
-        if rc.counts["qqq"] != tri.n:
-            continue
-        surfaces = rc.canonical_surfaces()
-        chis = tuple(euler_characteristic(s) for s in surfaces)
-        total = sum(-x for x in chis)
-        if total != tri.n:
-            raise IdentityError(
-                f"all-quadrilateral colouring with sum(-chi) = {total} != {tri.n}")
-        types = qqq_orientation_types(tri, rc)
-        if tri.n % 2:
-            raise IdentityError("all-quadrilateral certificate with odd size")
-        return BoundCertificate(
-            tri=tri, subgroup=subgroup, colouring=rc, surfaces=surfaces,
-            chi=chis, sum_neg_chi=total, tetrahedra=tri.n,
-            even_count_check=(tri.n % 2 == 0),
-            orientation_types=types)
-    return None
+    surfaces = rc.canonical_surfaces()
+    chis = tuple(euler_characteristic(s) for s in surfaces)
+    total = sum(-x for x in chis)
+    if total != tri.n:
+        raise IdentityError(
+            f"all-quadrilateral colouring with sum(-chi) = {total} != {tri.n}")
+    types = qqq_orientation_types(tri, rc)
+    if tri.n % 2:
+        raise IdentityError("all-quadrilateral certificate with odd size")
+    return BoundCertificate(
+        tri=tri, subgroup=tuple(sorted(p.mask for p in rc.phi)), colouring=rc,
+        surfaces=surfaces, chi=chis, sum_neg_chi=total, tetrahedra=tri.n,
+        even_count_check=(tri.n % 2 == 0),
+        orientation_types=types)
+
+
+def bound_certificate(tri):
+    """The certificate of the first rank-2 subgroup whose canonical
+    surfaces are all quadrilateral, or None."""
+    colourings = rank2_colourings(cocycle_space(tri))
+    return next(filter(None, map(certificate_of, colourings)), None)

@@ -6,6 +6,14 @@ three incident with three distinct tetrahedra; a 4-4 move replaces the
 four distinct tetrahedra around a degree-four edge by four around the
 other diagonal of the equatorial square (two axis choices).
 
+Each move retriangulates a ball and keeps its boundary.  Small integer
+points name the vertices of the ball; the move lists the points at the
+vertices of each cluster tetrahedron it removes and of each fresh
+tetrahedron it adds, and ``_retriangulate`` does the rest by one rule:
+faces match by their three points.  Two fresh faces on the same points
+are glued to each other, and a fresh face on the points of a cluster
+face inherits whatever was glued to that face.
+
 All moves preserve the vertex classes and their links up to
 isomorphism; edge degrees are not protected, so callers re-run the
 anatomy checks afterwards.
@@ -59,59 +67,87 @@ def apply_move(tri, site):
     edge is edge {0,1} of each new tetrahedron.
     """
     if site.kind == "2-3":
+        classes = tri.face_classes
+    elif site.kind in ("3-2", "4-4"):
+        classes = tri.edge_classes
+    else:
+        raise MoveError(f"unknown move kind {site.kind!r}")
+    if not 0 <= site.index < len(classes):
+        raise MoveError(
+            f"{site.kind} move index {site.index} is not in "
+            f"range(0, {len(classes)})")
+    if site.kind == "2-3":
         return _two_three(tri, site.index)
     if site.kind == "3-2":
         return _three_two(tri, site.index)
-    if site.kind == "4-4":
-        return _four_four(tri, site.index, site.axis)
-    raise MoveError(f"unknown move kind {site.kind!r}")
+    return _four_four(tri, site.index, site.axis)
 
 
 # ---------------------------------------------------------------------------
-# shared cluster surgery
+# the one surgery: retriangulate a ball, keeping its boundary
 
-def _replace_cluster(tri, cluster, new_count, internal, interface):
-    """Swap the tetrahedra in ``cluster`` for ``new_count`` fresh ones.
+def _face_masks(points):
+    """Bitmask of the points on each face of a tetrahedron."""
+    bits = [1 << p for p in points]
+    full = sum(bits)
+    return [full - b for b in bits]
 
-    ``internal``: gluings among new tetrahedra, in local indices, each
-    listed from one side.
-    ``interface``: for each boundary face (t, f) of the cluster, a pair
-    (local new tetrahedron, omega) with omega mapping the new labels to
-    the labels of t; the face inherits whatever was glued to (t, f).
-    The result is valid by construction, so its table is adopted as is.
+
+def _match(src, f, dst, g):
+    """The gluing of face ``f`` of ``src`` onto face ``g`` of ``dst``,
+    two tetrahedra given by their points: vertices on the face go to
+    the vertex with the same point, the apex to the apex."""
+    return tuple([g if v == f else dst.index(p) for v, p in enumerate(src)])
+
+
+def _retriangulate(tri, old, new):
+    """Swap the cluster tetrahedra of ``old`` for those of ``new``.
+
+    ``old[t][v]`` is the point at vertex v of cluster tetrahedron t;
+    ``new[k][v]`` is the point at vertex v of fresh tetrahedron k, which
+    takes index ``tri.n - len(old) + k``.  Kept tetrahedra keep their
+    order.  Faces match by the bitmask of their points, as the module
+    docstring says.  The result is valid by construction, so its table
+    is adopted as is.
     """
-    keep = [t for t in range(tri.n) if t not in cluster]
-    new_index = {t: i for i, t in enumerate(keep)}
+    keep = [t for t in range(tri.n) if t not in old]
+    index = {t: i for i, t in enumerate(keep)}
     base = len(keep)
-    rows = [[None] * 4 for _ in range(base + new_count)]
-    for t in keep:
-        for f in range(4):
-            g = tri.gluings[t][f]
-            if g is None:
-                continue
-            t2, perm = g
-            if t2 in cluster:
-                local, omega = interface[(t2, perm[f])]
-                rows[new_index[t]][f] = (
-                    base + local, compose(inverse(omega), perm))
+    rows = [[None] * 4 for _ in range(base + len(new))]
+    for i, t in enumerate(keep):
+        for f, g in enumerate(tri.gluings[t]):
+            if g is not None and g[0] in index:
+                rows[i][f] = (index[g[0]], g[1])
+    fresh = {}
+    for k, points in enumerate(new):
+        for f, mask in enumerate(_face_masks(points)):
+            if mask in fresh:
+                k2, f2 = fresh[mask]
+                perm = _match(points, f, new[k2], f2)
+                rows[base + k][f] = (base + k2, perm)
+                rows[base + k2][f2] = (base + k, inverse(perm))
             else:
-                rows[new_index[t]][f] = (new_index[t2], perm)
-    for (ni, f), (nj, perm) in internal.items():
-        rows[base + ni][f] = (base + nj, perm)
-        rows[base + nj][perm[f]] = (base + ni, inverse(perm))
-    for (t, g), (local, omega) in interface.items():
-        old = tri.gluings[t][g]
-        if old is None:
+                fresh[mask] = (k, f)
+    # each cluster face on the boundary of the ball: the fresh face on
+    # its points, and the map from that face's labels to the cluster's
+    carried = {}
+    for t, points in old.items():
+        for g, mask in enumerate(_face_masks(points)):
+            if mask in fresh:
+                k, f = fresh[mask]
+                carried[t, g] = (base + k, f, _match(new[k], f, points, g))
+    for (t, g), (k, f, omega) in carried.items():
+        glued = tri.gluings[t][g]
+        if glued is None:
             continue
-        t2, perm = old
-        new_face = inverse(omega)[g]
-        if t2 in cluster:
-            local2, omega2 = interface[(t2, perm[g])]
-            rows[base + local][new_face] = (
-                base + local2, compose(inverse(omega2), compose(perm, omega)))
+        t2, perm = glued
+        if t2 in old:
+            k2, _, omega2 = carried[t2, perm[g]]
+            rows[k][f] = (k2, compose(inverse(omega2), compose(perm, omega)))
         else:
-            rows[base + local][new_face] = (
-                new_index[t2], compose(perm, omega))
+            perm = compose(perm, omega)
+            rows[k][f] = (index[t2], perm)
+            rows[index[t2]][perm[f]] = (k, inverse(perm))
     return _from_table(rows)
 
 
@@ -122,46 +158,19 @@ def _two_three(tri, face_class):
     fc = tri.face_classes[face_class]
     if fc.boundary:
         raise MoveError("2-3 move needs an interior face")
-    (ta, fa), (tb, fb) = fc.sides
+    (ta, fa), (tb, _) = fc.sides
     if ta == tb:
         raise MoveError("2-3 move needs two distinct tetrahedra")
+    # ta's labels are its points and tb's apex is point 4.  Fresh
+    # tetrahedron i omits face vertex verts[i]: its vertices are the
+    # apex of ta, the apex of tb, then the other two face vertices.
     pi = tri.gluings[ta][fa][1]
-    verts = [v for v in range(4) if v != fa]   # face vertices in ta
-
-    # New tetrahedron i corresponds to omitted face vertex verts[i]; its
-    # vertices are 0 = apex of ta, 1 = apex of tb, 2 and 3 the other two
-    # face vertices in increasing ta-label order.
-    others = {i: sorted(set(verts) - {verts[i]}) for i in range(3)}
-
-    def pos(i, v):
-        # position of ta-face-vertex v in new tetrahedron i
-        return 2 + others[i].index(v)
-
-    internal = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            # shared face: the apexes and the vertex omitted by neither
-            w = next(v for v in verts if v not in (verts[i], verts[j]))
-            perm = [None] * 4
-            perm[0], perm[1] = 0, 1
-            perm[pos(i, w)] = pos(j, w)
-            perm[pos(i, verts[j])] = pos(j, verts[i])
-            internal[(i, pos(i, verts[j]))] = (j, tuple(perm))
-
-    interface = {}
-    for i in range(3):
-        x = verts[i]
-        y, z = others[i]
-        omega_a = [None] * 4
-        omega_a[0], omega_a[1] = fa, x
-        omega_a[2], omega_a[3] = y, z
-        interface[(ta, x)] = (i, tuple(omega_a))
-        omega_b = [None] * 4
-        omega_b[1], omega_b[0] = fb, pi[x]
-        omega_b[2], omega_b[3] = pi[y], pi[z]
-        interface[(tb, pi[x])] = (i, tuple(omega_b))
-
-    return _replace_cluster(tri, {ta, tb}, 3, internal, interface)
+    verts = [v for v in range(4) if v != fa]
+    b_points = [4] * 4
+    for x in verts:
+        b_points[pi[x]] = x
+    new = [(fa, 4, *(v for v in verts if v != x)) for x in verts]
+    return _retriangulate(tri, {ta: (0, 1, 2, 3), tb: tuple(b_points)}, new)
 
 
 # ---------------------------------------------------------------------------
@@ -194,95 +203,42 @@ def _edge_cycle(tri, edge_class):
     return cycle
 
 
+def _wedge_points(tri, edge_class):
+    """Points of the wedges around an edge: the poles u and v are 4 and
+    5, and equator point j sits between wedges j and j+1, so it is q of
+    wedge j and p of wedge j+1."""
+    cycle = _edge_cycle(tri, edge_class)
+    old = {}
+    for j, (t, u, v, p, q) in enumerate(cycle):
+        points = [None] * 4
+        points[u], points[v], points[p], points[q] = 4, 5, (j - 1) % len(cycle), j
+        old[t] = tuple(points)
+    return old
+
+
 # ---------------------------------------------------------------------------
-# 3-2
+# 3-2 and 4-4
 
 def _three_two(tri, edge_class):
     e = tri.edge_classes[edge_class]
-    tets = {t for t, _, _ in e.occurrences}
-    if e.degree != 3 or len(tets) != 3:
+    if e.degree != 3 or len({t for t, _, _ in e.occurrences}) != 3:
         raise MoveError(
             "3-2 move needs a degree-three edge in three distinct tetrahedra")
-    cycle = _edge_cycle(tri, edge_class)
-    d = 3
+    # top (apex u) and bottom (apex v); label 1+j carries equator point j
+    old = _wedge_points(tri, edge_class)
+    return _retriangulate(tri, old, [(4, 0, 1, 2), (5, 0, 1, 2)])
 
-    # Equator point j sits between wedges j and j+1: it is q of wedge j
-    # and p of wedge j+1.  New tetrahedra: 0 = top (apex u), 1 = bottom
-    # (apex v); labels 1+j carry equator point j.
-    internal = {(0, 0): (1, (0, 1, 2, 3))}
-    interface = {}
-    for i, (t, u, v, p, q) in enumerate(cycle):
-        point_p = (i - 1) % d      # p of this wedge is equator point i-1
-        point_q = i
-        omitted = (i + 1) % d
-        omega_top = [None] * 4
-        omega_top[0] = u
-        omega_top[1 + point_p] = p
-        omega_top[1 + point_q] = q
-        omega_top[1 + omitted] = v
-        interface[(t, v)] = (0, tuple(omega_top))
-        omega_bot = [None] * 4
-        omega_bot[0] = v
-        omega_bot[1 + point_p] = p
-        omega_bot[1 + point_q] = q
-        omega_bot[1 + omitted] = u
-        interface[(t, u)] = (1, tuple(omega_bot))
-    return _replace_cluster(tri, tets, 2, internal, interface)
-
-
-# ---------------------------------------------------------------------------
-# 4-4
 
 def _four_four(tri, edge_class, axis):
     e = tri.edge_classes[edge_class]
-    tets = {t for t, _, _ in e.occurrences}
-    if e.degree != 4 or len(tets) != 4:
+    if e.degree != 4 or len({t for t, _, _ in e.occurrences}) != 4:
         raise MoveError(
             "4-4 move needs a degree-four edge in four distinct tetrahedra")
     if axis not in (0, 1):
         raise MoveError("axis choice must be 0 or 1")
-    cycle = _edge_cycle(tri, edge_class)
-
-    a1, a2 = axis, axis + 2            # axis equator points
-    o1, o2 = (axis + 1) % 4, (axis + 3) % 4
-
-    # New tetrahedra: 0 = {u,a1,o1,a2}, 1 = {u,a1,o2,a2},
-    #                 2 = {v,a1,o1,a2}, 3 = {v,a1,o2,a2};
-    # labels: 0 = pole, 1 = a1, 2 = off-axis point, 3 = a2.
-    internal = {
-        (0, 2): (1, (0, 1, 2, 3)),     # {u,a1,a2} between the two u-tets
-        (2, 2): (3, (0, 1, 2, 3)),
-        (0, 0): (2, (0, 1, 2, 3)),     # {a1,o1,a2} between u and v sides
-        (1, 0): (3, (0, 1, 2, 3)),
-    }
-
-    def local_pos(point, off):
-        if point == a1:
-            return 1
-        if point == a2:
-            return 3
-        if point == off:
-            return 2
-        return None
-
-    interface = {}
-    for i, (t, u, v, p, q) in enumerate(cycle):
-        point_p = (i - 1) % 4
-        point_q = i
-        off = point_p if point_p in (o1, o2) else point_q
-        local_u = 0 if off == o1 else 1
-        local_v = 2 if off == o1 else 3
-        other_axis = a2 if (point_p == a1 or point_q == a1) else a1
-        omega_top = [None] * 4
-        omega_top[0] = u
-        omega_top[local_pos(point_p, off)] = p
-        omega_top[local_pos(point_q, off)] = q
-        omega_top[local_pos(other_axis, off)] = v
-        interface[(t, v)] = (local_u, tuple(omega_top))
-        omega_bot = [None] * 4
-        omega_bot[0] = v
-        omega_bot[local_pos(point_p, off)] = p
-        omega_bot[local_pos(point_q, off)] = q
-        omega_bot[local_pos(other_axis, off)] = u
-        interface[(t, u)] = (local_v, tuple(omega_bot))
-    return _replace_cluster(tri, tets, 4, internal, interface)
+    old = _wedge_points(tri, edge_class)
+    # the new axis joins equator points a1, a2; labels are (pole, a1,
+    # off-axis point, a2), the two u-tetrahedra first
+    a1, o1, a2, o2 = ((axis + i) % 4 for i in range(4))
+    new = [(4, a1, o1, a2), (4, a1, o2, a2), (5, a1, o1, a2), (5, a1, o2, a2)]
+    return _retriangulate(tri, old, new)

@@ -1,7 +1,5 @@
 """Shared generators and local models for the test suites."""
 
-import random
-
 from idealtri import build, decode
 from idealtri.isosig import SCHARS, encode_canonical
 from idealtri.lst import layer_tetrahedron
@@ -9,6 +7,7 @@ from idealtri.monodromy import (
     BundleTriangulation, _fibre_triples, _mat_vec, _normalize, build_bundle,
     word_analysis,
 )
+from idealtri.moves import MoveError, _edge_cycle
 from idealtri.perms import S4, S4_INDEX, compose, inverse, sign
 from idealtri.search import _PERMS_TAKING, random_move_walk
 from idealtri.surfaces import (
@@ -894,3 +893,204 @@ def _reference_close_bundle(tri, analysis, triples, fibre, fibre0):
     return BundleTriangulation(tri=best, analysis=analysis,
                                fibre_slopes=tuple(triples),
                                signature=signature)
+
+
+# The hand-built bistellar moves: explicit gluing tables for each move,
+# spliced in by one cluster surgery.  The differential oracle for
+# ``idealtri.moves.apply_move``.
+
+def reference_apply_move(tri, site):
+    if site.kind == "2-3":
+        return _reference_two_three(tri, site.index)
+    if site.kind == "3-2":
+        return _reference_three_two(tri, site.index)
+    if site.kind == "4-4":
+        return _reference_four_four(tri, site.index, site.axis)
+    raise MoveError(f"unknown move kind {site.kind!r}")
+
+
+def _reference_replace_cluster(tri, cluster, new_count, internal, interface):
+    """Swap the tetrahedra in ``cluster`` for ``new_count`` fresh ones.
+
+    ``internal``: gluings among new tetrahedra, in local indices, each
+    listed from one side.
+    ``interface``: for each boundary face (t, f) of the cluster, a pair
+    (local new tetrahedron, omega) with omega mapping the new labels to
+    the labels of t; the face inherits whatever was glued to (t, f).
+    The result is valid by construction, so its table is adopted as is.
+    """
+    keep = [t for t in range(tri.n) if t not in cluster]
+    new_index = {t: i for i, t in enumerate(keep)}
+    base = len(keep)
+    rows = [[None] * 4 for _ in range(base + new_count)]
+    for t in keep:
+        for f in range(4):
+            g = tri.gluings[t][f]
+            if g is None:
+                continue
+            t2, perm = g
+            if t2 in cluster:
+                local, omega = interface[(t2, perm[f])]
+                rows[new_index[t]][f] = (
+                    base + local, compose(inverse(omega), perm))
+            else:
+                rows[new_index[t]][f] = (new_index[t2], perm)
+    for (ni, f), (nj, perm) in internal.items():
+        rows[base + ni][f] = (base + nj, perm)
+        rows[base + nj][perm[f]] = (base + ni, inverse(perm))
+    for (t, g), (local, omega) in interface.items():
+        old = tri.gluings[t][g]
+        if old is None:
+            continue
+        t2, perm = old
+        new_face = inverse(omega)[g]
+        if t2 in cluster:
+            local2, omega2 = interface[(t2, perm[g])]
+            rows[base + local][new_face] = (
+                base + local2, compose(inverse(omega2), compose(perm, omega)))
+        else:
+            rows[base + local][new_face] = (
+                new_index[t2], compose(perm, omega))
+    return _from_table(rows)
+
+
+# 2-3
+
+def _reference_two_three(tri, face_class):
+    fc = tri.face_classes[face_class]
+    if fc.boundary:
+        raise MoveError("2-3 move needs an interior face")
+    (ta, fa), (tb, fb) = fc.sides
+    if ta == tb:
+        raise MoveError("2-3 move needs two distinct tetrahedra")
+    pi = tri.gluings[ta][fa][1]
+    verts = [v for v in range(4) if v != fa]   # face vertices in ta
+
+    # New tetrahedron i corresponds to omitted face vertex verts[i]; its
+    # vertices are 0 = apex of ta, 1 = apex of tb, 2 and 3 the other two
+    # face vertices in increasing ta-label order.
+    others = {i: sorted(set(verts) - {verts[i]}) for i in range(3)}
+
+    def pos(i, v):
+        # position of ta-face-vertex v in new tetrahedron i
+        return 2 + others[i].index(v)
+
+    internal = {}
+    for i in range(3):
+        for j in range(i + 1, 3):
+            # shared face: the apexes and the vertex omitted by neither
+            w = next(v for v in verts if v not in (verts[i], verts[j]))
+            perm = [None] * 4
+            perm[0], perm[1] = 0, 1
+            perm[pos(i, w)] = pos(j, w)
+            perm[pos(i, verts[j])] = pos(j, verts[i])
+            internal[(i, pos(i, verts[j]))] = (j, tuple(perm))
+
+    interface = {}
+    for i in range(3):
+        x = verts[i]
+        y, z = others[i]
+        omega_a = [None] * 4
+        omega_a[0], omega_a[1] = fa, x
+        omega_a[2], omega_a[3] = y, z
+        interface[(ta, x)] = (i, tuple(omega_a))
+        omega_b = [None] * 4
+        omega_b[1], omega_b[0] = fb, pi[x]
+        omega_b[2], omega_b[3] = pi[y], pi[z]
+        interface[(tb, pi[x])] = (i, tuple(omega_b))
+
+    return _reference_replace_cluster(tri, {ta, tb}, 3, internal, interface)
+
+
+# ---------------------------------------------------------------------------
+# 3-2
+
+def _reference_three_two(tri, edge_class):
+    e = tri.edge_classes[edge_class]
+    tets = {t for t, _, _ in e.occurrences}
+    if e.degree != 3 or len(tets) != 3:
+        raise MoveError(
+            "3-2 move needs a degree-three edge in three distinct tetrahedra")
+    cycle = _edge_cycle(tri, edge_class)
+    d = 3
+
+    # Equator point j sits between wedges j and j+1: it is q of wedge j
+    # and p of wedge j+1.  New tetrahedra: 0 = top (apex u), 1 = bottom
+    # (apex v); labels 1+j carry equator point j.
+    internal = {(0, 0): (1, (0, 1, 2, 3))}
+    interface = {}
+    for i, (t, u, v, p, q) in enumerate(cycle):
+        point_p = (i - 1) % d      # p of this wedge is equator point i-1
+        point_q = i
+        omitted = (i + 1) % d
+        omega_top = [None] * 4
+        omega_top[0] = u
+        omega_top[1 + point_p] = p
+        omega_top[1 + point_q] = q
+        omega_top[1 + omitted] = v
+        interface[(t, v)] = (0, tuple(omega_top))
+        omega_bot = [None] * 4
+        omega_bot[0] = v
+        omega_bot[1 + point_p] = p
+        omega_bot[1 + point_q] = q
+        omega_bot[1 + omitted] = u
+        interface[(t, u)] = (1, tuple(omega_bot))
+    return _reference_replace_cluster(tri, tets, 2, internal, interface)
+
+
+# ---------------------------------------------------------------------------
+# 4-4
+
+def _reference_four_four(tri, edge_class, axis):
+    e = tri.edge_classes[edge_class]
+    tets = {t for t, _, _ in e.occurrences}
+    if e.degree != 4 or len(tets) != 4:
+        raise MoveError(
+            "4-4 move needs a degree-four edge in four distinct tetrahedra")
+    if axis not in (0, 1):
+        raise MoveError("axis choice must be 0 or 1")
+    cycle = _edge_cycle(tri, edge_class)
+
+    a1, a2 = axis, axis + 2            # axis equator points
+    o1, o2 = (axis + 1) % 4, (axis + 3) % 4
+
+    # New tetrahedra: 0 = {u,a1,o1,a2}, 1 = {u,a1,o2,a2},
+    #                 2 = {v,a1,o1,a2}, 3 = {v,a1,o2,a2};
+    # labels: 0 = pole, 1 = a1, 2 = off-axis point, 3 = a2.
+    internal = {
+        (0, 2): (1, (0, 1, 2, 3)),     # {u,a1,a2} between the two u-tets
+        (2, 2): (3, (0, 1, 2, 3)),
+        (0, 0): (2, (0, 1, 2, 3)),     # {a1,o1,a2} between u and v sides
+        (1, 0): (3, (0, 1, 2, 3)),
+    }
+
+    def local_pos(point, off):
+        if point == a1:
+            return 1
+        if point == a2:
+            return 3
+        if point == off:
+            return 2
+        return None
+
+    interface = {}
+    for i, (t, u, v, p, q) in enumerate(cycle):
+        point_p = (i - 1) % 4
+        point_q = i
+        off = point_p if point_p in (o1, o2) else point_q
+        local_u = 0 if off == o1 else 1
+        local_v = 2 if off == o1 else 3
+        other_axis = a2 if (point_p == a1 or point_q == a1) else a1
+        omega_top = [None] * 4
+        omega_top[0] = u
+        omega_top[local_pos(point_p, off)] = p
+        omega_top[local_pos(point_q, off)] = q
+        omega_top[local_pos(other_axis, off)] = v
+        interface[(t, v)] = (local_u, tuple(omega_top))
+        omega_bot = [None] * 4
+        omega_bot[0] = v
+        omega_bot[local_pos(point_p, off)] = p
+        omega_bot[local_pos(point_q, off)] = q
+        omega_bot[local_pos(other_axis, off)] = u
+        interface[(t, u)] = (local_v, tuple(omega_bot))
+    return _reference_replace_cluster(tri, tets, 4, internal, interface)

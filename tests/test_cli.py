@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealtri import cli
+from idealtri import cli, cohomology
 from idealtri.cli import (
     EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, _SINGLE, run,
 )
@@ -100,6 +100,29 @@ def test_certificate_fixture():
     for vector in payload["surfaces"]:
         assert len(vector) == 7 * payload["tetrahedra"]
         assert sum(vector) == payload["tetrahedra"]  # one quad per tet
+
+
+def test_certificate_report_classifies_each_subgroup_once(monkeypatch):
+    # rank 2 with no certificate: one subgroup, classified once for the
+    # search and reused for the identity checks
+    calls = []
+    classify = cohomology.classify_rank2
+
+    def spy(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(cohomology, "classify_rank2", spy)
+    # also where the report could call it directly
+    monkeypatch.setattr(cli, "classify_rank2", spy, raising=False)
+    code, out = invoke(["certificate", "fLLQcacdeeenkaqkc"])
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert payload["rank"] == 2
+    assert payload["certificate_found"] is False
+    assert payload["subgroups_checked"] == 1
+    assert payload["identities_hold"] is True
+    assert len(calls) == 1
 
 
 def test_monodromy_command():

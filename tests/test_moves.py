@@ -4,6 +4,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealtri import (
     MoveError, MoveSite, apply_move, decode, encode_canonical,
@@ -11,8 +12,12 @@ from idealtri import (
 )
 from idealtri.cohomology import Cocycle, classify_tet_rank1
 from idealtri.monodromy import build_bundle
+from idealtri.triangulation import InvalidEdge
 
-from helpers import assert_revalidates, octahedron_model, random_admissible
+from helpers import (
+    assert_revalidates, octahedron_model, random_admissible, random_complex,
+    reference_apply_move,
+)
 
 
 def link_data(tri):
@@ -129,6 +134,42 @@ def test_inapplicable_moves_raise():
         apply_move(tri, MoveSite("3-2", 0))  # degree-6 edge
     with pytest.raises(MoveError):
         apply_move(tri, MoveSite("4-4", 0))
+
+
+@pytest.mark.parametrize("kind", ["2-3", "3-2", "4-4"])
+def test_site_index_out_of_range_raises(kind):
+    # a negative index must not wrap round to a site counted from the end
+    tri = decode("gLLMQbeefffehhqxhqq")
+    count = len(tri.face_classes if kind == "2-3" else tri.edge_classes)
+    for index in (-1, count):
+        with pytest.raises(MoveError, match="not in range"):
+            apply_move(tri, MoveSite(kind, index))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_moves_match_reference_tables(n, closed, seed):
+    # arbitrary complexes reach clusters glued to themselves and
+    # clusters with free faces, which admissible inputs never do
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    try:
+        edges = len(tri.edge_classes)
+    except InvalidEdge:
+        edges = 0           # no edge classes, so no 3-2 or 4-4 site
+    sites = [MoveSite("2-3", i) for i in range(len(tri.face_classes))]
+    sites += [MoveSite("3-2", i) for i in range(edges)]
+    sites += [MoveSite("4-4", i, axis) for i in range(edges) for axis in (0, 1)]
+    for site in sites:
+        try:
+            expected = reference_apply_move(tri, site)
+        except MoveError as exc:
+            with pytest.raises(MoveError) as raised:
+                apply_move(tri, site)
+            assert str(raised.value) == str(exc)
+            continue
+        image = apply_move(tri, site)
+        assert image.gluings == expected.gluings
+        assert_revalidates(image)
 
 
 # ---------------------------------------------------------------------------
