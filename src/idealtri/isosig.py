@@ -14,6 +14,18 @@ its action characters exceeds the best start's; starts that tie on all
 actions compare their destination and gluing characters.  Characters
 compare by code point, as strings do, not by their 6-bit values.
 
+The first action character covers the first three actions, and they
+all come from the start tetrahedron's own facets: it has four, and a
+tetrahedron with two self-gluings is a lone closed one with only two
+actions.  So the character depends only on the shape of that
+tetrahedron's row: which facets are free, which are glued to a partner
+facet of the same tetrahedron, and which to the same neighbour.  The
+characters of the 24 starts are computed once per shape and kept in a
+module-level table; only the starts that tie the least first character
+are grown, in start order.  An automorphism preserves the first
+character, so no start that could win or tie is left out and the
+orbits below are unchanged.
+
 Two starts that grow the same full string differ by an automorphism,
 and every start in one orbit of the automorphism group grows the same
 string.  The first such pair builds a union-find over the starts; each
@@ -128,6 +140,65 @@ def _grow(dest, perm_index, n_actions, start, start_perm, bound):
     return actions, dests, gluings, bound is not None, order, vmap
 
 
+# Row shape -> the first action characters of its 24 starts.  A shape
+# gives each facet one of a few small values, so the table stays small.
+_FIRST = {}
+
+
+def _first_characters(dest, perm_index, t):
+    """Code points of the first action character of starts ``24t + p``,
+    for p = 0..23, looked up by the shape of t's row: per facet, -1 when
+    free, 4 + g when glued to facet g of t itself, and otherwise the
+    neighbour's number in order of first appearance."""
+    base = 4 * t
+    shape = []
+    neighbours = []
+    for f in range(4):
+        d = dest[base + f]
+        if d < 0:
+            shape.append(-1)
+        elif d == t:
+            shape.append(4 + S4[perm_index[base + f]][f])
+        else:
+            if d not in neighbours:
+                neighbours.append(d)
+            shape.append(neighbours.index(d))
+    shape = tuple(shape)
+    chars = _FIRST.get(shape)
+    if chars is None:
+        chars = _FIRST[shape] = tuple(_first_character(shape, p)
+                                      for p in range(24))
+    return chars
+
+
+def _first_character(shape, start_perm):
+    """The first action character ``_grow`` emits from a start
+    tetrahedron of this row shape: free facets give action 0, self-glued
+    pairs action 2, and a neighbour action 1 when it first appears and 2
+    after that."""
+    used = [False] * 4
+    seen = set()
+    chunk = shift = 0
+    for f in S4[INVERSE[start_perm]]:
+        if used[f]:
+            continue
+        used[f] = True
+        x = shape[f]
+        if x >= 4:
+            used[x - 4] = True
+            action = 2
+        elif x >= 0:
+            action = 2 if x in seen else 1
+            seen.add(x)
+        else:
+            action = 0
+        chunk |= action << shift
+        shift += 2
+        if shift == 6:
+            break
+    return _ORD[chunk]
+
+
 def encode_canonical(tri):
     """Smallest signature over all start choices: a complete isomorphism
     invariant."""
@@ -137,7 +208,8 @@ def encode_canonical(tri):
 def _canonical(tri):
     """The canonical signature and the order of the automorphism group.
 
-    Starts are numbered ``24 * tet + perm``.  Two grown starts with the
+    Starts are numbered ``24 * tet + perm``; only those whose first
+    action character is the least are grown.  Two grown starts with the
     same full string give an automorphism; the union-find, built at the
     first one, merges the orbits of the starts under the automorphisms
     found, and a start whose class already holds a processed start is
@@ -159,7 +231,13 @@ def _canonical(tri):
             parent[s] = s = parent[parent[s]]
         return s
 
+    firsts = []
+    for t in range(tri.n):
+        firsts += _first_characters(dest, perm_index, t)
+    least = min(firsts)
     for s in range(24 * tri.n):
+        if firsts[s] != least:
+            continue
         if parent is not None:
             root = find(s)
             if done[root]:

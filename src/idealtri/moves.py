@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perms import compose, inverse
-from .triangulation import _from_table
+from .triangulation import InvalidEdge, _from_table
 
 
 class MoveError(ValueError):
@@ -64,12 +64,18 @@ def apply_move(tri, site):
     """Perform the move, returning a new triangulation.
 
     New tetrahedra take the highest indices; for a 2-3 move the fresh
-    edge is edge {0,1} of each new tetrahedron.
+    edge is edge {0,1} of each new tetrahedron.  A complex with an edge
+    identified with itself in reverse is not a triangulation, so no
+    move of any kind applies to it.
     """
+    try:
+        edges = tri.edge_classes
+    except InvalidEdge as exc:
+        raise MoveError(f"no move on an invalid complex: {exc}") from exc
     if site.kind == "2-3":
         classes = tri.face_classes
     elif site.kind in ("3-2", "4-4"):
-        classes = tri.edge_classes
+        classes = edges
     else:
         raise MoveError(f"unknown move kind {site.kind!r}")
     if not 0 <= site.index < len(classes):

@@ -73,6 +73,32 @@ def test_every_command_reports_one_json_line(n, closed, seed):
         json.loads(lines[0])
 
 
+SWEEP_COMMANDS = list(_SINGLE) + ["minsearch"]
+
+
+@pytest.fixture(scope="module")
+def small_closed_sweep():
+    """Exit code and output of every sweep command over every closed 1-
+    and 2-tetrahedron complex, by command."""
+    sigs = [*enumerate_complexes(1), *enumerate_complexes(2)]
+    assert len(sigs) == 66
+    argvs = {command: [[command, sig] for sig in sigs] for command in _SINGLE}
+    argvs["minsearch"] = [["minsearch", sig, "--cap", "3", "--depth", "1"]
+                          for sig in sigs]
+    return {command: [(argv, *invoke(argv)) for argv in calls]
+            for command, calls in argvs.items()}
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+def test_every_small_closed_complex_reports_one_json_line(
+        small_closed_sweep, command):
+    for argv, code, out in small_closed_sweep[command]:
+        assert code in (EXIT_OK, EXIT_MALFORMED, EXIT_INAPPLICABLE), argv
+        lines = out.splitlines()
+        assert len(lines) == 1, argv
+        json.loads(lines[0])
+
+
 def test_batch_reports_every_line(tmp_path):
     sigs = ["cPcbbbiht", "cMcabbgag", "not_a_sig", FIXTURE]
     path = tmp_path / "census.txt"

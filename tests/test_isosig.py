@@ -2,14 +2,16 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealtri import (
     MalformedSignature, build_bundle, cover, decode, encode_canonical,
     lst_build, read_census, relabelled,
 )
+from idealtri import isosig
 from idealtri.isosig import _canonical
 from idealtri.triangulation import InvalidTriangulation
 from idealtri.perms import S4
@@ -215,6 +217,31 @@ def test_oracle_symmetric_bundles(word):
 def test_group_order_counts_canonical_starts(n, closed, seed):
     tri = random_complex(random.Random(seed), n, closed=closed)
     assert _canonical(tri) == reference_canonical_starts(tri)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.booleans(), SEEDS)
+@example(1, True, 0)        # a lone closed tetrahedron: two actions in all
+def test_first_character_table_matches_grow(n, closed, seed):
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    dest, perm_index, n_actions = isosig._flatten(tri)
+    firsts = []
+    for t in range(n):
+        chars = isosig._first_characters(dest, perm_index, t)
+        assert chars == tuple(isosig._grow(dest, perm_index, n_actions, t, p,
+                                           None)[0][0] for p in range(24))
+        firsts += chars
+    grown = []
+    grow = isosig._grow
+
+    def spy(dest, perm_index, n_actions, start, start_perm, bound):
+        grown.append(24 * start + start_perm)
+        return grow(dest, perm_index, n_actions, start, start_perm, bound)
+
+    with mock.patch.object(isosig, "_grow", spy):
+        assert isosig._canonical(tri) == reference_canonical_starts(tri)
+    assert grown
+    assert all(firsts[s] == min(firsts) for s in grown)
 
 
 def test_bundle_group_order_law():

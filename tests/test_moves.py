@@ -4,7 +4,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealtri import (
     MoveError, MoveSite, apply_move, decode, encode_canonical,
@@ -16,7 +16,7 @@ from idealtri.triangulation import InvalidEdge
 
 from helpers import (
     assert_revalidates, octahedron_model, random_admissible, random_complex,
-    reference_apply_move,
+    reference_apply_move, reference_edge_classes,
 )
 
 
@@ -146,20 +146,34 @@ def test_site_index_out_of_range_raises(kind):
             apply_move(tri, MoveSite(kind, index))
 
 
+def _edge_class_count(tri):
+    """The number of edge classes by the reference walk, or None when an
+    edge is identified with itself in reverse."""
+    try:
+        return len(reference_edge_classes(tri)[0])
+    except InvalidEdge:
+        return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(2, True, 1)        # a closed complex with a reversed edge
 def test_moves_match_reference_tables(n, closed, seed):
     # arbitrary complexes reach clusters glued to themselves and
     # clusters with free faces, which admissible inputs never do
     tri = random_complex(random.Random(seed), n, closed=closed)
-    try:
-        edges = len(tri.edge_classes)
-    except InvalidEdge:
-        edges = 0           # no edge classes, so no 3-2 or 4-4 site
+    edges = _edge_class_count(tri)
+    # a complex with a reversed edge has no edge classes: try every index
+    # its 6n edge slots could name, and expect each site to be refused
+    slots = 6 * n if edges is None else edges
     sites = [MoveSite("2-3", i) for i in range(len(tri.face_classes))]
-    sites += [MoveSite("3-2", i) for i in range(edges)]
-    sites += [MoveSite("4-4", i, axis) for i in range(edges) for axis in (0, 1)]
+    sites += [MoveSite("3-2", i) for i in range(slots)]
+    sites += [MoveSite("4-4", i, axis) for i in range(slots) for axis in (0, 1)]
     for site in sites:
+        if edges is None:
+            with pytest.raises(MoveError, match="in reverse"):
+                apply_move(tri, site)
+            continue
         try:
             expected = reference_apply_move(tri, site)
         except MoveError as exc:
