@@ -5,10 +5,13 @@ The enumerator walks every face pairing of a handful of tetrahedra
 predicate and deduplicates by canonical signature, so the result is
 complete up to isomorphism.  The walk is its own validator (after
 Burton, "Enumeration of non-orientable 3-manifolds using face-pairing
-graphs and union-find", 2007): an undoable signed union-find over edge
-slots and tetrahedra cuts every partial gluing that reverses an edge,
+graphs and union-find", 2007): an undoable union-find over edge slots,
+tetrahedra and corners cuts every partial gluing that reverses an edge,
 or breaks the orientation when only ``orientable`` complexes are asked
 for, and tells which leaves are connected; those are adopted unchecked.
+The same union-find answers ``closed_admissible`` at a leaf from its
+root counts (one vertex, n edge classes, every degree at least 3), so
+that walk builds only the complexes that pass.
 """
 
 from __future__ import annotations
@@ -19,12 +22,17 @@ from .isosig import decode, encode_canonical
 from .moves import apply_move, enumerate_moves
 from .perms import S4, inverse
 from .triangulation import (
-    _EDGE_MOVES, _TET_MOVES, _from_table, boundary_surface,
+    _CORNER_MOVES, _EDGE_MOVES, _TET_MOVES, _from_table, boundary_surface,
 )
 
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
 _PERMS_TAKING = tuple(tuple(tuple(p for p in S4 if p[f1] == f2)
                             for f2 in range(4)) for f1 in range(4))
+# The corner moves with their flips dropped: unsigned, they never
+# contradict, so the corners count vertices without cutting anything.
+_UNSIGNED_CORNER_MOVES = {
+    p: tuple(tuple((v, w, False) for v, w, _ in moves) for moves in by_face)
+    for p, by_face in _CORNER_MOVES.items()}
 
 
 def enumerate_complexes(n, predicate=None, boundary_faces=0,
@@ -39,19 +47,36 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     representative, in the order first visited.
 
     The walk pairs faces one gluing at a time, writing both sides into
-    one table, and keeps a signed union-find over edge slots ``6t + k``
-    and tetrahedra ``6n + t``, merged by the moves of
-    ``triangulation._EDGE_MOVES`` and ``_TET_MOVES``.  A reversed edge
-    cuts the whole subtree; ``orientable`` only decides whether a
-    contradiction on the tetrahedra cuts too.  A leaf is connected when
-    tetrahedron 0's root holds all n tetrahedra, and is then adopted
-    through ``triangulation._from_table``.  The visit order is that of
-    the unpruned walk, so the result is the unpruned walk's.
+    one table, and keeps a union-find over edge slots ``6t + k``,
+    tetrahedra ``6n + t`` and corners ``7n + 4t + v``, merged by the
+    moves of ``triangulation._EDGE_MOVES``, ``_TET_MOVES`` and
+    ``_CORNER_MOVES``; edge slots and tetrahedra carry signs, corners
+    none, and corners are merged only for the ``closed_admissible``
+    leaf test, their one reader.  A reversed edge cuts the whole
+    subtree; ``orientable`` only decides whether a contradiction on the
+    tetrahedra cuts too.  A leaf is connected when tetrahedron 0's root
+    holds all n tetrahedra, and is then adopted through
+    ``triangulation._from_table``.  The visit order is that of the
+    unpruned walk, so the result is the unpruned walk's.
+
+    ``closed_admissible`` is answered from the roots before any leaf is
+    adopted, and forces ``orientable``, since it rejects every
+    non-orientable complex.  A leaf passes when no face is free, the
+    corners have one root and the edge slots n roots, each of size at
+    least 3.  That is exact: a root's size is its edge's degree, the
+    links of an orientable complex are orientable, and a closed complex
+    has χ = V - E + n = Σ_v (1 - χ(link v)/2), so with V = 1 the link
+    is a torus exactly when E = n.
     """
     if n < 1:
         raise ValueError("need at least one tetrahedron")
     if n > 2:
         raise ValueError("exhaustive enumeration is desk-scale: n <= 2")
+    # closed_admissible is answered from the roots; any other predicate
+    # is asked of the adopted leaf.
+    counted = predicate is closed_admissible
+    orientable = orientable or counted
+    check = None if counted else predicate
     faces = [(t, f) for t in range(n) for f in range(4)]
     results = {}
     # Both sides of every gluing on the current path; each face is
@@ -60,9 +85,9 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     # The union-find: each item's parent and its sign relative to it, and
     # each root's size.  Without path compression a union is undone by
     # making its attached root a root again.
-    parent = list(range(7 * n))
-    flipped = [False] * (7 * n)
-    size = [1] * (7 * n)
+    parent = list(range(11 * n))
+    flipped = [False] * (11 * n)
+    size = [1] * (11 * n)
     attached = []
 
     def find(x):
@@ -93,14 +118,27 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
         if not merge(_EDGE_MOVES[perm][f1], 6 * t1, 6 * t2):
             return False
         # Always merged, for connectivity; a contradiction merges nothing.
-        return (merge(_TET_MOVES[perm][f1], 6 * n + t1, 6 * n + t2)
-                or not orientable)
+        if (not merge(_TET_MOVES[perm][f1], 6 * n + t1, 6 * n + t2)
+                and orientable):
+            return False
+        if counted:     # only the leaf test reads the corners
+            merge(_UNSIGNED_CORNER_MOVES[perm][f1], 7 * n + 4 * t1,
+                  7 * n + 4 * t2)
+        return True
+
+    def admissible():
+        if any(None in row for row in rows):
+            return False
+        if sum(parent[c] == c for c in range(7 * n, 11 * n)) != 1:
+            return False
+        degrees = [size[e] for e in range(6 * n) if parent[e] == e]
+        return len(degrees) == n and min(degrees) >= 3
 
     def leaf():
-        if size[find(6 * n)[0]] != n:
+        if size[find(6 * n)[0]] != n or counted and not admissible():
             return
         tri = _from_table(rows)
-        if predicate is not None and not predicate(tri):
+        if check is not None and not check(tri):
             return
         sig = encode_canonical(tri)
         if sig not in results:

@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from idealtri import (
-    bounded_move_search, build_bundle, decode, encode_canonical,
-    enumerate_complexes, lst_build, search,
+    InvalidEdge, bounded_move_search, build_bundle, decode, encode_canonical,
+    enumerate_complexes, lst_build, search, triangulation,
 )
 from idealtri.search import (
     PREDICATES, closed_admissible, has_interior_degree3_and_torus_boundary,
@@ -15,7 +16,8 @@ from idealtri.search import (
 from idealtri.triangulation import _from_table
 
 from helpers import (
-    assert_revalidates, random_admissible, reference_enumerate_complexes,
+    assert_revalidates, random_admissible, random_complex,
+    reference_enumerate_complexes,
 )
 
 
@@ -118,6 +120,80 @@ def test_two_tet_bounded_walk_matches_unpruned_walk(orientable):
         assert list(found[boundary].items()) == list(ref.items())
     assert found[8] == {}
     assert len(found[6]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@example(1, 1)      # one vertex, a sphere link, 2 edge classes
+@example(2, 12)     # one vertex, a torus link, 2 edge classes
+@example(3, 4)      # one vertex, a genus-2 link, 2 edge classes
+@example(3, 25)     # one vertex, a torus link, 3 edge classes
+def test_one_vertex_torus_link_iff_n_edge_classes(n, seed):
+    # The identity the enumerator's closed_admissible leaf test rests on:
+    # a closed complex has chi = V - E + n = sum over its vertices of
+    # 1 - chi(link)/2, and orientable links when it is orientable.
+    tri = random_complex(random.Random(seed), n, closed=True)
+    try:
+        vertices, edges = tri.vertex_classes, tri.edge_classes
+    except InvalidEdge:
+        return
+    # the unsigned corner moves find the vertex classes
+    parent = list(range(4 * n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for t, row in enumerate(tri.gluings):
+        for f, (t2, perm) in enumerate(row):
+            for v, w, _ in search._UNSIGNED_CORNER_MOVES[perm][f]:
+                parent[find(4 * t + v)] = find(4 * t2 + w)
+    assert sum(parent[c] == c for c in range(4 * n)) == len(vertices)
+    if not tri.is_orientable:
+        return
+    one = len(vertices) == 1
+    assert (one and vertices[0].is_torus_link) == (one and len(edges) == n)
+
+
+@pytest.mark.parametrize("orientable", [False, True])
+def test_admissible_walk_adopts_exactly_the_admissible_leaves(
+        monkeypatch, orientable):
+    # closed_admissible is answered from the walk's roots: every adopted
+    # leaf passes the predicate, and no connected leaf that passes it is
+    # missed.  The unfiltered walk adopts every connected leaf; a
+    # predicate that rejects them all saves encoding each one.
+    adopted = []
+
+    def spy(rows):
+        adopted.append(_from_table(rows))
+        return adopted[-1]
+
+    monkeypatch.setattr(search, "_from_table", spy)
+    for n in (1, 2):
+        adopted.clear()
+        enumerate_complexes(n, closed_admissible, 0, orientable)
+        kept = {tri.gluings for tri in adopted}
+        assert all(closed_admissible(tri) for tri in adopted)
+        adopted.clear()
+        enumerate_complexes(n, lambda tri: False, 0, orientable)
+        assert adopted
+        passing = {tri.gluings for tri in adopted if closed_admissible(tri)}
+        assert passing == kept
+        assert bool(kept) == (n == 2)
+
+
+def test_admissible_walk_builds_no_derived_classes(monkeypatch):
+    calls = []
+    signed_orbits = triangulation._signed_orbits
+
+    def spy(size, moves):
+        calls.append(size)
+        return signed_orbits(size, moves)
+
+    monkeypatch.setattr(triangulation, "_signed_orbits", spy)
+    assert len(enumerate_complexes(2, closed_admissible, 0)) == 3
+    assert calls == []
 
 
 def test_two_tet_admissible_matches_unpruned_walk():
