@@ -328,17 +328,11 @@ class BoundCertificate:
 
 
 def rank2_subgroups(basis):
-    """Each rank-2 subgroup of the span, once (not once per basis)."""
+    """Each rank-2 subgroup of the span as its sorted masks, in sorted
+    order: met once, at its two least elements x < y < x ^ y."""
     nonzero = sorted(c.mask for c in basis.nonzero_elements())
-    seen = set()
-    out = []
-    for i, x in enumerate(nonzero):
-        for y in nonzero[i + 1:]:
-            key = tuple(sorted((x, y, x ^ y)))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-    return sorted(out)
+    return [(x, y, x ^ y) for i, x in enumerate(nonzero)
+            for y in nonzero[i + 1:] if y < x ^ y]
 
 
 def qqq_orientation_types(tri, rc):

@@ -45,7 +45,7 @@ whose labelled stream is equal.
 from __future__ import annotations
 
 from .perms import COMPOSE, INVERSE, S4, S4_INDEX
-from .triangulation import InvalidTriangulation, Triangulation
+from .triangulation import _from_table
 
 SCHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-"
 _SVAL = {c: i for i, c in enumerate(SCHARS)}
@@ -343,16 +343,18 @@ def decode(sig):
     if pos != len(sig):
         raise MalformedSignature("trailing data after one component")
 
-    # Replay the actions in facet order, skipping facets glued from the
-    # other side, and perform the joins.
-    table = {}
-    filled = [[False] * 4 for _ in range(n)]
+    # Replay the actions in facet order, writing both sides of every
+    # join, and skip facets already glued from the other side.  A stream
+    # that replays exactly joins each facet once, to a fresh partner, and
+    # reaches every tetrahedron through a type-1 join, so its table is
+    # valid and connected.
+    rows = [[None] * 4 for _ in range(n)]
     next_new = 1
     action_pos = 0
     join_pos = 0
     for t in range(n):
         for f in range(4):
-            if filled[t][f]:
+            if rows[t][f] is not None:
                 continue
             if action_pos >= len(actions):
                 raise MalformedSignature("too few facet actions")
@@ -363,9 +365,8 @@ def decode(sig):
             if a == 1:
                 if next_new >= n:
                     raise MalformedSignature("join to a nonexistent tetrahedron")
-                table[(t, f)] = (next_new, (0, 1, 2, 3))
-                filled[t][f] = True
-                filled[next_new][f] = True
+                rows[t][f] = (next_new, (0, 1, 2, 3))
+                rows[next_new][f] = (t, (0, 1, 2, 3))
                 next_new += 1
                 continue
             dest = dests[join_pos]
@@ -374,19 +375,14 @@ def decode(sig):
             if dest >= next_new or idx >= 24:
                 raise MalformedSignature("join data out of range")
             perm = S4[idx]
-            if filled[dest][perm[f]]:
+            if rows[dest][perm[f]] is not None:
                 raise MalformedSignature("facet glued twice")
-            table[(t, f)] = (dest, perm)
-            filled[t][f] = True
-            filled[dest][perm[f]] = True
+            # No self-gluing check: it fills one facet, so actions run out.
+            rows[t][f] = (dest, perm)
+            rows[dest][perm[f]] = (t, S4[INVERSE[idx]])
     if action_pos != len(actions) or join_pos != n_joins or next_new != n:
         raise MalformedSignature("inconsistent gluing stream")
-
-    closed = all(all(row) for row in filled)
-    try:
-        return Triangulation(n, table, closed=closed)
-    except InvalidTriangulation as exc:
-        raise MalformedSignature(f"inconsistent gluing stream: {exc}") from exc
+    return _from_table(rows)
 
 
 def read_census(text):

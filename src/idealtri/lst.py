@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 from .perms import inverse
 from .triangulation import Triangulation, _from_table, find_isomorphism, subcomplex
 
-# One tetrahedron, face 2 glued to face 3; the edges of degree 3, 2, 1
-# meet the meridian disc 1, 2 and 3 times respectively.
-_SEED_GLUING = {(0, 2): (0, (1, 2, 3, 0))}
+# One tetrahedron, face 2 glued to face 3 (both sides listed); the edges
+# of degree 3, 2, 1 meet the meridian disc 1, 2 and 3 times respectively.
+_SEED_ROWS = ((None, None, (0, (1, 2, 3, 0)), (0, (3, 0, 1, 2))),)
 _SEED_BOUNDARY = {"a": (0, (0, 1)), "b": (0, (0, 2)), "c": (0, (2, 3))}
 _SEED_FACES = ((0, 0), (0, 1))
 
@@ -112,7 +112,7 @@ def lst_build(word="", minimal_context=False):
     on the c edge (the unital boundary edge) is rejected, since it
     creates an edge of degree two.
     """
-    tri = Triangulation(1, dict(_SEED_GLUING), closed=False)
+    tri = _from_table(_SEED_ROWS)
     params = LstParams(1, 2, 3)
     boundary = dict(_SEED_BOUNDARY)  # role 'a'|'b'|'c' -> slot
     faces = _SEED_FACES
@@ -235,27 +235,18 @@ def maximal_extension(cert, tri):
     pattern matches; the result carries the maximal flag."""
     current = cert
     while True:
-        sub, index_of = subcomplex(tri, current.tets)
-        free = [(t, f) for t in current.tets for f in range(4)
-                if sub.gluings[index_of[t]][f] is None]
-        if len(free) != 2:
-            break
-        targets = set()
-        for t, f in free:
-            g = tri.gluings[t][f]
-            if g is None:
-                targets.add(None)
-            else:
-                targets.add(g[0])
-        if len(targets) != 1:
-            break
-        target = targets.pop()
-        if target is None or target in current.tet_set:
+        # The tetrahedron across each face the LST leaves free, None for
+        # a face free in tri too: one tetrahedron across both may layer.
+        inside = current.tet_set
+        targets = [None if g is None else g[0]
+                   for t in current.tets for g in tri.gluings[t]
+                   if g is None or g[0] not in inside]
+        if len(targets) != 2 or targets[0] is None or targets[0] != targets[1]:
             break
         extended = None
         for letter in "abc":
             try:
-                match = _match_template(tri, list(current.tets) + [target],
+                match = _match_template(tri, list(current.tets) + targets[:1],
                                         current.word + letter)
             except LstError:
                 continue

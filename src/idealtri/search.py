@@ -5,10 +5,11 @@ The enumerator walks every face pairing of a handful of tetrahedra
 predicate and deduplicates by canonical signature, so the result is
 complete up to isomorphism.  The walk is its own validator (after
 Burton, "Enumeration of non-orientable 3-manifolds using face-pairing
-graphs and union-find", 2007): an undoable union-find over edge slots,
-tetrahedra and corners cuts every partial gluing that reverses an edge,
-or breaks the orientation when only ``orientable`` complexes are asked
-for, and tells which leaves are connected; those are adopted unchecked.
+graphs and union-find", 2007): an undoable signed union-find over edge
+slots, tetrahedra and corners cuts every partial gluing that reverses an
+edge, or breaks the orientation when only ``orientable`` complexes are
+asked for, and tells which leaves are connected; those are adopted
+unchecked.
 The same union-find answers ``closed_admissible`` at a leaf from its
 root counts (one vertex, n edge classes, every degree at least 3), so
 that walk builds only the complexes that pass.
@@ -28,11 +29,6 @@ from .triangulation import (
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
 _PERMS_TAKING = tuple(tuple(tuple(p for p in S4 if p[f1] == f2)
                             for f2 in range(4)) for f1 in range(4))
-# The corner moves with their flips dropped: unsigned, they never
-# contradict, so the corners count vertices without cutting anything.
-_UNSIGNED_CORNER_MOVES = {
-    p: tuple(tuple((v, w, False) for v, w, _ in moves) for moves in by_face)
-    for p, by_face in _CORNER_MOVES.items()}
 
 
 def enumerate_complexes(n, predicate=None, boundary_faces=0,
@@ -50,14 +46,16 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     one table, and keeps a union-find over edge slots ``6t + k``,
     tetrahedra ``6n + t`` and corners ``7n + 4t + v``, merged by the
     moves of ``triangulation._EDGE_MOVES``, ``_TET_MOVES`` and
-    ``_CORNER_MOVES``; edge slots and tetrahedra carry signs, corners
-    none, and corners are merged only for the ``closed_admissible``
-    leaf test, their one reader.  A reversed edge cuts the whole
-    subtree; ``orientable`` only decides whether a contradiction on the
-    tetrahedra cuts too.  A leaf is connected when tetrahedron 0's root
-    holds all n tetrahedra, and is then adopted through
-    ``triangulation._from_table``.  The visit order is that of the
-    unpruned walk, so the result is the unpruned walk's.
+    ``_CORNER_MOVES``, every item signed.  A reversed edge cuts the
+    whole subtree; ``orientable`` only decides whether a contradiction
+    on the tetrahedra cuts too.  Corners are merged only for the
+    ``closed_admissible`` leaf test, their one reader, and never cut:
+    that walk is orientable and merges the tetrahedra first, so the
+    corner signs of its complexes cannot contradict.  A leaf is
+    connected when tetrahedron 0's root holds all n tetrahedra, and is
+    then adopted through ``triangulation._from_table``.  The visit
+    order is that of the unpruned walk, so the result is the unpruned
+    walk's.
 
     ``closed_admissible`` is answered from the roots before any leaf is
     adopted, and forces ``orientable``, since it rejects every
@@ -122,8 +120,7 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
                 and orientable):
             return False
         if counted:     # only the leaf test reads the corners
-            merge(_UNSIGNED_CORNER_MOVES[perm][f1], 7 * n + 4 * t1,
-                  7 * n + 4 * t2)
+            merge(_CORNER_MOVES[perm][f1], 7 * n + 4 * t1, 7 * n + 4 * t2)
         return True
 
     def admissible():

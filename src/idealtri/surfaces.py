@@ -18,6 +18,7 @@ and vertex-linking surfaces meet these by construction, so a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cohomology import classify_tet_rank1
 from .triangulation import _signed_orbits
@@ -288,39 +289,26 @@ def _assemble_components(surface, index, orbit, moves, orientable):
     for a, _, _ in moves[::2]:      # one move per arc
         arcs[orbit[a]] += 1
 
-    # 0-cells: points along each edge class, heights taken from the
-    # positive end; each incident slot stacks triangle-at-min, quads,
-    # triangle-at-max from the smaller vertex.
+    # 0-cells: a point on an edge class of degree d is a corner of d
+    # discs, one in each occurrence of the edge, joined around it by
+    # arcs; so a component's points on the class are its disc corners
+    # there over d.  A triangle has corners on the edges through its
+    # vertex, a quad on the four edges its type does not avoid.
+    corners = {}        # (component, edge class) -> disc corners
+    for (kind, t, label, _), i in index.items():
+        for a, b in combinations(range(4), 2):
+            if kind == "tri" and label not in (a, b):
+                continue
+            if kind == "quad" and quad_type_of_pair(a, b) == label:
+                continue
+            key = orbit[i], tri.edge_class_of(t, a, b)
+            corners[key] = corners.get(key, 0) + 1
     points = [0] * len(orientable)
-    weights = surface.edge_weights()
-    for e in tri.edge_classes:
-        w = weights[e.index]
-        if w == 0:
-            continue
-        orbits_at_height = [set() for _ in range(w)]
-        for t, (a, b), sign in e.occurrences:
-            stack = [("tri", t, a, k) for k in range(surface.triangles[t][a])]
-            qt = quad_type_of_pair(a, b)
-            for i in (1, 2, 3):
-                if i == qt:
-                    continue
-                # the quad of type i separates a from b; copy 0 sits on
-                # the {0, i} side, so the order from a flips when a is
-                # on the far side
-                copies = range(surface.quads[t][i - 1])
-                if a != 0 and a != i:
-                    copies = reversed(copies)
-                stack.extend(("quad", t, i, k) for k in copies)
-            stack.extend(("tri", t, b, k)
-                         for k in reversed(range(surface.triangles[t][b])))
-            if sign == -1:
-                stack.reverse()
-            for h, sheet in enumerate(stack):
-                orbits_at_height[h].add(orbit[index[sheet]])
-        for h in range(w):
-            if len(orbits_at_height[h]) != 1:
-                raise SurfaceError("edge point meets several components")
-            points[orbits_at_height[h].pop()] += 1
+    for (k, e), count in corners.items():
+        on_edge, left = divmod(count, tri.edge_classes[e].degree)
+        if left:
+            raise SurfaceError("edge point meets several components")
+        points[k] += on_edge
 
     comps = tuple(SurfaceComponent(euler=points[k] - arcs[k] + discs[k],
                                    orientable=orientable[k], discs=discs[k])

@@ -12,10 +12,10 @@ edge identified with itself in reverse raises ``InvalidEdge`` when the
 edge classes, or the vertex classes that read them, are computed.
 
 Gluing data is checked where it enters: ``Triangulation(n, gluings,
-closed)``, ``build``, ``isosig.decode``, ``subcomplex`` and
-``relabelled`` validate it.  Layering, bistellar moves, the bundle
-closure and the enumerator build valid tables and adopt them through
-``_from_table``.
+closed)``, ``build``, ``subcomplex`` and ``relabelled`` validate it,
+and ``isosig.decode`` checks its action stream as it replays it.  The
+decoder, layering, bistellar moves, the bundle closure and the
+enumerator build valid tables and adopt them through ``_from_table``.
 
 Derived classes are signed orbits of dense integer items under the
 gluings, all found by one kernel, ``_signed_orbits``:
@@ -386,9 +386,9 @@ def _from_table(rows):
     ``(t2, perm)`` with ``perm`` a 4-tuple, or None for a free face;
     every gluing is listed from both sides, no face is glued to itself
     and the complex is connected.  Only for builders whose output is
-    valid by construction (moves, layering, the bundle closure and the
-    enumerator's leaves); data from callers is validated by
-    ``Triangulation``."""
+    valid by construction (the decoder's replay, moves, layering, the
+    bundle closure and the enumerator's leaves); data from callers is
+    validated by ``Triangulation``."""
     tri = Triangulation.__new__(Triangulation)
     tri.n = len(rows)
     tri.gluings = tuple(tuple(row) for row in rows)
@@ -541,9 +541,13 @@ def subcomplex(tri, tets):
     them are kept, all other faces become free.
 
     Returns (sub, index_of) where index_of maps old to new indices.
-    Vertex labels are unchanged.
+    Vertex labels are unchanged.  A tetrahedron outside ``range(tri.n)``
+    raises InvalidTriangulation.
     """
     tets = sorted(set(tets))
+    for t in tets:
+        if not 0 <= t < tri.n:
+            raise InvalidTriangulation(f"tetrahedron {t} out of range")
     index_of = {t: i for i, t in enumerate(tets)}
     gluings = {}
     for t in tets:

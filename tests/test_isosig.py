@@ -12,13 +12,12 @@ from idealtri import (
     lst_build, read_census, relabelled,
 )
 from idealtri import isosig
-from idealtri.isosig import _canonical
-from idealtri.triangulation import InvalidTriangulation
+from idealtri.isosig import SCHARS, _canonical
 from idealtri.perms import S4
 
 from helpers import (
-    random_admissible, random_complex, reference_canonical_starts,
-    reference_encode_canonical,
+    assert_revalidates, random_admissible, random_complex,
+    reference_canonical_starts, reference_decode, reference_encode_canonical,
 )
 
 CENSUS_FIXTURES = [
@@ -69,24 +68,53 @@ def test_trailing_data_rejected():
         decode("cPcbbbihtt")
 
 
-def test_decode_reports_only_invalid_tables_as_malformed(monkeypatch):
-    # An invalid gluing table is a malformed signature; any other error
-    # in building the triangulation is a bug and must surface as is.
-    from idealtri import isosig
+# -- differential oracle: the decoder against the validating one --------
 
-    def invalid(n, gluings, closed=True):
-        raise InvalidTriangulation("face (0,0) glued to itself")
+@st.composite
+def signature_like(draw):
+    """A census fixture, an encoded random complex or a random string
+    with a small size prefix, maybe with one character replaced."""
+    kind = draw(st.sampled_from(["fixture", "admissible", "complex", "raw"]))
+    if kind == "raw":
+        return (draw(st.sampled_from(SCHARS[1:4]))
+                + draw(st.text(SCHARS, max_size=12)))
+    if kind == "fixture":
+        sig = draw(st.sampled_from([sig for sig, _ in CENSUS_FIXTURES]))
+    else:
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        if kind == "admissible":
+            tri = random_admissible(rng)
+        else:
+            tri = random_complex(rng, draw(st.integers(1, 4)),
+                                 closed=draw(st.booleans()))
+        sig = encode_canonical(tri)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(sig) - 1))
+        sig = sig[:i] + draw(st.sampled_from(SCHARS)) + sig[i + 1:]
+    return sig
 
-    monkeypatch.setattr(isosig, "Triangulation", invalid)
-    with pytest.raises(MalformedSignature, match="glued to itself"):
-        decode("cPcbbbiht")
 
-    def broken(n, gluings, closed=True):
-        raise RuntimeError("bug")
+@settings(max_examples=400, deadline=None)
+@given(signature_like())
+@example("bcaa")            # a facet joined to itself: too few actions
+@example("cPcbbbiht")
+def test_decode_matches_validating_reference(sig):
+    try:
+        expected = reference_decode(sig)
+    except MalformedSignature as exc:
+        with pytest.raises(MalformedSignature) as caught:
+            decode(sig)
+        assert str(caught.value) == str(exc)
+        return
+    tri = decode(sig)
+    assert tri.gluings == expected.gluings
+    assert_revalidates(tri)
 
-    monkeypatch.setattr(isosig, "Triangulation", broken)
-    with pytest.raises(RuntimeError, match="bug"):
-        decode("cPcbbbiht")
+
+def test_self_gluing_runs_out_of_actions():
+    for decoder in (decode, reference_decode):
+        with pytest.raises(MalformedSignature, match="too few facet actions"):
+            decoder("bcaa")
 
 
 def test_encode_decode_idempotent():

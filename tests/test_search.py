@@ -137,7 +137,7 @@ def test_one_vertex_torus_link_iff_n_edge_classes(n, seed):
         vertices, edges = tri.vertex_classes, tri.edge_classes
     except InvalidEdge:
         return
-    # the unsigned corner moves find the vertex classes
+    # the corner moves, their flips ignored, find the vertex classes
     parent = list(range(4 * n))
 
     def find(x):
@@ -147,7 +147,7 @@ def test_one_vertex_torus_link_iff_n_edge_classes(n, seed):
 
     for t, row in enumerate(tri.gluings):
         for f, (t2, perm) in enumerate(row):
-            for v, w, _ in search._UNSIGNED_CORNER_MOVES[perm][f]:
+            for v, w, _ in triangulation._CORNER_MOVES[perm][f]:
                 parent[find(4 * t + v)] = find(4 * t2 + w)
     assert sum(parent[c] == c for c in range(4 * n)) == len(vertices)
     if not tri.is_orientable:

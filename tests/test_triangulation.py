@@ -10,6 +10,7 @@ from idealtri import (
     anatomy_report, boundary_surface, build, decode, degree_histogram,
     face_type_counts, find_isomorphism, relabelled,
 )
+from idealtri.triangulation import subcomplex
 from idealtri.perms import S4, inverse
 
 from helpers import (
@@ -67,6 +68,19 @@ def test_build_rejects_disconnected():
         glu[(t, 2)] = (t, (1, 0, 3, 2))
     with pytest.raises(InvalidTriangulation):
         build(2, glu, closed=True)
+
+
+@pytest.mark.parametrize("tets", [[-1], [5], [0, 2]])
+def test_subcomplex_rejects_tetrahedra_out_of_range(tets):
+    with pytest.raises(InvalidTriangulation, match="out of range"):
+        subcomplex(decode(FIG8), tets)
+
+
+def test_subcomplex_collapses_repeated_tetrahedra():
+    tri = decode(FIG8)
+    sub, index_of = subcomplex(tri, [0, 0])
+    assert sub.n == 1 and index_of == {0: 0}
+    assert all(g is None for g in sub.gluings[0])
 
 
 def test_edge_degrees_sum_to_six_n():
