@@ -118,6 +118,11 @@ def _report_certificate(sig):
                        "or Klein bottle")
     basis = cocycle_space(tri)
     colourings = list(rank2_colourings(basis))
+    if (any(rc.counts["qqq"] == tri.n for rc in colourings)
+            and not tri.is_orientable):
+        raise CliError(EXIT_INAPPLICABLE, "inapplicable",
+                       "all-quadrilateral certificates need an orientable "
+                       "triangulation")
     cert = next(filter(None, map(certificate_of, colourings)), None)
     report = {
         "signature": sig,

@@ -10,9 +10,12 @@ slots, tetrahedra and corners cuts every partial gluing that reverses an
 edge, or breaks the orientation when only ``orientable`` complexes are
 asked for, and tells which leaves are connected; those are adopted
 unchecked.
-The same union-find answers ``closed_admissible`` at a leaf from its
-root counts (one vertex, n edge classes, every degree at least 3), so
-that walk builds only the complexes that pass.
+The same union-find answers ``closed_admissible`` and
+``torus_links_only`` from its roots, and cuts a partial gluing as soon
+as its closed edge classes rule them out (after Burton, "Detecting
+genus in vertex links for the fast enumeration of 3-manifold
+triangulations", 2011), so those walks build only the complexes that
+pass.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from .isosig import decode, encode_canonical
 from .moves import apply_move, enumerate_moves
 from .perms import S4, inverse
 from .triangulation import (
-    _CORNER_MOVES, _EDGE_MOVES, _TET_MOVES, _from_table, boundary_surface,
+    _CORNER_MOVES, _EDGE_MOVES, _PAIRS, _TET_MOVES, _from_table,
+    boundary_surface,
 )
 
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
@@ -48,33 +52,39 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     moves of ``triangulation._EDGE_MOVES``, ``_TET_MOVES`` and
     ``_CORNER_MOVES``, every item signed.  A reversed edge cuts the
     whole subtree; ``orientable`` only decides whether a contradiction
-    on the tetrahedra cuts too.  Corners are merged only for the
-    ``closed_admissible`` leaf test, their one reader, and never cut:
-    that walk is orientable and merges the tetrahedra first, so the
-    corner signs of its complexes cannot contradict.  A leaf is
-    connected when tetrahedron 0's root holds all n tetrahedra, and is
-    then adopted through ``triangulation._from_table``.  The visit
-    order is that of the unpruned walk, so the result is the unpruned
-    walk's.
+    on the tetrahedra cuts too.  Corners are merged only for the leaf
+    tests below, their one reader, and never cut: those walks are
+    orientable and merge the tetrahedra first, so the corner signs of
+    their complexes cannot contradict.  A leaf is connected when
+    tetrahedron 0's root holds all n tetrahedra, and is then adopted
+    through ``triangulation._from_table``.  The visit order is that of
+    the unpruned walk, so the result is the unpruned walk's.
 
-    ``closed_admissible`` is answered from the roots before any leaf is
-    adopted, and forces ``orientable``, since it rejects every
-    non-orientable complex.  A leaf passes when no face is free, the
-    corners have one root and the edge slots n roots, each of size at
-    least 3.  That is exact: a root's size is its edge's degree, the
-    links of an orientable complex are orientable, and a closed complex
-    has χ = V - E + n = Σ_v (1 - χ(link v)/2), so with V = 1 the link
-    is a torus exactly when E = n.
+    Each edge move pairs one unglued face side of each slot, and a
+    class's unglued sides are the two ends of a chain of face sides, so
+    every edge root has 2 of them until a move pairs two sides within
+    it: the class is then closed, for good, and its size is its degree.
+    The walk counts the closed classes and the edge roots on its path.
+
+    ``closed_admissible`` and ``torus_links_only`` are answered from the
+    roots before any leaf is adopted, and force ``orientable``, since
+    both reject every non-orientable complex.  A closed orientable
+    complex has χ = V - E + n = Σ_v (1 - χ(link v)/2), so its links are
+    all tori only when E = n.  Both walks therefore cut a gluing that
+    closes more than n classes or leaves fewer than n edge roots, and
+    ``closed_admissible`` also one that closes a class of degree below
+    3; each cut is exact, since roots only merge and a closed class
+    never changes.  A leaf has no free face exactly when all its classes
+    have closed, n of them after these cuts.  Such a leaf passes
+    ``closed_admissible`` with one corner root, whose link is then a
+    torus, and ``torus_links_only`` when every corner root has twice as
+    many edge-class ends as corners: its link's χ is ends - corners/2,
+    and the links of an orientable complex are orientable.
     """
     if n < 1:
         raise ValueError("need at least one tetrahedron")
     if n > 2:
         raise ValueError("exhaustive enumeration is desk-scale: n <= 2")
-    # closed_admissible is answered from the roots; any other predicate
-    # is asked of the adopted leaf.
-    counted = predicate is closed_admissible
-    orientable = orientable or counted
-    check = None if counted else predicate
     faces = [(t, f) for t in range(n) for f in range(4)]
     results = {}
     # Both sides of every gluing on the current path; each face is
@@ -95,44 +105,77 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
             x = parent[x]
         return x, s
 
+    def union(a, b, flip):
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        flipped[b] = flip
+        size[a] += size[b]
+        attached.append(b)
+
     def merge(moves, base, base2):
         """Apply the moves ``(i, j, flip)`` from items ``base + i`` to
         ``base2 + j``; False at the first one that contradicts a sign."""
         for i, j, flip in moves:
             (a, sa), (b, sb) = find(base + i), find(base2 + j)
-            if a == b:
-                if sa ^ sb != flip:
-                    return False
-                continue
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            flipped[b] = sa ^ sb ^ flip
-            size[a] += size[b]
-            attached.append(b)
+            if a != b:
+                union(a, b, sa ^ sb ^ flip)
+            elif sa ^ sb != flip:
+                return False
         return True
 
-    def glue(t1, f1, t2, perm):
-        if not merge(_EDGE_MOVES[perm][f1], 6 * t1, 6 * t2):
-            return False
+    def one_vertex():
+        return size[find(7 * n)[0]] == 4 * n
+
+    def torus_links():
+        ends = [0] * (11 * n)       # edge-class ends per corner root
+        for e in range(6 * n):
+            if parent[e] == e:
+                t, k = divmod(e, 6)
+                for v in _PAIRS[k]:
+                    ends[find(7 * n + 4 * t + v)[0]] += 1
+        return all(2 * ends[c] == size[c]
+                   for c in range(7 * n, 11 * n) if parent[c] == c)
+
+    # closed_admissible and torus_links_only are answered from the roots
+    # by a test of the vertex links; any other predicate is asked of the
+    # adopted leaf.
+    link_test = {closed_admissible: one_vertex,
+                 torus_links_only: torus_links}.get(predicate)
+    counted = link_test is not None
+    orientable = orientable or counted
+    check = None if counted else predicate
+    low = 3 if predicate is closed_admissible else 0
+
+    def glue(t1, f1, t2, perm, closed, roots):
+        """Merge the items of one gluing made with ``closed`` edge classes
+        closed and ``roots`` edge roots; their counts after it, or None
+        when its subtree is cut."""
+        for i, j, flip in _EDGE_MOVES[perm][f1]:
+            (a, sa), (b, sb) = find(6 * t1 + i), find(6 * t2 + j)
+            if a != b:
+                union(a, b, sa ^ sb ^ flip)
+                roots -= 1
+            elif sa ^ sb != flip:       # a reversed edge
+                return None
+            else:                       # the class closes
+                closed += 1
+                if size[a] < low:
+                    return None
+        if counted and (closed > n or roots < n):
+            return None
         # Always merged, for connectivity; a contradiction merges nothing.
         if (not merge(_TET_MOVES[perm][f1], 6 * n + t1, 6 * n + t2)
                 and orientable):
-            return False
-        if counted:     # only the leaf test reads the corners
+            return None
+        if counted:     # only the leaf tests read the corners
             merge(_CORNER_MOVES[perm][f1], 7 * n + 4 * t1, 7 * n + 4 * t2)
-        return True
+        return closed, roots
 
-    def admissible():
-        if any(None in row for row in rows):
-            return False
-        if sum(parent[c] == c for c in range(7 * n, 11 * n)) != 1:
-            return False
-        degrees = [size[e] for e in range(6 * n) if parent[e] == e]
-        return len(degrees) == n and min(degrees) >= 3
-
-    def leaf():
-        if size[find(6 * n)[0]] != n or counted and not admissible():
+    def leaf(closed, roots):
+        if size[find(6 * n)[0]] != n:
+            return
+        if counted and (closed < roots or not link_test()):
             return
         tri = _from_table(rows)
         if check is not None and not check(tri):
@@ -141,30 +184,31 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
         if sig not in results:
             results[sig] = tri
 
-    def recurse(unmatched, free_left):
+    def recurse(unmatched, free_left, closed, roots):
         if not unmatched:
             if free_left is None or free_left == 0:
-                leaf()
+                leaf(closed, roots)
             return
         (t1, f1), rest = unmatched[0], unmatched[1:]
         if free_left is None or free_left > 0:
             next_free = None if free_left is None else free_left - 1
             rows[t1][f1] = None
-            recurse(rest, next_free)
+            recurse(rest, next_free, closed, roots)
         for i, (t2, f2) in enumerate(rest):
             remaining = rest[:i] + rest[i + 1:]
             for perm in _PERMS_TAKING[f1][f2]:
                 mark = len(attached)
-                if glue(t1, f1, t2, perm):
+                counts = glue(t1, f1, t2, perm, closed, roots)
+                if counts is not None:
                     rows[t1][f1] = (t2, perm)
                     rows[t2][f2] = (t1, inverse(perm))
-                    recurse(remaining, free_left)
+                    recurse(remaining, free_left, *counts)
                 while len(attached) > mark:
                     b = attached.pop()
                     size[parent[b]] -= size[b]
                     parent[b] = b
 
-    recurse(faces, boundary_faces)
+    recurse(faces, boundary_faces, 0, 6 * n)
     return results
 
 

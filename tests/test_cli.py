@@ -13,7 +13,7 @@ from idealtri import cli, cohomology
 from idealtri.cli import (
     EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, _SINGLE, run,
 )
-from idealtri.isosig import encode_canonical
+from idealtri.isosig import decode, encode_canonical
 from idealtri.search import PREDICATES, enumerate_complexes
 
 from helpers import random_complex
@@ -58,6 +58,23 @@ def test_certificate_rejects_non_cusped_links(sig):
     error = json.loads(lines[0])["error"]
     assert error["kind"] == "inapplicable"
     assert "vertex link" in error["message"]
+
+
+def test_certificate_rejects_non_orientable_all_quadrilateral_colouring():
+    # Closed, non-orientable, one Klein-bottle link: its all-quadrilateral
+    # colouring has no orientation types, so no certificate applies.
+    sig = "dLQbccchxqa"
+    tri = decode(sig)
+    assert tri.is_closed and not tri.is_orientable
+    assert [(v.link_euler, v.link_orientable)
+            for v in tri.vertex_classes] == [(0, False)]
+    code, out = invoke(["certificate", sig])
+    assert code == EXIT_INAPPLICABLE
+    lines = out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "inapplicable"
+    assert "orientable" in error["message"]
 
 
 @settings(max_examples=200, deadline=None)

@@ -156,13 +156,69 @@ def test_one_vertex_torus_link_iff_n_edge_classes(n, seed):
     assert (one and vertices[0].is_torus_link) == (one and len(edges) == n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@example(2, 12)     # one vertex, a torus link, 2 edge classes
+@example(3, 25)     # one vertex, a torus link, 3 edge classes
+@example(4, 311)    # one vertex, a torus link, 4 edge classes
+@example(4, 7411)   # two vertices, torus links, 4 edge classes
+def test_torus_links_force_n_edge_classes(n, seed):
+    # The cut the torus_links_only walk makes: a closed orientable
+    # complex has chi = V - E + n = sum over its vertices of
+    # 1 - chi(link)/2, which is V when every link is a torus.
+    tri = random_complex(random.Random(seed), n, closed=True)
+    try:
+        vertices, edges = tri.vertex_classes, tri.edge_classes
+    except InvalidEdge:
+        return
+    if tri.is_orientable and all(v.is_torus_link for v in vertices):
+        assert len(edges) == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_a_gluing_within_one_edge_class_closes_it(n, closed, seed):
+    # The count the enumerator keeps: glued one at a time, an edge move
+    # between two slots of one class pairs its last two unglued face
+    # sides, so that class is interior, with its size as degree, and
+    # every interior class closes exactly once.
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    try:
+        edges = tri.edge_classes
+    except InvalidEdge:
+        return
+    parent = list(range(6 * n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    closings = []
+    for t, row in enumerate(tri.gluings):
+        for f, glued in enumerate(row):
+            if glued is None or (glued[0], glued[1][f]) < (t, f):
+                continue            # free, or met from its other side
+            t2, perm = glued
+            for i, j, _ in triangulation._EDGE_MOVES[perm][f]:
+                a, b = find(6 * t + i), find(6 * t2 + j)
+                if a == b:
+                    closings.append(
+                        (tri.edge_class_of(t, *triangulation._PAIRS[i]),
+                         sum(find(e) == a for e in range(6 * n))))
+                parent[a] = b
+    interior = sorted((e.index, e.degree) for e in edges if not e.boundary)
+    assert sorted(closings) == interior
+
+
 @pytest.mark.parametrize("orientable", [False, True])
 def test_admissible_walk_adopts_exactly_the_admissible_leaves(
         monkeypatch, orientable):
-    # closed_admissible is answered from the walk's roots: every adopted
-    # leaf passes the predicate, and no connected leaf that passes it is
-    # missed.  The unfiltered walk adopts every connected leaf; a
-    # predicate that rejects them all saves encoding each one.
+    # closed_admissible and torus_links_only are answered from the walk's
+    # roots: every adopted leaf passes the predicate, and no connected
+    # leaf that passes it is missed.  The unfiltered walk adopts every
+    # connected leaf; a predicate that rejects them all saves encoding
+    # each one.
     adopted = []
 
     def spy(rows):
@@ -172,15 +228,17 @@ def test_admissible_walk_adopts_exactly_the_admissible_leaves(
     monkeypatch.setattr(search, "_from_table", spy)
     for n in (1, 2):
         adopted.clear()
-        enumerate_complexes(n, closed_admissible, 0, orientable)
-        kept = {tri.gluings for tri in adopted}
-        assert all(closed_admissible(tri) for tri in adopted)
-        adopted.clear()
         enumerate_complexes(n, lambda tri: False, 0, orientable)
         assert adopted
-        passing = {tri.gluings for tri in adopted if closed_admissible(tri)}
-        assert passing == kept
-        assert bool(kept) == (n == 2)
+        connected = list(adopted)
+        for predicate in (closed_admissible, torus_links_only):
+            adopted.clear()
+            enumerate_complexes(n, predicate, 0, orientable)
+            kept = {tri.gluings for tri in adopted}
+            assert all(predicate(tri) for tri in adopted)
+            passing = {tri.gluings for tri in connected if predicate(tri)}
+            assert passing == kept
+            assert bool(kept) == (n == 2)
 
 
 def test_admissible_walk_builds_no_derived_classes(monkeypatch):
@@ -193,15 +251,19 @@ def test_admissible_walk_builds_no_derived_classes(monkeypatch):
 
     monkeypatch.setattr(triangulation, "_signed_orbits", spy)
     assert len(enumerate_complexes(2, closed_admissible, 0)) == 3
+    assert len(enumerate_complexes(2, torus_links_only, 0)) == 10
     assert calls == []
 
 
-def test_two_tet_admissible_matches_unpruned_walk():
-    # closed_admissible rejects non-orientable complexes, so one
-    # reference run serves both settings
-    ref = list(reference_enumerate_complexes(2, closed_admissible).items())
+@pytest.mark.parametrize("predicate, boundary", [
+    (closed_admissible, 0), (torus_links_only, 0),
+    (closed_admissible, 2), (torus_links_only, 2)])
+def test_two_tet_counted_walks_match_unpruned_walk(predicate, boundary):
+    # the walks answered from the roots; both predicates reject
+    # non-orientable complexes, so one reference run serves both settings
+    ref = list(reference_enumerate_complexes(2, predicate, boundary).items())
     for orientable in (False, True):
-        found = enumerate_complexes(2, closed_admissible, 0, orientable)
+        found = enumerate_complexes(2, predicate, boundary, orientable)
         assert list(found.items()) == ref
 
 
