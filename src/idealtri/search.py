@@ -16,18 +16,23 @@ as its closed edge classes rule them out (after Burton, "Detecting
 genus in vertex links for the fast enumeration of 3-manifold
 triangulations", 2011), so those walks build only the complexes that
 pass.
+Every cut and leaf test is an isomorphism invariant and every table is
+visited once, so the first leaf reached of each isomorphism class marks
+all its relabellings, and only it is checked and encoded (the isomorph
+rejection of McKay, "Isomorph-free exhaustive generation", 1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 
 from .isosig import decode, encode_canonical
 from .moves import apply_move, enumerate_moves
 from .perms import S4, inverse
 from .triangulation import (
     _CORNER_MOVES, _EDGE_MOVES, _PAIRS, _TET_MOVES, _from_table,
-    boundary_surface,
+    _relabel_rows, boundary_surface,
 )
 
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
@@ -80,6 +85,16 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     torus, and ``torus_links_only`` when every corner root has twice as
     many edge-class ends as corners: its link's χ is ends - corners/2,
     and the links of an orientable complex are orientable.
+
+    A leaf that passes these tests is keyed by its table.  The walk
+    reaches every table once, and its cuts and tests are isomorphism
+    invariants, so the leaves of one class are exactly the n!·24ⁿ
+    relabellings of any one of them.  The first reached is the one
+    kept: it marks all its relabellings (``triangulation._relabel_rows``)
+    and alone runs ``predicate`` and ``encode_canonical``; each later
+    leaf of its class finds its mark, takes it out and is skipped.  So
+    the result is the unpruned walk's, the marks drain by the end of
+    the walk, and they hold at most n!·24ⁿ tables per class met.
     """
     if n < 1:
         raise ValueError("need at least one tetrahedron")
@@ -172,17 +187,25 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
             merge(_CORNER_MOVES[perm][f1], 7 * n + 4 * t1, 7 * n + 4 * t2)
         return closed, roots
 
+    # The tables the walk has still to reach of the classes it has met.
+    marked = set()
+    relabellings = [(tets, maps) for tets in permutations(range(n))
+                    for maps in product(range(24), repeat=n)]
+
     def leaf(closed, roots):
         if size[find(6 * n)[0]] != n:
             return
         if counted and (closed < roots or not link_test()):
             return
-        tri = _from_table(rows)
-        if check is not None and not check(tri):
+        key = tuple(map(tuple, rows))
+        if key in marked:
+            marked.remove(key)
             return
-        sig = encode_canonical(tri)
-        if sig not in results:
-            results[sig] = tri
+        marked.update(_relabel_rows(key, *r) for r in relabellings)
+        marked.remove(key)
+        tri = _from_table(rows)
+        if check is None or check(tri):
+            results[encode_canonical(tri)] = tri
 
     def recurse(unmatched, free_left, closed, roots):
         if not unmatched:

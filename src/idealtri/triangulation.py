@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .perms import COMPOSE, INVERSE, S4, compose, inverse, is_perm, sign
+from .perms import COMPOSE, INVERSE, S4, S4_INDEX, inverse, is_perm, sign
 
 
 class InvalidTriangulation(ValueError):
@@ -558,16 +558,31 @@ def subcomplex(tri, tets):
     return Triangulation(len(tets), gluings, closed=False), index_of
 
 
+def _relabel_rows(rows, tet_map, vertex_maps):
+    """The table ``rows`` (in ``_from_table``'s form) under an
+    isomorphism: tetrahedron t becomes ``tet_map[t]``, with its vertices
+    relabelled by ``S4[vertex_maps[t]]``.  Returns a tuple of row tuples,
+    unchecked; both maps must be bijections."""
+    out = [[None] * 4 for _ in rows]
+    for t, row in enumerate(rows):
+        v = vertex_maps[t]
+        image, back, new_row = S4[v], INVERSE[v], out[tet_map[t]]
+        for f, g in enumerate(row):
+            if g is not None:
+                t2, perm = g
+                new_row[image[f]] = (tet_map[t2], S4[COMPOSE[vertex_maps[t2]][
+                    COMPOSE[S4_INDEX[perm]][back]]])
+    return tuple(map(tuple, out))
+
+
 def relabelled(tri, tet_map, vertex_maps):
     """Apply an isomorphism: tetrahedron t becomes tet_map[t], with its
     vertices relabelled by vertex_maps[t]."""
-    gluings = {}
-    for t in range(tri.n):
-        for f in range(4):
-            g = tri.gluings[t][f]
-            if g is None:
-                continue
-            t2, perm = g
-            new_perm = compose(vertex_maps[t2], compose(perm, inverse(vertex_maps[t])))
-            gluings[(tet_map[t], vertex_maps[t][f])] = (tet_map[t2], new_perm)
+    if (sorted(tet_map) != list(range(tri.n)) or len(vertex_maps) != tri.n
+            or not all(is_perm(tuple(p)) for p in vertex_maps)):
+        raise InvalidTriangulation("relabelling is not a bijection")
+    rows = _relabel_rows(tri.gluings, tet_map,
+                         [S4_INDEX[tuple(p)] for p in vertex_maps])
+    gluings = {(t, f): g for t, row in enumerate(rows)
+               for f, g in enumerate(row)}
     return Triangulation(tri.n, gluings, closed=tri.is_closed)

@@ -507,6 +507,24 @@ def reference_orientation_signs(tri):
     return tuple(signs[t] for t in range(tri.n))
 
 
+# ``relabelled`` before it ran on the S4-index kernel.
+
+def reference_relabelled(tri, tet_map, vertex_maps):
+    """Apply an isomorphism gluing by gluing, over permutation tuples:
+    the oracle for ``relabelled`` and its kernel ``_relabel_rows``."""
+    gluings = {}
+    for t in range(tri.n):
+        for f in range(4):
+            g = tri.gluings[t][f]
+            if g is None:
+                continue
+            t2, perm = g
+            new_perm = compose(vertex_maps[t2],
+                               compose(perm, inverse(vertex_maps[t])))
+            gluings[(tet_map[t], vertex_maps[t][f])] = (tet_map[t2], new_perm)
+    return Triangulation(tri.n, gluings, closed=tri.is_closed)
+
+
 # The walks that searched for isomorphisms, components and the boundary
 # surface before they ran on the labelling and signed-orbit kernels.
 # The differential oracles for ``find_isomorphism``, ``components`` and
@@ -833,6 +851,14 @@ def reference_enumerate_complexes(n, predicate=None, boundary_faces=0):
 
     recurse(faces, [], boundary_faces)
     return results
+
+
+def reference_valid_leaves(n, boundary_faces):
+    """Every valid connected table the unpruned walk reaches, as a
+    triangulation, in the order it reaches them."""
+    leaves = []
+    reference_enumerate_complexes(n, leaves.append, boundary_faces)
+    return leaves
 
 
 # ---------------------------------------------------------------------------

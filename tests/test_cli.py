@@ -275,6 +275,18 @@ def test_enumerate_torus_links_report_is_frozen():
         '"cPcbbbiht"],"tetrahedra":2}\n')
 
 
+@pytest.mark.parametrize(
+    "name", ["closed-admissible", "all", "degree3-lst-context"])
+def test_enumerate_reports_are_frozen(name):
+    # the reports the walk printed while it encoded every leaf
+    golden = pathlib.Path(__file__).parent / "golden" / "enumerate_reports.txt"
+    frozen = {json.loads(line)["filter"]: line
+              for line in golden.read_text(encoding="utf-8").splitlines(True)}
+    code, out = invoke(["enumerate", "--tets", "2", "--filter", name])
+    assert code == EXIT_OK
+    assert out == frozen[name]
+
+
 def test_monodromy_reports_are_frozen():
     # the reports of every admissible word of length 2 to 6, as the
     # slope-tracking construction printed them

@@ -18,6 +18,7 @@ from idealtri.perms import S4
 from helpers import (
     assert_revalidates, random_admissible, random_complex,
     reference_canonical_starts, reference_decode, reference_encode_canonical,
+    reference_relabelled,
 )
 
 CENSUS_FIXTURES = [
@@ -172,6 +173,20 @@ def random_relabelling(tri, rng):
     tet_map = list(range(tri.n))
     rng.shuffle(tet_map)
     return relabelled(tri, tet_map, [rng.choice(S4) for _ in range(tri.n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.booleans(), SEEDS, st.data())
+def test_signature_invariant_under_random_relabelling(n, closed, seed, data):
+    # relabelled runs on the enumerator's S4-index kernel; it agrees with
+    # the gluing-by-gluing relabelling, and the signature ignores both
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    tet_map = data.draw(st.permutations(range(n)))
+    vertex_maps = data.draw(st.lists(st.sampled_from(S4), min_size=n,
+                                     max_size=n))
+    other = relabelled(tri, tet_map, vertex_maps)
+    assert other == reference_relabelled(tri, tet_map, vertex_maps)
+    assert encode_canonical(other) == encode_canonical(tri)
 
 
 def assert_matches_reference(tri, rng):

@@ -13,11 +13,11 @@ from idealtri.search import (
     PREDICATES, closed_admissible, has_interior_degree3_and_torus_boundary,
     random_move_walk, torus_links_only,
 )
-from idealtri.triangulation import _from_table
+from idealtri.triangulation import _from_table, _relabel_rows
 
 from helpers import (
     assert_revalidates, random_admissible, random_complex,
-    reference_enumerate_complexes,
+    reference_enumerate_complexes, reference_valid_leaves,
 )
 
 
@@ -88,22 +88,43 @@ def test_one_tet_enumeration_matches_unpruned_walk(name):
         assert list(found.items()) == list(ref.items())
 
 
+def _spy_leaves(monkeypatch):
+    """The tables the enumerator adopts, and every table it marks as a
+    relabelling of an adopted one, grouped by that leaf's table."""
+    adopted, marked = [], {}
+
+    def adopt(rows):
+        adopted.append(_from_table(rows))
+        return adopted[-1]
+
+    def relabel(rows, tet_map, vertex_maps):
+        table = _relabel_rows(rows, tet_map, vertex_maps)
+        marked.setdefault(rows, set()).add(table)
+        return table
+
+    monkeypatch.setattr(search, "_from_table", adopt)
+    monkeypatch.setattr(search, "_relabel_rows", relabel)
+    return adopted, marked
+
+
+def _marked_tables(marked):
+    return set().union(*marked.values())
+
+
 @pytest.mark.parametrize("orientable", [False, True])
 def test_pruning_builds_no_doomed_leaf(monkeypatch, orientable):
     # every gluing with a reversed edge, and with `orientable` every
-    # non-orientable one, is cut before its leaf is adopted, and every
-    # adopted table is one the validating constructor accepts
-    built = []
-
-    def spy(rows):
-        built.append(_from_table(rows))
-        return built[-1]
-
-    monkeypatch.setattr(search, "_from_table", spy)
+    # non-orientable one, is cut before its leaf is adopted or marked,
+    # and every table adopted or marked is one the validating
+    # constructor accepts
+    adopted, marked = _spy_leaves(monkeypatch)
     for n, boundary in ((1, None), (2, 4)):
         enumerate_complexes(n, lambda tri: False, boundary, orientable)
-    assert built
-    for tri in built:
+    tables = _marked_tables(marked)
+    assert adopted
+    assert {tri.gluings for tri in adopted} <= tables
+    for rows in tables:
+        tri = _from_table(rows)
         assert_revalidates(tri)
         tri.edge_classes    # raises InvalidEdge on a reversed edge
         assert tri.is_orientable or not orientable
@@ -215,27 +236,23 @@ def test_a_gluing_within_one_edge_class_closes_it(n, closed, seed):
 def test_admissible_walk_adopts_exactly_the_admissible_leaves(
         monkeypatch, orientable):
     # closed_admissible and torus_links_only are answered from the walk's
-    # roots: every adopted leaf passes the predicate, and no connected
-    # leaf that passes it is missed.  The unfiltered walk adopts every
-    # connected leaf; a predicate that rejects them all saves encoding
-    # each one.
-    adopted = []
-
-    def spy(rows):
-        adopted.append(_from_table(rows))
-        return adopted[-1]
-
-    monkeypatch.setattr(search, "_from_table", spy)
+    # roots: every leaf adopted or marked passes the predicate, and no
+    # connected leaf that passes it is missed.  The unfiltered walk
+    # marks every connected leaf; a predicate that rejects them all
+    # saves encoding each class.
+    adopted, marked = _spy_leaves(monkeypatch)
     for n in (1, 2):
-        adopted.clear()
+        marked.clear()
         enumerate_complexes(n, lambda tri: False, 0, orientable)
-        assert adopted
-        connected = list(adopted)
+        connected = [_from_table(rows) for rows in _marked_tables(marked)]
+        assert connected
         for predicate in (closed_admissible, torus_links_only):
             adopted.clear()
+            marked.clear()
             enumerate_complexes(n, predicate, 0, orientable)
-            kept = {tri.gluings for tri in adopted}
-            assert all(predicate(tri) for tri in adopted)
+            kept = _marked_tables(marked)
+            assert {tri.gluings for tri in adopted} <= kept
+            assert all(predicate(_from_table(rows)) for rows in kept)
             passing = {tri.gluings for tri in connected if predicate(tri)}
             assert passing == kept
             assert bool(kept) == (n == 2)
@@ -265,6 +282,65 @@ def test_two_tet_counted_walks_match_unpruned_walk(predicate, boundary):
     for orientable in (False, True):
         found = enumerate_complexes(2, predicate, boundary, orientable)
         assert list(found.items()) == ref
+
+
+@pytest.mark.parametrize("predicate, orientable, classes", [
+    (closed_admissible, True, 3), (torus_links_only, True, 10),
+    (None, False, 61)])
+def test_two_tet_walk_encodes_one_leaf_per_class(
+        monkeypatch, predicate, orientable, classes):
+    encodes = []
+
+    def spy(tri):
+        encodes.append(tri)
+        return encode_canonical(tri)
+
+    monkeypatch.setattr(search, "encode_canonical", spy)
+    assert len(enumerate_complexes(2, predicate, 0, orientable)) == classes
+    assert len(encodes) == classes
+
+
+def test_degree3_walk_asks_its_predicate_once_per_class(monkeypatch):
+    # 60,768 valid leaves, one predicate call for each of their classes
+    classes = len(enumerate_complexes(2, None, 2))
+    asked = []
+
+    def predicate(tri):
+        asked.append(tri)
+        return has_interior_degree3_and_torus_boundary(tri)
+
+    assert len(enumerate_complexes(2, predicate, 2)) == 1
+    assert len(asked) == classes == 77
+
+
+@pytest.mark.parametrize("n, boundary", [(1, 0), (1, None), (2, 0), (2, 4)])
+def test_every_marked_table_is_reached_once(monkeypatch, n, boundary):
+    # The walk reaches every valid table once and its leaf tests are
+    # isomorphism invariants, so the tables marked for one class are
+    # exactly the leaves of that class it reaches, each once: the marks
+    # drain, and the first leaf reached of each class is the one adopted.
+    leaves = reference_valid_leaves(n, boundary)
+    adopted, marked = _spy_leaves(monkeypatch)
+    # the counted walks force `orientable`
+    for predicate, orientable in ((None, False), (None, True),
+                                  (closed_admissible, False),
+                                  (torus_links_only, False)):
+        adopted.clear()
+        marked.clear()
+        enumerate_complexes(n, predicate, boundary, orientable)
+        reached = [tri.gluings for tri in leaves
+                   if (tri.is_orientable or not orientable)
+                   and (predicate is None or predicate(tri))]
+        assert len(set(reached)) == len(reached)
+        assert sum(map(len, marked.values())) == len(reached)
+        assert _marked_tables(marked) == set(reached)
+        owner = {table: rows for rows, tables in marked.items()
+                 for table in tables}
+        first = {}
+        for rows in reached:
+            first.setdefault(owner[rows], rows)
+        assert list(first.items()) == [(rows, rows) for rows in marked]
+        assert [tri.gluings for tri in adopted] == list(marked)
 
 
 def test_bounded_search_fig8():

@@ -198,6 +198,16 @@ def test_derived_data_invariant_under_relabelling():
             assert other.is_orientable == tri.is_orientable
 
 
+def test_relabelled_rejects_bad_maps():
+    tri = decode(FIG8)
+    vmaps = [S4[0], S4[5]]
+    for tet_map, maps in [([0, 0], vmaps), ([0], vmaps), ([0, 2], vmaps),
+                          ([1, 0], [S4[0]]), ([1, 0], [S4[0], (0, 0, 1, 2)]),
+                          ([1, 0], [S4[0], (0, 1, 2, 4)])]:
+        with pytest.raises(InvalidTriangulation):
+            relabelled(tri, tet_map, maps)
+
+
 def test_find_isomorphism_recovers_relabellings():
     rng = random.Random(77)
     tri = decode(CENSUS_FIXTURES[0])
