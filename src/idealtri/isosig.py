@@ -282,7 +282,9 @@ def _canonical(tri):
 
 def decode(sig):
     """Rebuild the triangulation a signature describes."""
-    if not sig or any(c not in _SVAL for c in sig):
+    if not sig:
+        raise MalformedSignature("empty signature")
+    if any(c not in _SVAL for c in sig):
         raise MalformedSignature("characters outside the signature alphabet")
     pos = 0
 

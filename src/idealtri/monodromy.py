@@ -18,10 +18,6 @@ first in two ways, through A and through -A, which differ by the
 elliptic involution of the fibre; both are bundles, and the one with
 the least canonical signature is kept.  The quadrilateral separating
 {0,1} from {2,3} is the horizontal one.
-
-The fibre slopes are still reported as Farey triples: after the first j
-flips the fibre carries the initial slopes transported by the product
-of the first j letters.
 """
 
 from __future__ import annotations
@@ -52,20 +48,8 @@ def _mat_mul(m, n):
              m[1][0] * n[0][1] + m[1][1] * n[1][1]))
 
 
-def _mat_vec(m, v):
-    return (m[0][0] * v[0] + m[0][1] * v[1],
-            m[1][0] * v[0] + m[1][1] * v[1])
-
-
 def _mat_mod2(m):
     return ((m[0][0] % 2, m[0][1] % 2), (m[1][0] % 2, m[1][1] % 2))
-
-
-def _normalize(v):
-    x, y = v
-    if x < 0 or (x == 0 and y < 0):
-        x, y = -x, -y
-    return (x, y)
 
 
 @dataclass(frozen=True)
@@ -114,23 +98,12 @@ class BundleTriangulation:
 
     tri: Triangulation
     analysis: MonodromyWord
-    fibre_slopes: tuple    # frozenset of slopes per fibre level, 0..|word|
     signature: str         # canonical signature of tri
     horizontal_quad: int = HORIZONTAL_QUAD
 
     @property
     def word(self):
         return self.analysis.word
-
-
-def _fibre_triples(word):
-    triple = [(0, 1), (1, 0), (1, 1)]
-    triples = [frozenset(triple)]
-    m = IDENT
-    for letter in word:
-        m = _mat_mul(m, R_MAT if letter == "R" else L_MAT)
-        triples.append(frozenset(_normalize(_mat_vec(m, v)) for v in triple))
-    return triples
 
 
 # Top faces 0, 1 of a tetrahedron onto bottom faces 3, 2 of the next,
@@ -168,7 +141,6 @@ def build_bundle(word):
     signature, tri = min(((encode_canonical(t), t) for t in closures),
                          key=lambda c: c[0])
     return BundleTriangulation(tri=tri, analysis=analysis,
-                               fibre_slopes=tuple(_fibre_triples(word)),
                                signature=signature)
 
 

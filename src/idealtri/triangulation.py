@@ -17,8 +17,7 @@ and ``isosig.decode`` checks its action stream as it replays it.  The
 decoder, layering, bistellar moves, the bundle closure and the
 enumerator build valid tables and adopt them through ``_from_table``.
 
-Derived classes are signed orbits of dense integer items under the
-gluings, all found by one kernel, ``_signed_orbits``:
+Derived classes are signed orbits of dense integer items under gluings:
 
 - edge slot ``6t + k`` is the ``k``-th edge of tetrahedron ``t`` in the
   order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), signed by direction;
@@ -27,12 +26,16 @@ gluings, all found by one kernel, ``_signed_orbits``:
   ``perm`` the sign flips when ``sign(perm) == (-1)**(v + perm[v])``,
   and a link is orientable when its corner signs are consistent;
 - tetrahedron ``t`` is signed by orientation, flipping across every
-  gluing by an even permutation;
-- free-face corner ``16t + 4f + v`` is vertex ``v`` of free face ``f``
-  of tetrahedron ``t``; its orbits are the vertices of the boundary
-  surface.
+  gluing by an even permutation.
 
-``surfaces.components`` uses the same kernel over normal disc sheets.
+The moves a gluing makes on one tetrahedron's items (``_EDGE_MOVES``,
+``_CORNER_MOVES``, ``_TET_MOVES``, which the enumerator merges by) are
+turned at import into step tables: the faces each item lies on, and its
+image and flip across each face under each permutation.  One depth-first
+walk, ``_walk``, reads ``gluings`` through them, and the derived classes
+read its flat arrays.  ``_signed_orbits`` walks a list of moves instead,
+for ``surfaces.components`` (normal disc sheets) and ``boundary_surface``
+(free-face corners ``16t + 4f + v``).
 """
 
 from __future__ import annotations
@@ -161,6 +164,69 @@ _CORNER_MOVES = {p: tuple(tuple((v, p[v], sign(p) == (-1) ** (v + p[v]))
 _TET_MOVES = {p: (((0, 0, sign(p) == 1),),) * 4 for p in S4}
 
 
+def _step_table(width, moves):
+    """The walk's table for items ``width * t + i``: ``steps[perm][f][i]``
+    is the ``(image, flip)`` of item ``i`` across face ``f`` glued by
+    ``perm``, or None when the item is not on that face, and
+    ``faces[i]`` lists the faces that item ``i`` lies on."""
+    steps = {}
+    for p in S4:
+        rows = [[None] * width for _ in range(4)]
+        for f, row in enumerate(rows):
+            for a, b, flip in moves[p][f]:
+                row[a] = (b, flip)
+        steps[p] = tuple(map(tuple, rows))
+    faces = tuple(tuple(f for f in range(4) if steps[S4[0]][f][i])
+                  for i in range(width))
+    return width, faces, steps
+
+
+_EDGE_STEPS = _step_table(6, _EDGE_MOVES)
+_CORNER_STEPS = _step_table(4, _CORNER_MOVES)
+_TET_STEPS = _step_table(1, _TET_MOVES)
+# _FACE_SLOTS[f]: the edge slots k of the three edges of face f.
+_FACE_SLOTS = tuple(tuple(k for k in range(6) if f in _EDGE_STEPS[1][k])
+                    for f in range(4))
+
+
+def _walk(gluings, table):
+    """``_signed_orbits`` of the items ``width * t + i`` under the
+    gluings, stepping through ``table`` (a ``_step_table``) as it reads
+    each item's faces, with no list of moves."""
+    width, faces, steps = table
+    size = width * len(gluings)
+    orbit = [-1] * size
+    signs = [1] * size
+    consistent = []
+    for least in range(size):
+        if orbit[least] >= 0:
+            continue
+        k = len(consistent)
+        orbit[least] = k
+        ok = True
+        stack = [least]
+        while stack:
+            a = stack.pop()
+            t = a // width
+            i = a - width * t
+            row = gluings[t]
+            sa = signs[a]
+            for f in faces[i]:
+                g = row[f]
+                if g is not None:
+                    t2, perm = g
+                    j, flip = steps[perm][f][i]
+                    b = width * t2 + j
+                    if orbit[b] < 0:
+                        orbit[b] = k
+                        signs[b] = -sa if flip else sa
+                        stack.append(b)
+                    elif signs[b] != (-sa if flip else sa):
+                        ok = False
+        consistent.append(ok)
+    return orbit, signs, consistent
+
+
 class Triangulation:
     """An immutable collection of face-paired tetrahedra.
 
@@ -253,23 +319,9 @@ class Triangulation:
 
     # -- derived classes -------------------------------------------------
 
-    def _orbits(self, width, moves_of):
-        """Signed orbits of the ``width * n`` items ``width * t + i``
-        under the gluings; ``moves_of[perm][f]`` lists the moves that
-        the gluing of face ``f`` by ``perm`` makes on one tetrahedron's
-        items."""
-        moves = []
-        for t, row in enumerate(self.gluings):
-            for f, g in enumerate(row):
-                if g is not None:
-                    base, base2 = width * t, width * g[0]
-                    moves += [(base + i, base2 + j, flip)
-                              for i, j, flip in moves_of[g[1]][f]]
-        return _signed_orbits(width * self.n, moves)
-
     @cached_property
     def _edge_slots(self):
-        orbit, signs, consistent = self._orbits(6, _EDGE_MOVES)
+        orbit, signs, consistent = _walk(self.gluings, _EDGE_STEPS)
         if not all(consistent):
             t, k = divmod(orbit.index(consistent.index(False)), 6)
             a, b = _PAIRS[k]
@@ -285,11 +337,12 @@ class Triangulation:
         occurrences = [[] for _ in range(max(orbit) + 1)]
         boundary = [False] * len(occurrences)
         for slot, k in enumerate(orbit):
-            t, i = divmod(slot, 6)
-            occurrences[k].append((t, _PAIRS[i], signs[slot]))
-            c, d = _PAIRS[5 - i]        # the two faces containing the edge
-            row = self.gluings[t]
-            boundary[k] = boundary[k] or row[c] is None or row[d] is None
+            occurrences[k].append((slot // 6, _PAIRS[slot % 6], signs[slot]))
+        for t, row in enumerate(self.gluings):
+            if None in row:
+                for k, (c, d) in zip(orbit[6 * t:6 * t + 6], _EDGE_STEPS[1]):
+                    if row[c] is None or row[d] is None:
+                        boundary[k] = True
         return tuple(EdgeClass(k, tuple(occs), boundary[k])
                      for k, occs in enumerate(occurrences))
 
@@ -304,7 +357,7 @@ class Triangulation:
 
     @cached_property
     def _corners(self):
-        return self._orbits(4, _CORNER_MOVES)
+        return _walk(self.gluings, _CORNER_STEPS)
 
     @cached_property
     def vertex_classes(self):
@@ -314,11 +367,12 @@ class Triangulation:
         corners = [[] for _ in orientable]
         free = [0] * len(orientable)
         ends = [0] * len(orientable)
-        for c, k in enumerate(orbit):
-            t, v = divmod(c, 4)
-            corners[k].append((t, v))
-            free[k] += sum(1 for f, g in enumerate(self.gluings[t])
-                           if f != v and g is None)
+        for t, row in enumerate(self.gluings):
+            unglued = row.count(None)
+            for v in range(4):
+                k = orbit[4 * t + v]
+                corners[k].append((t, v))
+                free[k] += unglued - (row[v] is None)
         for e in self.edge_classes:
             t, (a, b), _ = e.occurrences[0]
             ends[orbit[4 * t + a]] += 1
@@ -339,20 +393,20 @@ class Triangulation:
     @cached_property
     def orientation_signs(self):
         """Coherent orientation signs per tetrahedron, or None."""
-        _, signs, consistent = self._orbits(1, _TET_MOVES)
+        _, signs, consistent = _walk(self.gluings, _TET_STEPS)
         return tuple(signs) if consistent[0] else None
 
     @cached_property
     def parity_rows(self):
         """One bitmask over edge-class indices per face class: the edge
         classes met an odd number of times by the face's boundary."""
+        orbit = self._edge_slots[0]
         rows = []
         for fc in self.face_classes:
             t, f = fc.sides[0]
             row = 0
-            for a, b in _PAIRS:
-                if f != a and f != b:
-                    row ^= 1 << self.edge_class_of(t, a, b)
+            for k in _FACE_SLOTS[f]:
+                row ^= 1 << orbit[6 * t + k]
             rows.append(row)
         return tuple(rows)
 
@@ -362,22 +416,13 @@ class Triangulation:
 
     @cached_property
     def face_classes(self):
+        """Free faces and glued pairs, each at its (lesser) first side."""
         classes = []
-        seen = set()
-        for t in range(self.n):
-            for f in range(4):
-                if (t, f) in seen:
-                    continue
-                g = self.gluings[t][f]
-                if g is None:
-                    classes.append(FaceClass(len(classes), ((t, f),), True))
-                    seen.add((t, f))
-                else:
-                    t2, perm = g
-                    f2 = perm[f]
-                    classes.append(FaceClass(len(classes), ((t, f), (t2, f2)), False))
-                    seen.add((t, f))
-                    seen.add((t2, f2))
+        for t, row in enumerate(self.gluings):
+            for f, g in enumerate(row):
+                sides = ((t, f),) if g is None else ((t, f), (g[0], g[1][f]))
+                if g is None or sides[0] < sides[1]:
+                    classes.append(FaceClass(len(classes), sides, g is None))
         return tuple(classes)
 
 

@@ -4,7 +4,7 @@ from idealtri import build, decode
 from idealtri.isosig import MalformedSignature, SCHARS, _SVAL, encode_canonical
 from idealtri.lst import layer_tetrahedron
 from idealtri.monodromy import (
-    BundleTriangulation, _fibre_triples, _mat_vec, _normalize, build_bundle,
+    BundleTriangulation, IDENT, L_MAT, R_MAT, _mat_mul, build_bundle,
     word_analysis,
 )
 from idealtri.moves import MoveError, _edge_cycle
@@ -15,8 +15,8 @@ from idealtri.surfaces import (
     _boundary_cycle, _disc_sheets, quad_type_of_pair,
 )
 from idealtri.triangulation import (
-    EdgeClass, InvalidEdge, InvalidTriangulation, Triangulation, VertexClass,
-    _from_table,
+    EdgeClass, FaceClass, FaceType, InvalidEdge, InvalidTriangulation,
+    Triangulation, VertexClass, _from_table, _signed_orbits,
 )
 
 
@@ -211,7 +211,9 @@ def reference_canonical_starts(tri):
 def reference_decode(sig):
     """The decoder that validates its table through ``Triangulation``:
     the oracle for ``isosig.decode``."""
-    if not sig or any(c not in _SVAL for c in sig):
+    if not sig:
+        raise MalformedSignature("empty signature")
+    if any(c not in _SVAL for c in sig):
         raise MalformedSignature("characters outside the signature alphabet")
     pos = 0
 
@@ -316,6 +318,80 @@ def reference_decode(sig):
         return Triangulation(n, table, closed=closed)
     except InvalidTriangulation as exc:
         raise MalformedSignature(f"inconsistent gluing stream: {exc}") from exc
+
+
+def reference_orbits(tri, width, moves_of):
+    """Signed orbits of the ``width * n`` items ``width * t + i``
+    under the gluings; ``moves_of[perm][f]`` lists the moves that
+    the gluing of face ``f`` by ``perm`` makes on one tetrahedron's
+    items.  The move-list path that derived every class before the
+    step-table walk: the oracle for ``triangulation._walk``."""
+    moves = []
+    for t, row in enumerate(tri.gluings):
+        for f, g in enumerate(row):
+            if g is not None:
+                base, base2 = width * t, width * g[0]
+                moves += [(base + i, base2 + j, flip)
+                          for i, j, flip in moves_of[g[1]][f]]
+    return _signed_orbits(width * tri.n, moves)
+
+
+def reference_face_classes(tri):
+    """Face classes found with a seen-set, in face order."""
+    classes = []
+    seen = set()
+    for t in range(tri.n):
+        for f in range(4):
+            if (t, f) in seen:
+                continue
+            g = tri.gluings[t][f]
+            sides = ((t, f),) if g is None else ((t, f), (g[0], g[1][f]))
+            classes.append(FaceClass(len(classes), sides, g is None))
+            seen.update(sides)
+    return tuple(classes)
+
+
+def reference_face_types(tri, edges):
+    """The type of each face class, read off the quotient of its
+    triangle under the reference edge classes ``edges``: three classes
+    give a triangle; one gives a 3-fold face when its three arcs run
+    the same way round, else a dunce hat; two identify one pair of
+    arcs, and the face is a Moebius band when that leaves one vertex
+    (Euler characteristic 0), else a cone."""
+    arc = {}
+    for e in edges:
+        for t, (a, b), s in e.occurrences:
+            arc[(t, a, b)], arc[(t, b, a)] = (e.index, s), (e.index, -s)
+    types = {}
+    for fc in reference_face_classes(tri):
+        t, f = fc.sides[0]
+        a, b, c = [v for v in range(4) if v != f]
+        cycle = [(a, b), (b, c), (c, a)]
+        arcs = [arc[(t, x, y)] for x, y in cycle]
+        classes = len({k for k, _ in arcs})
+        if classes == 3:
+            types[fc.index] = FaceType.TRIANGLE
+        elif classes == 1:
+            same = len({s for _, s in arcs}) == 1
+            types[fc.index] = FaceType.THREEFOLD if same else FaceType.DUNCE
+        else:
+            i, j = next((i, j) for i in range(3) for j in range(i + 1, 3)
+                        if arcs[i][0] == arcs[j][0])
+            (p, q), (r, u) = cycle[i], cycle[j]
+            glued = [(p, r), (q, u)] if arcs[i][1] == arcs[j][1] \
+                else [(p, u), (q, r)]
+            parent = {a: a, b: b, c: c}
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for x, y in glued:
+                parent[find(x)] = find(y)
+            one_vertex = len({find(v) for v in parent}) == 1
+            types[fc.index] = FaceType.MOEBIUS if one_vertex else FaceType.CONE
+    return types
 
 
 def reference_edge_classes(tri):
@@ -853,16 +929,72 @@ def reference_enumerate_complexes(n, predicate=None, boundary_faces=0):
     return results
 
 
+# (n, boundary_faces) -> the tables of the valid leaves the unpruned walk
+# reaches, in its order, kept for the session; rows are shared.
+_VALID_TABLES = {}
+_ROWS = {}
+
+
+def reference_walk(n, predicate, boundary_faces):
+    """``reference_enumerate_complexes(n, predicate, boundary_faces)``,
+    recording the valid leaves it reaches for ``reference_valid_leaves``."""
+    tables = []
+
+    def record(tri):
+        tables.append(tuple(_ROWS.setdefault(row, row) for row in tri.gluings))
+        return predicate is None or predicate(tri)
+
+    results = reference_enumerate_complexes(n, record, boundary_faces)
+    _VALID_TABLES.setdefault((n, boundary_faces), tables)
+    return results
+
+
 def reference_valid_leaves(n, boundary_faces):
     """Every valid connected table the unpruned walk reaches, as a
-    triangulation, in the order it reaches them."""
-    leaves = []
-    reference_enumerate_complexes(n, leaves.append, boundary_faces)
-    return leaves
+    triangulation, in the order it reaches them.  The walk runs at most
+    once per ``(n, boundary_faces)`` in a session."""
+    if (n, boundary_faces) not in _VALID_TABLES:
+        reference_walk(n, lambda tri: False, boundary_faces)
+    return [_from_table(rows) for rows in _VALID_TABLES[n, boundary_faces]]
+
+
+def reference_results(n, predicate, boundary_faces):
+    """What ``reference_enumerate_complexes`` returns, derived from
+    ``reference_valid_leaves``: the first leaf of each signature among
+    the leaves that pass ``predicate``."""
+    results = {}
+    for tri in reference_valid_leaves(n, boundary_faces):
+        if predicate is None or predicate(tri):
+            results.setdefault(encode_canonical(tri), tri)
+    return results
 
 
 # ---------------------------------------------------------------------------
 # monodromy bundles by Farey-slope tracking
+
+def _mat_vec(m, v):
+    return (m[0][0] * v[0] + m[0][1] * v[1],
+            m[1][0] * v[0] + m[1][1] * v[1])
+
+
+def _normalize(v):
+    x, y = v
+    if x < 0 or (x == 0 and y < 0):
+        x, y = -x, -y
+    return (x, y)
+
+
+def _fibre_triples(word):
+    """The Farey triple of the fibre after each letter's flip: the
+    initial slopes moved by the product of the letters so far."""
+    triple = [(0, 1), (1, 0), (1, 1)]
+    triples = [frozenset(triple)]
+    m = IDENT
+    for letter in word:
+        m = _mat_mul(m, R_MAT if letter == "R" else L_MAT)
+        triples.append(frozenset(_normalize(_mat_vec(m, v)) for v in triple))
+    return triples
+
 
 class _ReferenceFibre:
     """The two free faces of the tower top, with slopes per face edge."""
@@ -1027,7 +1159,6 @@ def _reference_close_bundle(tri, analysis, triples, fibre, fibre0):
     # deterministic, rotation-stable choice.
     signature, best = min(candidates, key=lambda c: c[0])
     return BundleTriangulation(tri=best, analysis=analysis,
-                               fibre_slopes=tuple(triples),
                                signature=signature)
 
 

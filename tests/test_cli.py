@@ -184,6 +184,13 @@ def test_malformed_signature_exit_code():
     assert payload["error"]["kind"] == "malformed-signature"
 
 
+def test_empty_signature_is_malformed():
+    code, out = invoke(["decode", ""])
+    assert code == EXIT_MALFORMED
+    assert json.loads(out)["error"] == {"kind": "malformed-signature",
+                                        "message": "empty signature"}
+
+
 def test_bad_word_exit_code():
     code, out = invoke(["monodromy", "--word", "RRRR"])
     assert code == EXIT_MALFORMED

@@ -98,6 +98,7 @@ def signature_like(draw):
 @settings(max_examples=400, deadline=None)
 @given(signature_like())
 @example("bcaa")            # a facet joined to itself: too few actions
+@example("")                # the empty signature
 @example("cPcbbbiht")
 def test_decode_matches_validating_reference(sig):
     try:

@@ -9,9 +9,7 @@ from idealtri import (
     MonodromyError, build_bundle, bundle_certificate, cover, cocycle_space,
     canonical_surface, encode_canonical, euler_characteristic, word_analysis,
 )
-from idealtri.monodromy import (
-    _ELLIPTIC, _closure, _mat_mul, _mat_mod2, _mat_vec, _normalize, IDENT,
-)
+from idealtri.monodromy import _ELLIPTIC, _closure, _mat_mul, _mat_mod2, IDENT
 from idealtri.perms import IDENTITY
 from idealtri.triangulation import _from_table
 
@@ -37,7 +35,6 @@ def assert_matches_oracle(word):
     bundle, reference = build_bundle(word), reference_build_bundle(word)
     assert bundle.tri.gluings == reference.tri.gluings
     assert bundle.signature == reference.signature
-    assert bundle.fibre_slopes == reference.fibre_slopes
 
 
 def test_layer_gluings_match_slope_tracking():
@@ -218,28 +215,6 @@ def test_longer_words_build():
 def test_admissible_word_counts():
     assert len(admissible_words(6)) == 62
     assert sum(len(admissible_words(k)) for k in range(2, 7)) == 114
-
-
-def test_fibre_slopes_are_farey_triples():
-    # consecutive fibre slopes pair with determinant +-1, each flip
-    # replaces exactly one slope, and the last fibre is the first moved
-    # by the monodromy
-    for w in ["RL", "RRLL", "RLLRL", "RRRLLL"]:
-        bundle = build_bundle(w)
-        a_mat = bundle.analysis.matrix
-        assert bundle.fibre_slopes[-1] == frozenset(
-            _normalize(_mat_vec(a_mat, v)) for v in bundle.fibre_slopes[0])
-        for level, triple in enumerate(bundle.fibre_slopes):
-            slopes = sorted(triple)
-            assert len(slopes) == 3
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    (p, q), (r, s) = slopes[i], slopes[j]
-                    assert abs(p * s - q * r) == 1
-            if level:
-                previous = bundle.fibre_slopes[level - 1]
-                assert len(triple - previous) == 1
-                assert len(previous - triple) == 1
 
 
 def test_closure_lets_unexpected_errors_surface(monkeypatch):

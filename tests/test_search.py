@@ -17,7 +17,8 @@ from idealtri.triangulation import _from_table, _relabel_rows
 
 from helpers import (
     assert_revalidates, random_admissible, random_complex,
-    reference_enumerate_complexes, reference_valid_leaves,
+    reference_enumerate_complexes, reference_results, reference_valid_leaves,
+    reference_walk,
 )
 
 
@@ -130,13 +131,26 @@ def test_pruning_builds_no_doomed_leaf(monkeypatch, orientable):
         assert tri.is_orientable or not orientable
 
 
+@pytest.mark.parametrize("boundary, predicate", [
+    (0, torus_links_only), (2, has_interior_degree3_and_torus_boundary),
+    (4, _orientable_only(None)), (6, None), (8, None)])
+def test_reference_results_derive_from_valid_leaves(boundary, predicate):
+    # The n = 2 reference results below are derived from the valid
+    # leaves of one unpruned walk per boundary count; this direct run
+    # checks the derivation, and records the leaves when it comes first.
+    direct = reference_walk(2, predicate, boundary)
+    derived = reference_results(2, predicate, boundary)
+    assert list(derived.items()) == list(direct.items())
+    assert bool(direct) == (boundary < 8)
+
+
 @pytest.mark.parametrize("orientable", [False, True])
 def test_two_tet_bounded_walk_matches_unpruned_walk(orientable):
     # the only walks that reach disconnected leaves with free faces
     found = {}
     for boundary in (4, 6, 8):
         predicate = _orientable_only(None) if orientable else None
-        ref = reference_enumerate_complexes(2, predicate, boundary)
+        ref = reference_results(2, predicate, boundary)
         found[boundary] = enumerate_complexes(2, None, boundary, orientable)
         assert list(found[boundary].items()) == list(ref.items())
     assert found[8] == {}
@@ -267,6 +281,14 @@ def test_admissible_walk_builds_no_derived_classes(monkeypatch):
         return signed_orbits(size, moves)
 
     monkeypatch.setattr(triangulation, "_signed_orbits", spy)
+    # derived classes walk their step tables, not _signed_orbits
+    walk = triangulation._walk
+
+    def walk_spy(gluings, table):
+        calls.append(len(gluings))
+        return walk(gluings, table)
+
+    monkeypatch.setattr(triangulation, "_walk", walk_spy)
     assert len(enumerate_complexes(2, closed_admissible, 0)) == 3
     assert len(enumerate_complexes(2, torus_links_only, 0)) == 10
     assert calls == []
@@ -278,7 +300,7 @@ def test_admissible_walk_builds_no_derived_classes(monkeypatch):
 def test_two_tet_counted_walks_match_unpruned_walk(predicate, boundary):
     # the walks answered from the roots; both predicates reject
     # non-orientable complexes, so one reference run serves both settings
-    ref = list(reference_enumerate_complexes(2, predicate, boundary).items())
+    ref = list(reference_results(2, predicate, boundary).items())
     for orientable in (False, True):
         found = enumerate_complexes(2, predicate, boundary, orientable)
         assert list(found.items()) == ref

@@ -3,20 +3,23 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idealtri import (
     InvalidEdge, InvalidTriangulation, FaceType,
     anatomy_report, boundary_surface, build, decode, degree_histogram,
     face_type_counts, find_isomorphism, relabelled,
 )
-from idealtri.triangulation import subcomplex
+from idealtri.triangulation import (
+    _CORNER_MOVES, _CORNER_STEPS, _EDGE_MOVES, _EDGE_STEPS, _TET_MOVES,
+    _TET_STEPS, _walk, classify_faces, subcomplex,
+)
 from idealtri.perms import S4, inverse
 
 from helpers import (
     random_complex, reference_boundary_surface, reference_edge_classes,
-    reference_find_isomorphism, reference_orientation_signs,
-    reference_vertex_classes,
+    reference_face_classes, reference_face_types, reference_find_isomorphism,
+    reference_orbits, reference_orientation_signs, reference_vertex_classes,
 )
 
 FIG8 = "cPcbbbiht"
@@ -154,9 +157,11 @@ def test_reversed_edge_identification_rejected():
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(1, True, 6)    # faces 0-1 and 2-3 of one tetrahedron glued
 def test_derived_classes_match_reference_walks(n, closed, seed):
     tri = random_complex(random.Random(seed), n, closed=closed)
     assert tri.orientation_signs == reference_orientation_signs(tri)
+    assert tri.face_classes == reference_face_classes(tri)
     vertices, corner_class = reference_vertex_classes(tri)
     for (t, v), k in corner_class.items():
         assert tri.vertex_class_of(t, v) == k
@@ -176,6 +181,34 @@ def test_derived_classes_match_reference_walks(n, closed, seed):
             assert tri.edge_sign_of(t, a, b) == s
             assert tri.edge_sign_of(t, b, a) == -s
     assert tri.vertex_classes == vertices
+    parity = []     # the edge classes a face's boundary meets oddly often
+    for fc in reference_face_classes(tri):
+        t, f = fc.sides[0]
+        met = [slot_class[(t, a, b)] for a in range(4)
+               for b in range(a + 1, 4) if f not in (a, b)]
+        parity.append(sum(1 << e for e in set(met) if met.count(e) % 2))
+    assert tri.parity_rows == tuple(parity)
+    assert classify_faces(tri) == reference_face_types(tri, edges)
+
+
+_WALKS = [(_EDGE_STEPS, _EDGE_MOVES), (_CORNER_STEPS, _CORNER_MOVES),
+          (_TET_STEPS, _TET_MOVES)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_walk_matches_move_list_orbits(n, closed, seed):
+    # edge slots, corners and tetrahedra: the same orbits and flags, and
+    # the same signs wherever an orbit is consistent
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    for steps, moves in _WALKS:
+        orbit, signs, consistent = _walk(tri.gluings, steps)
+        ref_orbit, ref_signs, ref_consistent = reference_orbits(
+            tri, steps[0], moves)
+        assert orbit == ref_orbit
+        assert consistent == ref_consistent
+        assert all(s == r for s, r, k in zip(signs, ref_signs, orbit)
+                   if consistent[k])
 
 
 def test_derived_data_invariant_under_relabelling():
