@@ -8,12 +8,17 @@ parity system is the relative first cohomology of the pseudo-manifold
 modulo its vertices, which is isomorphic to the second homology of the
 cusped manifold with Z2 coefficients.
 
-Colourings are stored as bitmasks over edge-class indices.
+Colourings are stored as bitmasks over edge-class indices, and read per
+tetrahedron as 6-bit slot masks (bit k: edge slot 6t + k is odd) through
+tables: ``_RANK1`` holds the rank-1 type of each of the 64 masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+
+from .triangulation import _FACE_CYCLES, _PAIRS
 
 
 class ParityError(ValueError):
@@ -34,7 +39,7 @@ class Cocycle:
 
     def __post_init__(self):
         for row in self.tri.parity_rows:
-            if bin(self.mask & row).count("1") % 2:
+            if (self.mask & row).bit_count() % 2:
                 raise ParityError("face with odd edge-colour sum")
 
     def value(self, edge_index):
@@ -107,34 +112,55 @@ def cocycle_space(tri):
 # ---------------------------------------------------------------------------
 # rank-1 taxonomy
 
-def _tet_odd_slots(tri, phi, t):
-    return {(a, b) for a in range(4) for b in range(a + 1, 4)
-            if phi.value(tri.edge_class_of(t, a, b))}
-
-
-def classify_tet_rank1(tri, phi, t):
-    """('q', even opposite pair) | ('t', apex) | ('e', None)."""
-    odd = _tet_odd_slots(tri, phi, t)
+def _rank1_rule(mask):
+    """('q', even opposite pair) | ('t', apex) | ('e', None) for the odd
+    slots of a 6-bit slot mask, or None when they match no type."""
+    odd = {pair for k, pair in enumerate(_PAIRS) if mask >> k & 1}
     if not odd:
         return ("e", None)
     if len(odd) == 4:
-        even = [(a, b) for a in range(4) for b in range(a + 1, 4)
-                if (a, b) not in odd]
-        (a, b), (c, d) = even
+        (a, b), (c, d) = [pair for pair in _PAIRS if pair not in odd]
         if {a, b} | {c, d} == {0, 1, 2, 3}:
             return ("q", ((a, b), (c, d)))
     if len(odd) == 3:
         for v in range(4):
             if all(v in pair for pair in odd):
                 return ("t", v)
-    raise ParityError(f"tetrahedron {t} matches no rank-1 type")
+    return None
+
+
+_RANK1 = tuple(map(_rank1_rule, range(64)))
+# _FACE_MASK[f]: the slot bits of the three edges of face f.
+_FACE_MASK = tuple(sum(1 << k for k, _ in cycle) for cycle in _FACE_CYCLES)
+
+
+def _slot_masks(slots, mask):
+    """The slot mask of each tetrahedron, for ``slots`` a run of edge
+    class indices by slot (``tri._edge_slots[0]`` or a slice of it)."""
+    odd = [mask >> e & 1 for e in slots]
+    return [odd[i] | odd[i + 1] << 1 | odd[i + 2] << 2 | odd[i + 3] << 3
+            | odd[i + 4] << 4 | odd[i + 5] << 5 for i in range(0, len(odd), 6)]
+
+
+def _rank1_types(slots, mask, first=0):
+    """The rank-1 types under the colouring ``mask`` of the tetrahedra
+    of ``slots``, numbered from ``first``."""
+    types = [_RANK1[m] for m in _slot_masks(slots, mask)]
+    if None in types:
+        raise ParityError(
+            f"tetrahedron {first + types.index(None)} matches no rank-1 type")
+    return types
+
+
+def classify_tet_rank1(tri, phi, t):
+    """('q', even opposite pair) | ('t', apex) | ('e', None)."""
+    return _rank1_types(tri._edge_slots[0][6 * t:6 * t + 6], phi.mask, t)[0]
 
 
 def classify_rank1(tri, phi):
     """Counts of quadrilateral, triangle and empty tetrahedra."""
     counts = {"q": 0, "t": 0, "e": 0}
-    for t in range(tri.n):
-        kind, _ = classify_tet_rank1(tri, phi, t)
+    for kind, _ in _rank1_types(tri._edge_slots[0], phi.mask):
         counts[kind] += 1
     return counts
 
@@ -181,53 +207,55 @@ class RankTwoColouring:
                      for types in self.rank1_types)
 
 
+def _rank2_rule(kinds):
+    """The rank-2 type of rank-1 kinds ``kinds`` under phi1, phi2, phi3:
+    its name, with the index of the kind met once as sub-type; or None
+    for an impossible pattern."""
+    name = {"qqq": "qqq", "qtt": "qtt", "eqq": "qq", "ett": "tt",
+            "eee": "empty"}.get("".join(sorted(kinds)))
+    once = [i for i, kind in enumerate(kinds, 1) if kinds.count(kind) == 1]
+    return name and (name, once[0] if len(once) == 1 else None)
+
+
+_RANK2 = {kinds: _rank2_rule(kinds) for kinds in product("eqt", repeat=3)}
+
+
 def classify_rank2(tri, phi1, phi2):
     if phi1.is_zero() or phi2.is_zero() or phi1.mask == phi2.mask:
         raise ParityError("colourings do not span a rank-2 subgroup")
-    phi3 = phi1 + phi2
-    phis = (phi1, phi2, phi3)
+    phis = (phi1, phi2, phi1 + phi2)
+    m1, m2 = phi1.mask, phi2.mask
+    labels = [2 * (m1 >> e & 1) + (m2 >> e & 1)
+              for e in range(len(tri.edge_classes))]
 
-    labels = []
-    for e in tri.edge_classes:
-        vals = (phi1.value(e.index), phi2.value(e.index))
-        labels.append({(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}[vals])
-
-    by_tet = [tuple(classify_tet_rank1(tri, p, t) for p in phis)
-              for t in range(tri.n)]
+    slots = tri._edge_slots[0]
+    by_tet = []
     tet_types = []
     counts = {k: 0 for k in TET_TYPES}
-    for t, types in enumerate(by_tet):
+    for t, (s1, s2) in enumerate(zip(_slot_masks(slots, m1),
+                                     _slot_masks(slots, m2))):
+        types = (_RANK1[s1], _RANK1[s2], _RANK1[s1 ^ s2])
+        if None in types:
+            raise ParityError(f"tetrahedron {t} matches no rank-1 type")
+        by_tet.append(types)
         kinds = tuple(kind for kind, _ in types)
-        multiset = "".join(sorted(kinds))
-        if multiset == "qqq":
-            tet_types.append(("qqq", None))
-        elif multiset == "qtt":
-            tet_types.append(("qtt", kinds.index("q") + 1))
-        elif multiset == "eqq":
-            tet_types.append(("qq", kinds.index("e") + 1))
-        elif multiset == "ett":
-            tet_types.append(("tt", kinds.index("e") + 1))
-        elif multiset == "eee":
-            tet_types.append(("empty", None))
-        else:
+        tet_type = _RANK2[kinds]
+        if tet_type is None:
             raise ParityError(
                 f"tetrahedron {t} has impossible rank-2 pattern {kinds}")
-        key = tet_types[-1][0]
-        counts[key] += 1
+        tet_types.append(tet_type)
+        counts[tet_type[0]] += 1
 
-    e0 = sum(1 for lab in labels if lab == 0)
-    e0_weighted = sum(tri.edge_classes[i].degree
-                      for i, lab in enumerate(labels) if lab == 0)
     hist = {}
-    for i, lab in enumerate(labels):
-        if lab == 0:
-            d = tri.edge_classes[i].degree
-            hist[d] = hist.get(d, 0) + 1
+    for e, label in zip(tri.edge_classes, labels):
+        if not label:
+            hist[e.degree] = hist.get(e.degree, 0) + 1
     return RankTwoColouring(
         tri=tri, phi=phis, edge_labels=tuple(labels),
         tet_types=tuple(tet_types), rank1_types=tuple(zip(*by_tet)),
-        counts=counts,
-        e0=e0, e0_weighted=e0_weighted, e0_histogram=dict(sorted(hist.items())))
+        counts=counts, e0=labels.count(0),
+        e0_weighted=sum(d * k for d, k in hist.items()),
+        e0_histogram=dict(sorted(hist.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +265,11 @@ def even_subcomplex_euler(rc):
     """Euler characteristic of the ideal subcomplex spanned by the
     0-even edges, counted directly from its cells."""
     tri = rc.tri
-    even = {e.index for e in tri.edge_classes if rc.edge_labels[e.index] == 0}
-    n_edges = len(even)
-    n_faces = 0
-    for fc in tri.face_classes:
-        t, f = fc.sides[0]
-        verts = [v for v in range(4) if v != f]
-        slots = [tri.edge_class_of(t, verts[i], verts[(i + 1) % 3])
-                 for i in range(3)]
-        if all(s in even for s in slots):
-            n_faces += 1
-    n_tets = sum(1 for t in range(tri.n)
-                 if all(tri.edge_class_of(t, a, b) in even
-                        for a in range(4) for b in range(a + 1, 4)))
-    return -n_edges + n_faces - n_tets
+    odd = sum(1 << e for e, label in enumerate(rc.edge_labels) if label)
+    masks = _slot_masks(tri._edge_slots[0], odd)
+    n_faces = sum(1 for fc in tri.face_classes
+                  if not masks[fc.sides[0][0]] & _FACE_MASK[fc.sides[0][1]])
+    return -rc.edge_labels.count(0) + n_faces - masks.count(0)
 
 
 def check_identities(rc, chi1, chi2, chi3):
@@ -294,8 +313,9 @@ def check_identities(rc, chi1, chi2, chi3):
     e3 = hist.get(3, 0)
     high = sum((d - 4) * k for d, k in hist.items() if d >= 5)
     rhs4 = c["qtt"] + c["tt"] - 2 * (n + chis) + high
-    record("eq_degree_three_even_edges", e3 == rhs4 - 3 * e1 - 2 * e2,
-           f"degree-three even-edge identity fails: {e3} != {rhs4}",
+    expected = rhs4 - 3 * e1 - 2 * e2
+    record("eq_degree_three_even_edges", e3 == expected,
+           f"degree-three even-edge identity fails: {e3} != {expected}",
            lhs=e3, rhs=rhs4, low_degree_even_edges=e1 + e2,
            applicable=e1 == 0 and e2 == 0)
 
@@ -346,16 +366,14 @@ def qqq_orientation_types(tri, rc):
     signs = tri.orientation_signs
     if signs is None:
         raise ParityError("orientation types need an orientable triangulation")
+    orbit, labels = tri._edge_slots[0], rc.edge_labels
     types = []
     for t in range(tri.n):
         face_types = set()
-        for f in range(4):
-            x, y, z = [v for v in range(4) if v != f]
+        for f, cycle in enumerate(_FACE_CYCLES):
+            cols = tuple(labels[orbit[6 * t + k]] for k, _ in cycle)
             if signs[t] * (-1) ** f < 0:
-                x, y, z = x, z, y
-            cols = (rc.edge_labels[tri.edge_class_of(t, x, y)],
-                    rc.edge_labels[tri.edge_class_of(t, y, z)],
-                    rc.edge_labels[tri.edge_class_of(t, z, x)])
+                cols = cols[::-1]
             face_types.add(+1 if cols in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1)
         if len(face_types) != 1:
             raise IdentityError("face colour cycles disagree within a tetrahedron")

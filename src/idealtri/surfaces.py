@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cohomology import classify_tet_rank1
+from .cohomology import _rank1_types
 from .triangulation import _signed_orbits
 
 
@@ -121,8 +121,7 @@ def canonical_surface(tri, phi):
     triangle at the odd apex in each triangle-type tetrahedron."""
     if phi.is_zero():
         raise SurfaceError("the zero colouring has no canonical surface")
-    return _surface_of_types(
-        tri, [classify_tet_rank1(tri, phi, t) for t in range(tri.n)])
+    return _surface_of_types(tri, _rank1_types(tri._edge_slots[0], phi.mask))
 
 
 def _surface_of_types(tri, types):
@@ -154,14 +153,19 @@ def vertex_link_surface(tri, vertex_index=0):
 
 
 def euler_characteristic(surface):
-    """chi from the induced cells: edge points - arcs + discs."""
+    """chi from the induced cells: edge points - arcs + discs.
+
+    Each quad type meets every face of its tetrahedron in one arc, and
+    each triangle meets every face but the one opposite its vertex; so
+    face f of tetrahedron t carries sum(triangles[t]) - triangles[t][f]
+    + sum(quads[t]) arcs, for every normal surface."""
     tri = surface.tri
-    vertices = surface.weight
     arcs = 0
     for fc in tri.face_classes:
         t, f = fc.sides[0]
-        arcs += sum(surface.arcs(t, f, v) for v in range(4) if v != f)
-    return vertices - arcs + surface.disc_count
+        arcs += (sum(surface.triangles[t]) - surface.triangles[t][f]
+                 + sum(surface.quads[t]))
+    return surface.weight - arcs + surface.disc_count
 
 
 # ---------------------------------------------------------------------------

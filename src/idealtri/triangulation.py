@@ -33,8 +33,10 @@ The moves a gluing makes on one tetrahedron's items (``_EDGE_MOVES``,
 turned at import into step tables: the faces each item lies on, and its
 image and flip across each face under each permutation.  One depth-first
 walk, ``_walk``, reads ``gluings`` through them, and the derived classes
-read its flat arrays.  ``_signed_orbits`` walks a list of moves instead,
-for ``surfaces.components`` (normal disc sheets) and ``boundary_surface``
+read its flat arrays; ``classify_face`` reads them through
+``_FACE_CYCLES``, the slots of each face's directed boundary cycle.
+``_signed_orbits`` walks a list of moves instead, for
+``surfaces.components`` (normal disc sheets) and ``boundary_surface``
 (free-face corners ``16t + 4f + v``).
 """
 
@@ -184,9 +186,11 @@ def _step_table(width, moves):
 _EDGE_STEPS = _step_table(6, _EDGE_MOVES)
 _CORNER_STEPS = _step_table(4, _CORNER_MOVES)
 _TET_STEPS = _step_table(1, _TET_MOVES)
-# _FACE_SLOTS[f]: the edge slots k of the three edges of face f.
-_FACE_SLOTS = tuple(tuple(k for k in range(6) if f in _EDGE_STEPS[1][k])
-                    for f in range(4))
+# _FACE_CYCLES[f]: the directed boundary cycle a -> b -> c -> a of face
+# f, where a < b < c are its vertices, as (slot, direction) per edge.
+_FACE_CYCLES = tuple(((_SLOT[a][b], 1), (_SLOT[b][c], 1), (_SLOT[a][c], -1))
+                     for a, b, c in (sorted({0, 1, 2, 3} - {f})
+                                     for f in range(4)))
 
 
 def _walk(gluings, table):
@@ -405,7 +409,7 @@ class Triangulation:
         for fc in self.face_classes:
             t, f = fc.sides[0]
             row = 0
-            for k in _FACE_SLOTS[f]:
+            for k, _ in _FACE_CYCLES[f]:
                 row ^= 1 << orbit[6 * t + k]
             rows.append(row)
         return tuple(rows)
@@ -447,12 +451,9 @@ def build(n, gluings, closed=True):
 
 def classify_face(tri, t, f):
     """Type of face f of tetrahedron t under the edge identifications."""
-    verts = [v for v in range(4) if v != f]
-    a, b, c = verts
-    # Directed boundary cycle a -> b -> c -> a.
-    cycle = [(a, b), (b, c), (c, a)]
-    cls = [tri.edge_class_of(t, x, y) for x, y in cycle]
-    sgn = [tri.edge_sign_of(t, x, y) for x, y in cycle]
+    orbit, signs = tri._edge_slots
+    cls = [orbit[6 * t + k] for k, _ in _FACE_CYCLES[f]]
+    sgn = [d * signs[6 * t + k] for k, d in _FACE_CYCLES[f]]
     distinct = len(set(cls))
     if distinct == 3:
         return FaceType.TRIANGLE

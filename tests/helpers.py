@@ -1,6 +1,9 @@
 """Shared generators and local models for the test suites."""
 
 from idealtri import build, decode
+from idealtri.cohomology import (
+    TET_TYPES, IdentityError, ParityError, RankTwoColouring,
+)
 from idealtri.isosig import MalformedSignature, SCHARS, _SVAL, encode_canonical
 from idealtri.lst import layer_tetrahedron
 from idealtri.monodromy import (
@@ -1361,3 +1364,171 @@ def _reference_four_four(tri, edge_class, axis):
         omega_bot[local_pos(other_axis, off)] = u
         interface[(t, u)] = (local_v, tuple(omega_bot))
     return _reference_replace_cluster(tri, tets, 4, internal, interface)
+
+
+# The per-slot readers of the Z2 taxonomy, which read every edge slot
+# through ``edge_class_of``/``edge_sign_of``: the differential oracles
+# for the slot-mask tables of ``cohomology``, ``surfaces`` and
+# ``triangulation.classify_face``.
+
+def reference_tet_odd_slots(tri, phi, t):
+    return {(a, b) for a in range(4) for b in range(a + 1, 4)
+            if phi.value(tri.edge_class_of(t, a, b))}
+
+
+def reference_classify_tet_rank1(tri, phi, t):
+    """('q', even opposite pair) | ('t', apex) | ('e', None)."""
+    odd = reference_tet_odd_slots(tri, phi, t)
+    if not odd:
+        return ("e", None)
+    if len(odd) == 4:
+        even = [(a, b) for a in range(4) for b in range(a + 1, 4)
+                if (a, b) not in odd]
+        (a, b), (c, d) = even
+        if {a, b} | {c, d} == {0, 1, 2, 3}:
+            return ("q", ((a, b), (c, d)))
+    if len(odd) == 3:
+        for v in range(4):
+            if all(v in pair for pair in odd):
+                return ("t", v)
+    raise ParityError(f"tetrahedron {t} matches no rank-1 type")
+
+
+def reference_classify_rank2(tri, phi1, phi2):
+    if phi1.is_zero() or phi2.is_zero() or phi1.mask == phi2.mask:
+        raise ParityError("colourings do not span a rank-2 subgroup")
+    phi3 = phi1 + phi2
+    phis = (phi1, phi2, phi3)
+
+    labels = []
+    for e in tri.edge_classes:
+        vals = (phi1.value(e.index), phi2.value(e.index))
+        labels.append({(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}[vals])
+
+    by_tet = [tuple(reference_classify_tet_rank1(tri, p, t) for p in phis)
+              for t in range(tri.n)]
+    tet_types = []
+    counts = {k: 0 for k in TET_TYPES}
+    for t, types in enumerate(by_tet):
+        kinds = tuple(kind for kind, _ in types)
+        multiset = "".join(sorted(kinds))
+        if multiset == "qqq":
+            tet_types.append(("qqq", None))
+        elif multiset == "qtt":
+            tet_types.append(("qtt", kinds.index("q") + 1))
+        elif multiset == "eqq":
+            tet_types.append(("qq", kinds.index("e") + 1))
+        elif multiset == "ett":
+            tet_types.append(("tt", kinds.index("e") + 1))
+        elif multiset == "eee":
+            tet_types.append(("empty", None))
+        else:
+            raise ParityError(
+                f"tetrahedron {t} has impossible rank-2 pattern {kinds}")
+        key = tet_types[-1][0]
+        counts[key] += 1
+
+    e0 = sum(1 for lab in labels if lab == 0)
+    e0_weighted = sum(tri.edge_classes[i].degree
+                      for i, lab in enumerate(labels) if lab == 0)
+    hist = {}
+    for i, lab in enumerate(labels):
+        if lab == 0:
+            d = tri.edge_classes[i].degree
+            hist[d] = hist.get(d, 0) + 1
+    return RankTwoColouring(
+        tri=tri, phi=phis, edge_labels=tuple(labels),
+        tet_types=tuple(tet_types), rank1_types=tuple(zip(*by_tet)),
+        counts=counts,
+        e0=e0, e0_weighted=e0_weighted, e0_histogram=dict(sorted(hist.items())))
+
+
+def reference_even_subcomplex_euler(rc):
+    """Euler characteristic of the ideal subcomplex spanned by the
+    0-even edges, counted directly from its cells."""
+    tri = rc.tri
+    even = {e.index for e in tri.edge_classes if rc.edge_labels[e.index] == 0}
+    n_edges = len(even)
+    n_faces = 0
+    for fc in tri.face_classes:
+        t, f = fc.sides[0]
+        verts = [v for v in range(4) if v != f]
+        slots = [tri.edge_class_of(t, verts[i], verts[(i + 1) % 3])
+                 for i in range(3)]
+        if all(s in even for s in slots):
+            n_faces += 1
+    n_tets = sum(1 for t in range(tri.n)
+                 if all(tri.edge_class_of(t, a, b) in even
+                        for a in range(4) for b in range(a + 1, 4)))
+    return -n_edges + n_faces - n_tets
+
+
+def reference_qqq_orientation_types(tri, rc):
+    """The two oriented sub-types of all-quadrilateral tetrahedra.
+
+    For each tetrahedron the induced boundary orientation of any face
+    reads the three edge colours in a cyclic order; the order is the
+    same for all four faces and distinguishes the two sub-types.
+    Adjacent tetrahedra get opposite sub-types.
+    """
+    signs = tri.orientation_signs
+    if signs is None:
+        raise ParityError("orientation types need an orientable triangulation")
+    types = []
+    for t in range(tri.n):
+        face_types = set()
+        for f in range(4):
+            x, y, z = [v for v in range(4) if v != f]
+            if signs[t] * (-1) ** f < 0:
+                x, y, z = x, z, y
+            cols = (rc.edge_labels[tri.edge_class_of(t, x, y)],
+                    rc.edge_labels[tri.edge_class_of(t, y, z)],
+                    rc.edge_labels[tri.edge_class_of(t, z, x)])
+            face_types.add(+1 if cols in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1)
+        if len(face_types) != 1:
+            raise IdentityError("face colour cycles disagree within a tetrahedron")
+        types.append(face_types.pop())
+    for t in range(tri.n):
+        for f in range(4):
+            t2, _ = tri.gluings[t][f]
+            if types[t] == types[t2]:
+                raise IdentityError(
+                    "adjacent all-quadrilateral tetrahedra share a sub-type")
+    return tuple(types)
+
+
+def reference_euler_characteristic(surface):
+    """chi from the induced cells: edge points - arcs + discs, with the
+    arcs summed corner by corner."""
+    tri = surface.tri
+    vertices = surface.weight
+    arcs = 0
+    for fc in tri.face_classes:
+        t, f = fc.sides[0]
+        arcs += sum(surface.arcs(t, f, v) for v in range(4) if v != f)
+    return vertices - arcs + surface.disc_count
+
+
+def reference_classify_face(tri, t, f):
+    """Type of face f of tetrahedron t under the edge identifications."""
+    verts = [v for v in range(4) if v != f]
+    a, b, c = verts
+    # Directed boundary cycle a -> b -> c -> a.
+    cycle = [(a, b), (b, c), (c, a)]
+    cls = [tri.edge_class_of(t, x, y) for x, y in cycle]
+    sgn = [tri.edge_sign_of(t, x, y) for x, y in cycle]
+    distinct = len(set(cls))
+    if distinct == 3:
+        return FaceType.TRIANGLE
+    if distinct == 1:
+        if sgn[0] == sgn[1] == sgn[2]:
+            return FaceType.THREEFOLD
+        return FaceType.DUNCE
+    # Exactly one pair of edges identified.  For consecutive directed
+    # boundary edges in one class, equal signs slide the shared vertex
+    # along (Moebius); opposite signs pin it (cone).
+    for i in range(3):
+        j = (i + 1) % 3
+        if cls[i] == cls[j]:
+            return FaceType.MOEBIUS if sgn[i] == sgn[j] else FaceType.CONE
+    raise AssertionError("unreachable")
