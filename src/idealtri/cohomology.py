@@ -349,8 +349,12 @@ class BoundCertificate:
 
 def rank2_subgroups(basis):
     """Each rank-2 subgroup of the span as its sorted masks, in sorted
-    order: met once, at its two least elements x < y < x ^ y."""
-    nonzero = sorted(c.mask for c in basis.nonzero_elements())
+    order: met once, at its two least elements x < y < x ^ y.  XORs of
+    basis masks pass the parity check by linearity, so none is rerun."""
+    masks = [0]
+    for v in basis.vectors:
+        masks += [m ^ v.mask for m in masks]
+    nonzero = sorted(filter(None, masks))
     return [(x, y, x ^ y) for i, x in enumerate(nonzero)
             for y in nonzero[i + 1:] if y < x ^ y]
 

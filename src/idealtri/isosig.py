@@ -14,17 +14,25 @@ its action characters exceeds the best start's; starts that tie on all
 actions compare their destination and gluing characters.  Characters
 compare by code point, as strings do, not by their 6-bit values.
 
+Each encode first builds per-facet tables: the partner facet, the
+inverse gluing and the gluing's row of ``COMPOSE``, so that a step of
+``_grow`` is a few list reads.  A start that ties the best actions
+returns them and builds its own list only once it beats them.  Its
+tail, the destination and gluing characters, is ``bytes`` made by
+``bytes.translate``: each byte is an ASCII code point, so tails order
+as the code-point lists and strings do, and a tail is its own key.
+
 The first action character covers the first three actions, and they
 all come from the start tetrahedron's own facets: it has four, and a
 tetrahedron with two self-gluings is a lone closed one with only two
 actions.  So the character depends only on the shape of that
 tetrahedron's row: which facets are free, which are glued to a partner
 facet of the same tetrahedron, and which to the same neighbour.  The
-characters of the 24 starts are computed once per shape and kept in a
-module-level table; only the starts that tie the least first character
-are grown, in start order.  An automorphism preserves the first
-character, so no start that could win or tie is left out and the
-orbits below are unchanged.
+characters of the 24 starts are grown once per shape, on a model of
+the row, and kept in a module-level table; only the starts that tie
+the least first character are grown, in start order.  An automorphism
+preserves the first character, so no start that could win or tie is
+left out and the orbits below are unchanged.
 
 Two starts that grow the same full string differ by an automorphism,
 and every start in one orbit of the automorphism group grows the same
@@ -52,6 +60,8 @@ _SVAL = {c: i for i, c in enumerate(SCHARS)}
 # Code point of each character: SCHARS is not in code-point order, and
 # signatures compare as strings.
 _ORD = tuple(map(ord, SCHARS))
+# The same as a bytes.translate table, from 6-bit values to ASCII.
+_ORD_BYTES = bytes(_ORD).ljust(256, b"\0")
 
 
 class MalformedSignature(ValueError):
@@ -69,21 +79,46 @@ def _size_chars(size):
 
 
 def _flatten(tri):
-    """The gluings as flat arrays over facets ``4t + f``: the destination
-    tetrahedron (-1 when free), the S4 index of the gluing, and the
-    number of facet actions (free facets plus glued pairs)."""
+    """Per-facet tables over facets ``4t + f``, built once per encode:
+    the destination tetrahedron (-1 when free), the partner facet
+    ``4d + g``, the S4 index of the inverse gluing and the ``COMPOSE``
+    row of the gluing."""
     n = tri.n
     dest = [-1] * (4 * n)
-    perm_index = [0] * (4 * n)
+    partner = [-1] * (4 * n)
+    back = [0] * (4 * n)
+    rows = [None] * (4 * n)
     for t, row in enumerate(tri.gluings):
         for f, g in enumerate(row):
             if g is not None:
-                dest[4 * t + f] = g[0]
-                perm_index[4 * t + f] = S4_INDEX[g[1]]
-    return dest, perm_index, 4 * n - sum(d >= 0 for d in dest) // 2
+                s = 4 * t + f
+                dest[s], perm = g
+                p = S4_INDEX[perm]
+                partner[s] = 4 * dest[s] + perm[f]
+                back[s] = INVERSE[p]
+                rows[s] = COMPOSE[p]
+    return dest, partner, back, rows
 
 
-def _grow(dest, perm_index, n_actions, start, start_perm, bound):
+# The facets of a tetrahedron in the order of their new labels, for
+# each S4 index of its vertex relabelling.
+_FACET_ORDER = tuple(S4[INVERSE[v]] for v in range(24))
+
+
+def _action_char(chunk):
+    """The code point of a chunk of ``_grow``: below its leading 1 it
+    holds the character's actions as base-4 digits, the first highest.
+    Missing actions pad it with zeros; a character holds the first
+    action in its lowest two bits."""
+    while chunk < 64:
+        chunk <<= 2
+    return _ORD[(chunk >> 4 & 3) | (chunk & 12) | (chunk & 3) << 4]
+
+
+_CHAR = (0,) + tuple(map(_action_char, range(1, 128)))
+
+
+def _grow(dest, partner, back, rows, start, start_perm, bound):
     """Grow the labelling from one start choice.
 
     Returns ``(actions, dests, gluings, tied, order, vmap)``: the code
@@ -91,53 +126,64 @@ def _grow(dest, perm_index, n_actions, start, start_perm, bound):
     type-2 joins, whether its actions tie ``bound``, the best start's
     action code points, the tetrahedron given each new label, and the
     S4 index relabelling each tetrahedron's vertices.  None as soon as
-    an action character exceeds ``bound``'s."""
+    an action character exceeds ``bound``'s.  A start that ties
+    ``bound`` returns it as its actions, and one that beats it copies
+    the tied prefix only then."""
     n = len(dest) // 4
     image = [-1] * n            # tet -> its new label
     order = [start]             # new label -> tet
     vmap = [0] * n              # tet -> S4 index relabelling its vertices
     image[start] = 0
     vmap[start] = start_perm
-    used = [False] * (4 * n)
-    actions = []
+    used = [False] * (4 * n)    # facets reached from their partner
+    actions = [] if bound is None else None
+    k = 0                       # characters that tie bound so far
     dests = []
     gluings = []
-    chunk = shift = 0
+    chunk = 1
     for t in order:
         vt = vmap[t]
-        inv = INVERSE[vt]
         base = 4 * t
-        for f in S4[inv]:
+        for f in _FACET_ORDER[vt]:
             s = base + f
             if used[s]:
                 continue
-            used[s] = True
             d = dest[s]
-            if d >= 0:
-                p = perm_index[s]
-                used[4 * d + S4[p][f]] = True
+            if d < 0:
+                chunk <<= 2
+            else:
+                used[partner[s]] = True
                 if image[d] < 0:
-                    chunk |= 1 << shift
+                    chunk = chunk << 2 | 1
                     image[d] = len(order)
                     order.append(d)
-                    vmap[d] = COMPOSE[vt][INVERSE[p]]
+                    vmap[d] = COMPOSE[vt][back[s]]
                 else:
-                    chunk |= 2 << shift
+                    chunk = chunk << 2 | 2
                     dests.append(image[d])
-                    gluings.append(COMPOSE[vmap[d]][COMPOSE[p][inv]])
-            shift += 2
-            n_actions -= 1
-            if shift == 6 or not n_actions:
-                c = _ORD[chunk]
-                if bound is not None:
-                    b = bound[len(actions)]
-                    if c > b:
+                    gluings.append(COMPOSE[vmap[d]][rows[s][INVERSE[vt]]])
+            if chunk >= 64:
+                c = _CHAR[chunk]
+                chunk = 1
+                if actions is not None:
+                    actions.append(c)
+                elif c != bound[k]:
+                    if c > bound[k]:
                         return None
-                    if c < b:
-                        bound = None
-                actions.append(c)
-                chunk = shift = 0
-    return actions, dests, gluings, bound is not None, order, vmap
+                    actions = bound[:k] + [c]
+                else:
+                    k += 1
+    if chunk > 1:
+        c = _CHAR[chunk]
+        if actions is not None:
+            actions.append(c)
+        elif c > bound[k]:
+            return None
+        elif c < bound[k]:
+            actions = bound[:k] + [c]
+    if actions is None:
+        return bound, dests, gluings, True, order, vmap
+    return actions, dests, gluings, False, order, vmap
 
 
 # Row shape -> the first action characters of its 24 starts.  A shape
@@ -145,58 +191,27 @@ def _grow(dest, perm_index, n_actions, start, start_perm, bound):
 _FIRST = {}
 
 
-def _first_characters(dest, perm_index, t):
+def _first_characters(dest, partner, t):
     """Code points of the first action character of starts ``24t + p``,
     for p = 0..23, looked up by the shape of t's row: per facet, -1 when
     free, 4 + g when glued to facet g of t itself, and otherwise the
-    neighbour's number in order of first appearance."""
+    first facet of t glued to the same neighbour."""
     base = 4 * t
-    shape = []
-    neighbours = []
-    for f in range(4):
-        d = dest[base + f]
-        if d < 0:
-            shape.append(-1)
-        elif d == t:
-            shape.append(4 + S4[perm_index[base + f]][f])
-        else:
-            if d not in neighbours:
-                neighbours.append(d)
-            shape.append(neighbours.index(d))
-    shape = tuple(shape)
+    row = dest[base:base + 4]
+    shape = tuple(-1 if d < 0 else 4 + partner[base + f] - base if d == t
+                  else row.index(d) for f, d in enumerate(row))
     chars = _FIRST.get(shape)
     if chars is None:
-        chars = _FIRST[shape] = tuple(_first_character(shape, p)
+        # Grow them on a model of the row: tetrahedron 0 with its free and
+        # self-glued facets, the neighbour first met at facet i as i + 1.
+        model = [-1] * 20, [-1] * 20, [0] * 20, [COMPOSE[0]] * 20
+        for f, x in enumerate(shape):
+            if x >= 0:
+                model[0][f], model[1][f] = ((0, x - 4) if x >= 4
+                                           else (x + 1, 4 * x + 4))
+        chars = _FIRST[shape] = tuple(_grow(*model, 0, p, None)[0][0]
                                       for p in range(24))
     return chars
-
-
-def _first_character(shape, start_perm):
-    """The first action character ``_grow`` emits from a start
-    tetrahedron of this row shape: free facets give action 0, self-glued
-    pairs action 2, and a neighbour action 1 when it first appears and 2
-    after that."""
-    used = [False] * 4
-    seen = set()
-    chunk = shift = 0
-    for f in S4[INVERSE[start_perm]]:
-        if used[f]:
-            continue
-        used[f] = True
-        x = shape[f]
-        if x >= 4:
-            used[x - 4] = True
-            action = 2
-        elif x >= 0:
-            action = 2 if x in seen else 1
-            seen.add(x)
-        else:
-            action = 0
-        chunk |= action << shift
-        shift += 2
-        if shift == 6:
-            break
-    return _ORD[chunk]
 
 
 def encode_canonical(tri):
@@ -215,7 +230,7 @@ def _canonical(tri):
     found, and a start whose class already holds a processed start is
     skipped.  The best start's class is its orbit under the whole group.
     """
-    dest, perm_index, n_actions = _flatten(tri)
+    dest, partner, _, _ = flat = _flatten(tri)
     size_str, n_chars = _size_chars(tri.n)
 
     best_actions = best_tail = None
@@ -233,31 +248,29 @@ def _canonical(tri):
 
     firsts = []
     for t in range(tri.n):
-        firsts += _first_characters(dest, perm_index, t)
+        firsts += _first_characters(dest, partner, t)
     least = min(firsts)
-    for s in range(24 * tri.n):
-        if firsts[s] != least:
-            continue
+    for s in [s for s, c in enumerate(firsts) if c == least]:
         if parent is not None:
             root = find(s)
             if done[root]:
                 continue
             done[root] = True
         start, start_perm = divmod(s, 24)
-        grown = _grow(dest, perm_index, n_actions, start, start_perm,
-                      best_actions)
+        grown = _grow(*flat, start, start_perm, best_actions)
         if grown is None:
             continue
         actions, dests, gluings, tied, order, vmap = grown
-        tail = [_ORD[(d >> 6 * i) & 0x3F]
-                for d in dests for i in range(n_chars)]
-        tail += [_ORD[g] for g in gluings]
+        if n_chars > 1:
+            dests = [(d >> 6 * i) & 0x3F
+                     for d in dests for i in range(n_chars)]
+        tail = bytes(dests + gluings).translate(_ORD_BYTES)
         if not tied:
             best_actions, best_tail, best_start = actions, tail, s
             grown_from = {}
         elif tail < best_tail:
             best_tail, best_start = tail, s
-        seen = grown_from.setdefault(bytes(tail), (s, order, vmap))
+        seen = grown_from.setdefault(tail, (s, order, vmap))
         if seen[0] == s:
             continue
         # The two labellings differ by an automorphism taking tetrahedron
@@ -273,7 +286,7 @@ def _canonical(tri):
                 x, y = find(24 * a + p), find(24 * b + COMPOSE[p][tau])
                 parent[y] = x
                 done[x] |= done[y]
-    signature = size_str + "".join(map(chr, best_actions + best_tail))
+    signature = size_str + (bytes(best_actions) + best_tail).decode()
     if parent is None:
         return signature, 1
     root = find(best_start)

@@ -562,7 +562,8 @@ def find_isomorphism(t1, t2):
     """
     from .isosig import _flatten, _grow
     flat1, flat2 = _flatten(t1), _flatten(t2)
-    if t1.n != t2.n or flat1[2] != flat2[2]:
+    # A different number of free facets rules an isomorphism out at once.
+    if t1.n != t2.n or flat1[0].count(-1) != flat2[0].count(-1):
         return None
     actions, dests, gluings, _, order1, vmap1 = _grow(*flat1, 0, 0, None)
     for t0 in range(t2.n):

@@ -4,14 +4,18 @@ from idealtri import build, decode
 from idealtri.cohomology import (
     TET_TYPES, IdentityError, ParityError, RankTwoColouring,
 )
-from idealtri.isosig import MalformedSignature, SCHARS, _SVAL, encode_canonical
+from idealtri.isosig import (
+    MalformedSignature, SCHARS, _ORD, _SVAL, encode_canonical,
+)
 from idealtri.lst import layer_tetrahedron
 from idealtri.monodromy import (
     BundleTriangulation, IDENT, L_MAT, R_MAT, _mat_mul, build_bundle,
     word_analysis,
 )
 from idealtri.moves import MoveError, _edge_cycle
-from idealtri.perms import S4, S4_INDEX, compose, inverse, sign
+from idealtri.perms import (
+    COMPOSE, INVERSE, S4, S4_INDEX, compose, inverse, sign,
+)
 from idealtri.search import _PERMS_TAKING, random_move_walk
 from idealtri.surfaces import (
     SurfaceComponent, SurfaceComponents, SurfaceError, _arc_stack,
@@ -204,6 +208,107 @@ def reference_canonical_starts(tri):
     sigs = [_sig_from(tri, start, perm) for start in range(tri.n) for perm in S4]
     best = min(sigs)
     return best, sigs.count(best)
+
+
+# The labelling kernel as it stood before its per-facet tables: flat
+# arrays of destinations and S4 indices, a facet-action countdown and
+# an actions list built from the first character.  The differential
+# oracle for ``idealtri.isosig._flatten`` and ``_grow``.
+
+def reference_flatten(tri):
+    """The gluings as flat arrays over facets ``4t + f``: the destination
+    tetrahedron (-1 when free), the S4 index of the gluing, and the
+    number of facet actions (free facets plus glued pairs)."""
+    n = tri.n
+    dest = [-1] * (4 * n)
+    perm_index = [0] * (4 * n)
+    for t, row in enumerate(tri.gluings):
+        for f, g in enumerate(row):
+            if g is not None:
+                dest[4 * t + f] = g[0]
+                perm_index[4 * t + f] = S4_INDEX[g[1]]
+    return dest, perm_index, 4 * n - sum(d >= 0 for d in dest) // 2
+
+
+def reference_grow(dest, perm_index, n_actions, start, start_perm, bound):
+    """Grow the labelling from one start choice.
+
+    Returns ``(actions, dests, gluings, tied, order, vmap)``: the code
+    points of its action characters, the labels and gluings of its
+    type-2 joins, whether its actions tie ``bound``, the best start's
+    action code points, the tetrahedron given each new label, and the
+    S4 index relabelling each tetrahedron's vertices.  None as soon as
+    an action character exceeds ``bound``'s."""
+    n = len(dest) // 4
+    image = [-1] * n            # tet -> its new label
+    order = [start]             # new label -> tet
+    vmap = [0] * n              # tet -> S4 index relabelling its vertices
+    image[start] = 0
+    vmap[start] = start_perm
+    used = [False] * (4 * n)
+    actions = []
+    dests = []
+    gluings = []
+    chunk = shift = 0
+    for t in order:
+        vt = vmap[t]
+        inv = INVERSE[vt]
+        base = 4 * t
+        for f in S4[inv]:
+            s = base + f
+            if used[s]:
+                continue
+            used[s] = True
+            d = dest[s]
+            if d >= 0:
+                p = perm_index[s]
+                used[4 * d + S4[p][f]] = True
+                if image[d] < 0:
+                    chunk |= 1 << shift
+                    image[d] = len(order)
+                    order.append(d)
+                    vmap[d] = COMPOSE[vt][INVERSE[p]]
+                else:
+                    chunk |= 2 << shift
+                    dests.append(image[d])
+                    gluings.append(COMPOSE[vmap[d]][COMPOSE[p][inv]])
+            shift += 2
+            n_actions -= 1
+            if shift == 6 or not n_actions:
+                c = _ORD[chunk]
+                if bound is not None:
+                    b = bound[len(actions)]
+                    if c > b:
+                        return None
+                    if c < b:
+                        bound = None
+                actions.append(c)
+                chunk = shift = 0
+    return actions, dests, gluings, bound is not None, order, vmap
+
+
+def reference_grow_isomorphism(t1, t2):
+    """``find_isomorphism`` run on the reference kernel."""
+    flat1, flat2 = reference_flatten(t1), reference_flatten(t2)
+    if t1.n != t2.n or flat1[2] != flat2[2]:
+        return None
+    actions, dests, gluings, _, order1, vmap1 = reference_grow(
+        *flat1, 0, 0, None)
+    for t0 in range(t2.n):
+        for i in range(24):
+            grown = reference_grow(*flat2, t0, INVERSE[i], actions)
+            if grown is None:
+                continue
+            _, dests2, gluings2, tied, order2, vmap2 = grown
+            if not (tied and dests2 == dests and gluings2 == gluings):
+                continue
+            tet_map = [0] * t1.n
+            vertex_maps = [None] * t1.n
+            for t, u in zip(order1, order2):
+                tet_map[t] = u
+                vertex_maps[t] = S4[COMPOSE[INVERSE[vmap2[u]]][vmap1[t]]]
+            return tet_map, vertex_maps
+    return None
 
 
 # The dict-keyed walks that derived the edge and vertex classes and the

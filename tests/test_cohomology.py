@@ -11,9 +11,10 @@ from idealtri import (
 )
 from idealtri.cohomology import classify_tet_rank1, even_subcomplex_euler
 from idealtri.monodromy import build_bundle
+from idealtri.triangulation import InvalidEdge
 from idealtri.surfaces import canonical_surface, euler_characteristic
 
-from helpers import random_admissible
+from helpers import random_admissible, random_complex
 
 CENSUS_FIXTURES = [
     "gLLMQbeefffehhqxhqq",
@@ -83,6 +84,30 @@ def test_classify_rank2_requires_independence():
         classify_rank2(tri, phi, phi)
     with pytest.raises(ParityError):
         classify_rank2(tri, phi, Cocycle(tri, 0))
+
+
+def test_rank2_subgroups_match_the_cocycle_span():
+    # The masks formed as ints are the span's nonzero cocycles, each of
+    # which passes the parity check
+    rng = random.Random(29)
+    tris = [decode(sig) for sig in CENSUS_FIXTURES]
+    tris += [build_bundle(w).tri for w in ("RRLL", "RRRLLL", "RLRLRL")]
+    tris += [random_admissible(rng, rank2_only=True) for _ in range(10)]
+    # bounded and closed complexes reach ranks up to 6
+    tris += [random_complex(rng, rng.randint(1, 4), closed=rng.random() < 0.5)
+             for _ in range(60)]
+    for tri in tris:
+        try:
+            basis = cocycle_space(tri)
+        except InvalidEdge:
+            continue
+        nonzero = sorted(c.mask for c in basis.nonzero_elements())
+        expected = [(x, y, x ^ y) for i, x in enumerate(nonzero)
+                    for y in nonzero[i + 1:] if y < x ^ y]
+        assert rank2_subgroups(basis) == expected
+        for sg in expected:
+            for mask in sg:
+                Cocycle(tri, mask)
 
 
 def test_rank2_counts_partition_tetrahedra():

@@ -11,13 +11,14 @@ from idealtri import (
     MalformedSignature, build_bundle, cover, decode, encode_canonical,
     lst_build, read_census, relabelled,
 )
-from idealtri import isosig
+from idealtri import find_isomorphism, isosig
 from idealtri.isosig import SCHARS, _canonical
 from idealtri.perms import S4
 
 from helpers import (
     assert_revalidates, random_admissible, random_complex,
     reference_canonical_starts, reference_decode, reference_encode_canonical,
+    reference_flatten, reference_grow, reference_grow_isomorphism,
     reference_relabelled,
 )
 
@@ -268,19 +269,20 @@ def test_group_order_counts_canonical_starts(n, closed, seed):
 @example(1, True, 0)        # a lone closed tetrahedron: two actions in all
 def test_first_character_table_matches_grow(n, closed, seed):
     tri = random_complex(random.Random(seed), n, closed=closed)
-    dest, perm_index, n_actions = isosig._flatten(tri)
+    flat = isosig._flatten(tri)
+    dest, partner = flat[:2]
     firsts = []
     for t in range(n):
-        chars = isosig._first_characters(dest, perm_index, t)
-        assert chars == tuple(isosig._grow(dest, perm_index, n_actions, t, p,
-                                           None)[0][0] for p in range(24))
+        chars = isosig._first_characters(dest, partner, t)
+        assert chars == tuple(isosig._grow(*flat, t, p, None)[0][0]
+                              for p in range(24))
         firsts += chars
     grown = []
     grow = isosig._grow
 
-    def spy(dest, perm_index, n_actions, start, start_perm, bound):
+    def spy(dest, partner, back, rows, start, start_perm, bound):
         grown.append(24 * start + start_perm)
-        return grow(dest, perm_index, n_actions, start, start_perm, bound)
+        return grow(dest, partner, back, rows, start, start_perm, bound)
 
     with mock.patch.object(isosig, "_grow", spy):
         assert isosig._canonical(tri) == reference_canonical_starts(tri)
@@ -304,3 +306,68 @@ def test_bundle_group_order_law():
                 rotations = sum(word[i:] + word[:i] == word
                                 for i in range(len(word)))
                 assert order % (2 * rotations) == 0, (word, order)
+
+
+# -- differential oracle: the labelling kernel against the reference -----
+
+def assert_kernel_matches_reference(tri, other):
+    """Every start grows what the reference kernel grows: with no bound,
+    with the actions of start ``other`` as the bound, and with its own
+    actions but the last character one code point lower or higher."""
+    flat, ref = isosig._flatten(tri), reference_flatten(tri)
+    bound = reference_grow(*ref, *divmod(other, 24), None)[0]
+    outcomes = set()
+    for s in range(24 * tri.n):
+        start, perm = divmod(s, 24)
+        own = reference_grow(*ref, start, perm, None)
+        assert isosig._grow(*flat, start, perm, None) == own
+        for last in (own[0][-1] - 1, own[0][-1] + 1):
+            near = own[0][:-1] + [last]
+            assert (isosig._grow(*flat, start, perm, near)
+                    == reference_grow(*ref, start, perm, near))
+        grown = isosig._grow(*flat, start, perm, bound)
+        assert grown == reference_grow(*ref, start, perm, bound)
+        outcomes.add("abort" if grown is None
+                     else "tie" if grown[3] else "beat")
+    return outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.booleans(), SEEDS, st.data())
+def test_kernel_matches_reference_on_random_complexes(n, closed, seed, data):
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    assert_kernel_matches_reference(tri, data.draw(st.integers(0, 24 * n - 1)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([sig for sig, _ in CENSUS_FIXTURES]), SEEDS)
+def test_kernel_matches_reference_on_census_relabellings(sig, seed):
+    rng = random.Random(seed)
+    tri = random_relabelling(decode(sig), rng)
+    assert_kernel_matches_reference(tri, rng.randrange(24 * tri.n))
+
+
+def test_kernel_covers_every_bound_outcome():
+    tri = decode(CENSUS_FIXTURES[0][0])
+    assert assert_kernel_matches_reference(tri, 24 * tri.n - 1) == {
+        "abort", "tie", "beat"}
+
+
+def test_kernel_matches_reference_on_large_bundle():
+    # 63 or more tetrahedra: labels of several characters in the tail
+    tri = build_bundle(cover("RRL" * 7, 3)).tri
+    assert tri.n >= 63
+    assert_kernel_matches_reference(tri, 24 * tri.n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.booleans(), SEEDS)
+def test_find_isomorphism_matches_reference_kernel(n, closed, seed):
+    rng = random.Random(seed)
+    tri = random_complex(rng, n, closed=closed)
+    other = random_relabelling(tri, rng)
+    stranger = random_complex(rng, rng.randint(1, 5),
+                              closed=rng.random() < 0.5)
+    for a, b in [(tri, other), (other, tri), (tri, stranger)]:
+        assert find_isomorphism(a, b) == reference_grow_isomorphism(a, b)
+    assert find_isomorphism(tri, other) is not None
