@@ -34,14 +34,14 @@ the least first character are grown, in start order.  An automorphism
 preserves the first character, so no start that could win or tie is
 left out and the orbits below are unchanged.
 
-Two starts that grow the same full string differ by an automorphism,
-and every start in one orbit of the automorphism group grows the same
-string.  The first such pair builds a union-find over the starts; each
-automorphism found merges their orbits, and a start whose class
-already holds a processed start is skipped (the search-tree pruning of
-McKay, *Practical graph isomorphism*, 1981).  A periodic bundle of n
-tetrahedra then grows about 24n / |Aut| starts; an asymmetric complex
-never builds the union-find.
+Two starts that grow the same full string differ by an automorphism: a
+map of tetrahedra with a vertex relabelling of each, acting freely on
+the starts.  The encoder keeps the group generated by those found so
+far, marks each grown start's orbit under it (again whenever it grows)
+and skips a marked start, the search-tree pruning of McKay (*Practical
+graph isomorphism*, 1981).  A grown start lies outside the known orbits,
+so the automorphism it gives is new and at least doubles the group.  A
+periodic bundle of n tetrahedra grows about 24n / |Aut| starts.
 
 Two triangulations have the same canonical signature exactly when they
 are combinatorially isomorphic.  The same labelling kernel, ``_grow``,
@@ -223,39 +223,39 @@ def encode_canonical(tri):
 def _canonical(tri):
     """The canonical signature and the order of the automorphism group.
 
-    Starts are numbered ``24 * tet + perm``; only those whose first
-    action character is the least are grown.  Two grown starts with the
-    same full string give an automorphism; the union-find, built at the
-    first one, merges the orbits of the starts under the automorphisms
-    found, and a start whose class already holds a processed start is
-    skipped.  The best start's class is its orbit under the whole group.
+    Starts are numbered ``24 * tet + perm``; only unmarked ones with the
+    least first action character are grown, so each automorphism
+    ``(img, tau)`` found is new.  It takes start ``24a + p`` to
+    ``24 img[a] + p.tau[a]``; ``group`` keys each by its image of start 0.
     """
     dest, partner, _, _ = flat = _flatten(tri)
     size_str, n_chars = _size_chars(tri.n)
 
     best_actions = best_tail = None
-    best_start = 0
     # Tail -> (start, order, vmap) for the grown starts whose actions
     # are the best start's: a later start reaches the end only if its
     # actions tie the best, so no other string can recur.
     grown_from = {}
-    parent = done = None
+    group = {0: (range(tri.n), (0,) * tri.n)}
+    generators, grown_starts = [], []
+    done = bytearray(24 * tri.n)
 
-    def find(s):
-        while parent[s] != s:
-            parent[s] = s = parent[parent[s]]
-        return s
+    def mark(starts):
+        for s in starts:
+            a, p = divmod(s, 24)
+            for img, tau in group.values():
+                done[24 * img[a] + COMPOSE[p][tau[a]]] = 1
 
     firsts = []
     for t in range(tri.n):
         firsts += _first_characters(dest, partner, t)
     least = min(firsts)
     for s in [s for s, c in enumerate(firsts) if c == least]:
-        if parent is not None:
-            root = find(s)
-            if done[root]:
-                continue
-            done[root] = True
+        if done[s]:
+            continue
+        grown_starts.append(s)
+        if generators:          # else s's orbit is s, never met again
+            mark((s,))
         start, start_perm = divmod(s, 24)
         grown = _grow(*flat, start, start_perm, best_actions)
         if grown is None:
@@ -266,31 +266,32 @@ def _canonical(tri):
                      for d in dests for i in range(n_chars)]
         tail = bytes(dests + gluings).translate(_ORD_BYTES)
         if not tied:
-            best_actions, best_tail, best_start = actions, tail, s
+            best_actions, best_tail = actions, tail
             grown_from = {}
         elif tail < best_tail:
-            best_tail, best_start = tail, s
+            best_tail = tail
         seen = grown_from.setdefault(tail, (s, order, vmap))
         if seen[0] == s:
             continue
-        # The two labellings differ by an automorphism taking tetrahedron
-        # a = order_a[i] to b = order[i]; it sends start 24a + p to
-        # 24b + p.tau.  Merge the starts' orbits under it.
-        if parent is None:
-            parent = list(range(24 * tri.n))
-            done = [i <= s for i in range(24 * tri.n)]
+        # The automorphism taking tetrahedron a = order_a[i] to b =
+        # order[i]; close the group under it and the earlier generators.
         _, order_a, vmap_a = seen
-        for a, b in zip(order_a, order):
-            tau = COMPOSE[INVERSE[vmap_a[a]]][vmap[b]]
-            for p in range(24):
-                x, y = find(24 * a + p), find(24 * b + COMPOSE[p][tau])
-                parent[y] = x
-                done[x] |= done[y]
+        pairs = sorted(zip(order_a, order))
+        generators.append(([b for _, b in pairs],
+                           [COMPOSE[INVERSE[vmap_a[a]]][vmap[b]]
+                            for a, b in pairs]))
+        elements = list(group.values())
+        for g_img, g_tau in elements:
+            for x_img, x_tau in generators:
+                key = 24 * x_img[g_img[0]] + COMPOSE[g_tau[0]][x_tau[g_img[0]]]
+                if key not in group:
+                    group[key] = h = ([x_img[b] for b in g_img],
+                                      [COMPOSE[t][x_tau[b]]
+                                       for t, b in zip(g_tau, g_img)])
+                    elements.append(h)
+        mark(grown_starts)
     signature = size_str + (bytes(best_actions) + best_tail).decode()
-    if parent is None:
-        return signature, 1
-    root = find(best_start)
-    return signature, sum(find(s) == root for s in range(24 * tri.n))
+    return signature, len(group)
 
 
 def decode(sig):

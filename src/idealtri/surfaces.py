@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cohomology import _rank1_types
-from .triangulation import _signed_orbits
+from .triangulation import _PAIRS, _signed_orbits
 
 
 class SurfaceError(ValueError):
@@ -35,6 +35,10 @@ def quad_type_of_pair(x, y):
     if y == 0:
         return x
     return ({1, 2, 3} - {x, y}).pop()
+
+
+# Edge slot k of a tetrahedron: its vertices and the disjoint quad's index.
+_SLOT_CORNERS = tuple((a, b, quad_type_of_pair(a, b) - 1) for a, b in _PAIRS)
 
 
 @dataclass(frozen=True)
@@ -159,13 +163,18 @@ def euler_characteristic(surface):
     each triangle meets every face but the one opposite its vertex; so
     face f of tetrahedron t carries sum(triangles[t]) - triangles[t][f]
     + sum(quads[t]) arcs, for every normal surface."""
-    tri = surface.tri
-    arcs = 0
-    for fc in tri.face_classes:
+    chi, classes = surface.disc_count, 0
+    for slot, k in enumerate(surface.tri._edge_slots[0]):
+        if k == classes:    # class k's first slot; classes go in slot order
+            classes += 1
+            a, b, q = _SLOT_CORNERS[slot % 6]
+            row, quad = surface.triangles[slot // 6], surface.quads[slot // 6]
+            chi += row[a] + row[b] + sum(quad) - quad[q]
+    for fc in surface.tri.face_classes:
         t, f = fc.sides[0]
-        arcs += (sum(surface.triangles[t]) - surface.triangles[t][f]
-                 + sum(surface.quads[t]))
-    return surface.weight - arcs + surface.disc_count
+        chi -= (sum(surface.triangles[t]) - surface.triangles[t][f]
+                + sum(surface.quads[t]))
+    return chi
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Signature codec laws: fixtures, round trips, canonicality."""
 
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -257,6 +258,33 @@ def test_oracle_symmetric_bundles(word):
         assert _canonical(random_relabelling(bundle.tri, rng)) == reference
 
 
+@pytest.mark.parametrize("word", SYMMETRIC_WORDS)
+def test_marked_orbits_prune_the_starts(word):
+    # Every oracle above also passes with no start ever skipped, only
+    # slower.  With the skip, about one start is grown per orbit of the
+    # group, plus one per automorphism found; each automorphism found at
+    # least doubles the group.
+    bundle = build_bundle(word)
+    rng = random.Random(word)
+    grow = isosig._grow
+    for tri in [bundle.tri] + [random_relabelling(bundle.tri, rng)
+                               for _ in range(3)]:
+        dest, partner = isosig._flatten(tri)[:2]
+        firsts = [c for t in range(tri.n)
+                  for c in isosig._first_characters(dest, partner, t)]
+        grown = []
+
+        def spy(*args):
+            grown.append(args[4:6])
+            return grow(*args)
+
+        with mock.patch.object(isosig, "_grow", spy):
+            _, order = isosig._canonical(tri)
+        assert order > 1
+        assert len(grown) <= (firsts.count(min(firsts)) / order
+                              + math.log2(order)), (word, order)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.booleans(), SEEDS)
 def test_group_order_counts_canonical_starts(n, closed, seed):
@@ -306,6 +334,9 @@ def test_bundle_group_order_law():
                 rotations = sum(word[i:] + word[:i] == word
                                 for i in range(len(word)))
                 assert order % (2 * rotations) == 0, (word, order)
+                if order >= 24:
+                    assert (signature, order) == reference_canonical_starts(
+                        bundle.tri), word
 
 
 # -- differential oracle: the labelling kernel against the reference -----
