@@ -1,12 +1,15 @@
-"""Certifying the complexity lower bound.
+"""Certificates for the complexity lower bound.
 
 A rank-2 subgroup of the colouring space whose three canonical surfaces
-meet every tetrahedron in a quadrilateral forces
+meet every tetrahedron in a quadrilateral gives
 
     |T| = sum of -chi over the three surfaces,
 
-and the triangulation is minimal with an even number of tetrahedra.
-The four census fixtures all carry such a certificate.
+with an even number of tetrahedra.  The four census fixtures all carry
+such a certificate.  The canonical surfaces only bound the norms from
+above (the "norm upper bounds" printed below), so the equality does not
+show that the triangulation is minimal; the fixtures' minimality comes
+from the census they were taken from.
 """
 
 import pathlib

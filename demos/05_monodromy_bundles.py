@@ -2,9 +2,11 @@
 
 Each positive word in the transvections R and L layers one tetrahedron
 per letter and closes up through the monodromy.  Euler characteristics
-of canonical surfaces count horizontal quadrilaterals, and words whose
-mod-2 monodromy is the identity certify their own minimality; the other
-words certify through a 2- or 3-fold cyclic cover.
+of canonical surfaces count horizontal quadrilaterals.  A word whose
+mod-2 monodromy is the identity carries a bound certificate itself, and
+the other words through a 2- or 3-fold cyclic cover.  The certificate
+does not prove minimality: that these triangulations are minimal is the
+paper's theorem.
 """
 
 from idealtri import (

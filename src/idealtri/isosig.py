@@ -197,9 +197,14 @@ def _first_characters(dest, partner, t):
     free, 4 + g when glued to facet g of t itself, and otherwise the
     first facet of t glued to the same neighbour."""
     base = 4 * t
-    row = dest[base:base + 4]
-    shape = tuple(-1 if d < 0 else 4 + partner[base + f] - base if d == t
-                  else row.index(d) for f, d in enumerate(row))
+    d0, d1, d2, d3 = dest[base:base + 4]
+    shape = (-1 if d0 < 0 else 4 + partner[base] - base if d0 == t else 0,
+             -1 if d1 < 0 else 4 + partner[base + 1] - base if d1 == t
+             else 0 if d1 == d0 else 1,
+             -1 if d2 < 0 else 4 + partner[base + 2] - base if d2 == t
+             else 0 if d2 == d0 else 1 if d2 == d1 else 2,
+             -1 if d3 < 0 else 4 + partner[base + 3] - base if d3 == t
+             else 0 if d3 == d0 else 1 if d3 == d1 else 2 if d3 == d2 else 3)
     chars = _FIRST.get(shape)
     if chars is None:
         # Grow them on a model of the row: tetrahedron 0 with its free and

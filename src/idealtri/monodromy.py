@@ -145,7 +145,7 @@ def build_bundle(word):
 
 
 # ---------------------------------------------------------------------------
-# the minimality certificate
+# the bound certificate
 
 @dataclass(frozen=True)
 class BundleCertificate:
@@ -175,11 +175,13 @@ class BundleCertificate:
 
 
 def bundle_certificate(word):
-    """Certify minimality of the monodromy triangulation.
+    """The bound certificate of the monodromy triangulation.
 
     When the mod-2 monodromy is not the identity the check runs on the
-    2- or 3-fold cyclic cover that trivialises it; minimality of the
-    base follows from minimality of the cover.
+    2- or 3-fold cyclic cover that trivialises it.  The certificate
+    shows |T| = sum of -chi on T's own canonical surfaces, which bound
+    the norms only from above, so it does not prove minimality; that
+    the monodromy triangulations are minimal is the paper's theorem.
     """
     analysis = word_analysis(word)
     k = analysis.mod2_order

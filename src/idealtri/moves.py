@@ -17,6 +17,14 @@ face inherits whatever was glued to that face.
 All moves preserve the vertex classes and their links up to
 isomorphism; edge degrees are not protected, so callers re-run the
 anatomy checks afterwards.
+
+``_ball`` gives a move's points, and ``image_degrees`` reads the edge
+degrees of its image off them without building it: the edges of the
+ball are pairs of points.  A pair on a cluster edge stays in that
+edge's class, and its degree moves by the fresh tetrahedra on the pair
+less the cluster ones; a pair only fresh tetrahedra have is a new
+interior edge.  The bounded move search keys its last level by these
+degrees.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .perms import compose, inverse
-from .triangulation import InvalidEdge, _from_table
+from .triangulation import _PAIRS, InvalidEdge, _from_table
 
 
 class MoveError(ValueError):
@@ -68,6 +76,39 @@ def apply_move(tri, site):
     identified with itself in reverse is not a triangulation, so no
     move of any kind applies to it.
     """
+    return _retriangulate(tri, *_ball(tri, site))
+
+
+def image_degrees(tri, site, degrees):
+    """The sorted edge degrees of ``apply_move(tri, site)``, read off
+    the move's ball as the module docstring says; ``degrees[c]`` is the
+    degree of edge class c of ``tri``.  The old interior edge of a 3-2
+    or 4-4 move drops to degree 0 and is left out."""
+    old, new = _ball(tri, site)
+    orbit = tri._edge_slots[0]
+    degrees = list(degrees)
+    classes = {}
+    for t, points in old.items():
+        for k, (a, b) in enumerate(_PAIRS):
+            c = orbit[6 * t + k]
+            degrees[c] -= 1
+            classes[1 << points[a] | 1 << points[b]] = c
+    fresh = {}
+    for points in new:
+        for a, b in _PAIRS:
+            pair = 1 << points[a] | 1 << points[b]
+            c = classes.get(pair)
+            if c is None:
+                fresh[pair] = fresh.get(pair, 0) + 1
+            else:
+                degrees[c] += 1
+    return tuple(sorted([d for d in degrees if d] + list(fresh.values())))
+
+
+def _ball(tri, site):
+    """The ball a move retriangulates, as ``(old, new)`` for
+    ``_retriangulate``: the points of each cluster tetrahedron it
+    removes and of each fresh one it adds."""
     try:
         edges = tri.edge_classes
     except InvalidEdge as exc:
@@ -176,7 +217,7 @@ def _two_three(tri, face_class):
     for x in verts:
         b_points[pi[x]] = x
     new = [(fa, 4, *(v for v in verts if v != x)) for x in verts]
-    return _retriangulate(tri, {ta: (0, 1, 2, 3), tb: tuple(b_points)}, new)
+    return {ta: (0, 1, 2, 3), tb: tuple(b_points)}, new
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +273,7 @@ def _three_two(tri, edge_class):
             "3-2 move needs a degree-three edge in three distinct tetrahedra")
     # top (apex u) and bottom (apex v); label 1+j carries equator point j
     old = _wedge_points(tri, edge_class)
-    return _retriangulate(tri, old, [(4, 0, 1, 2), (5, 0, 1, 2)])
+    return old, [(4, 0, 1, 2), (5, 0, 1, 2)]
 
 
 def _four_four(tri, edge_class, axis):
@@ -246,5 +287,5 @@ def _four_four(tri, edge_class, axis):
     # the new axis joins equator points a1, a2; labels are (pole, a1,
     # off-axis point, a2), the two u-tetrahedra first
     a1, o1, a2, o2 = ((axis + i) % 4 for i in range(4))
-    new = [(4, a1, o1, a2), (4, a1, o2, a2), (5, a1, o1, a2), (5, a1, o2, a2)]
-    return _retriangulate(tri, old, new)
+    return old, [(4, a1, o1, a2), (4, a1, o2, a2),
+                 (5, a1, o1, a2), (5, a1, o2, a2)]

@@ -20,15 +20,29 @@ Every cut and leaf test is an isomorphism invariant and every table is
 visited once, so the first leaf reached of each isomorphism class marks
 all its relabellings, and only it is checked and encoded (the isomorph
 rejection of McKay, "Isomorph-free exhaustive generation", 1998).
+
+The bounded move search rejects isomorphs at its last level by the
+same pattern, an invariant before the certificate.  The classes of that
+level are never expanded, so each is keyed by its sorted edge degrees,
+read off the move's ball by ``moves.image_degrees``, and only an image
+whose key collides with a class already reached is built and encoded;
+one with a new key is a new class and stays a ``(signature, site)``
+pair, encoded only if it is reported as smaller and admissible or the
+caller iterates over ``reachable``.  The levels before it build and
+encode every image, since their classes are expanded from their
+signatures.  This pays at depth 1, where the whole search is the last
+level; in deeper searches most last-level images meet a key already
+reached.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import permutations, product
 
 from .isosig import decode, encode_canonical
-from .moves import apply_move, enumerate_moves
+from .moves import apply_move, enumerate_moves, image_degrees
 from .perms import S4, inverse
 from .triangulation import (
     _CORNER_MOVES, _EDGE_MOVES, _PAIRS, _TET_MOVES, _from_table,
@@ -279,10 +293,56 @@ PREDICATES = {
 
 # -- bounded breadth-first search over the move graph ----------------------
 
+class _Reachable(Set):
+    """The signatures a search reached.  Those it encoded are a set;
+    each last-level class it did not encode, whose key no other class
+    has, is a ``(signature, site)`` pair: a frontier class and the move
+    that reaches it.  Its length encodes nothing; the first iteration or
+    membership test decodes each pair's frontier class once and encodes
+    the image.  The set operators and frozenset's named methods
+    (``union``, ...) give frozensets."""
+
+    def __init__(self, sigs, pairs):
+        self._sigs = sigs
+        self._pairs = list(pairs)
+
+    def __len__(self):
+        return len(self._sigs) + len(self._pairs)
+
+    def _encoded(self):
+        decoded = {}
+        while self._pairs:
+            sig, site = self._pairs.pop()
+            if sig not in decoded:
+                decoded[sig] = decode(sig)
+            self._sigs.add(encode_canonical(apply_move(decoded[sig], site)))
+        return self._sigs
+
+    def __iter__(self):
+        return iter(self._encoded())
+
+    def __contains__(self, sig):
+        return sig in self._encoded()
+
+    def __repr__(self):
+        return repr(frozenset(self._encoded()))
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(frozenset(self._encoded()), name)
+
+    @classmethod
+    def _from_iterable(cls, sigs):
+        return frozenset(sigs)
+
+    __hash__ = Set._hash
+
+
 @dataclass(frozen=True)
 class SearchResult:
     start: str
-    reachable: frozenset
+    reachable: Set
     min_tetrahedra: int
     smaller_admissible: tuple    # sigs below the start size passing the filter
     depth_reached: int
@@ -302,6 +362,23 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
     filter, and which cap cut the search, if any: ``"max_nodes"`` when
     a new signature came after ``max_nodes`` were seen, ``"max_depth"``
     when the frontier was still live at ``max_depth``.
+
+    Levels that are expanded build and encode every image.  The last
+    level is never expanded, so there each class is keyed by its sorted
+    edge degrees (which sum to 6n, so the key fixes the size), read off
+    the move's ball by ``image_degrees``.  An image whose key no class
+    reached so far has is a new class and is kept as its ``(frontier
+    signature, site)`` pair, unbuilt and unencoded, unless it is smaller
+    than the start and admissible, when its signature is reported.  An
+    image whose key collides is built and encoded, with the pair holding
+    that key, and deduplicated by signature.  The classes reached before
+    are keyed as they are expanded, from the degrees their moves read
+    anyway, except the last frontier: the last level may reach one of
+    its classes before expanding it, so those are keyed by
+    ``image_degrees`` as they are reached, one level earlier.  So every
+    field is the one the fully encoding search gives, and ``reachable``
+    encodes the pairs only when iterated or tested for membership; its
+    length encodes nothing.
     """
     if max_depth < 0:
         raise ValueError("search depth must be at least 0")
@@ -310,27 +387,66 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
     # isomorphism invariants, so both are read off the triangulation
     # that first reaches a signature.
     seen = {start: tri.n}
+    keyed = set()       # the keys of the classes in seen
+    lone = {}           # key -> the last level's unencoded class with it
     smaller = []
     frontier = [start]
     reason = None
     depth = 0
     for depth in range(1, max_depth + 1):
+        last = depth == max_depth
         next_frontier = []
         for sig in frontier:
             current = decode(sig)
-            for site in enumerate_moves(current):
+            sites = enumerate_moves(current)
+            degrees = [e.degree for e in current.edge_classes]
+            keyed.add(tuple(sorted(degrees)))
+            for site in sites:
                 if site.kind == "2-3" and current.n + 1 > max_tets:
                     continue
-                image = apply_move(current, site)
-                new_sig = encode_canonical(image)
-                if new_sig in seen:
+                if not last:
+                    image = apply_move(current, site)
+                    new_sig = encode_canonical(image)
+                    if new_sig in seen:
+                        continue
+                    if len(seen) >= max_nodes:
+                        reason = "max_nodes"
+                        break
+                    seen[new_sig] = image.n
+                    if image.n < tri.n and admissible(image):
+                        smaller.append(new_sig)
+                    if depth == max_depth - 1:
+                        keyed.add(image_degrees(current, site, degrees))
+                    next_frontier.append(new_sig)
                     continue
-                if len(seen) >= max_nodes:
+                key = image_degrees(current, site, degrees)
+                n = sum(key) // 6
+                if key in lone:     # met again: encode the first one
+                    first, first_site = lone.pop(key)
+                    first = current if first == sig else decode(first)
+                    seen[encode_canonical(apply_move(first, first_site))] = n
+                    keyed.add(key)
+                image = new_sig = None
+                if key in keyed:
+                    image = apply_move(current, site)
+                    new_sig = encode_canonical(image)
+                    if new_sig in seen:
+                        continue
+                if len(seen) + len(lone) >= max_nodes:
                     reason = "max_nodes"
                     break
-                seen[new_sig] = image.n
-                if image.n < tri.n and admissible(image):
-                    smaller.append(new_sig)
+                if n < tri.n:
+                    if image is None:
+                        image = apply_move(current, site)
+                    if admissible(image):
+                        if new_sig is None:
+                            new_sig = encode_canonical(image)
+                        smaller.append(new_sig)
+                if new_sig is None:
+                    lone[key] = sig, site
+                else:
+                    seen[new_sig] = n
+                    keyed.add(key)
                 next_frontier.append(new_sig)
             if reason:
                 break
@@ -343,8 +459,8 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
 
     return SearchResult(
         start=start,
-        reachable=frozenset(seen),
-        min_tetrahedra=min(seen.values()),
+        reachable=_Reachable(set(seen), lone.values()),
+        min_tetrahedra=min([*seen.values(), *(sum(k) // 6 for k in lone)]),
         smaller_admissible=tuple(sorted(smaller)),
         depth_reached=depth,
         truncation_reason=reason)

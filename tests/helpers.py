@@ -12,11 +12,15 @@ from idealtri.monodromy import (
     BundleTriangulation, IDENT, L_MAT, R_MAT, _mat_mul, build_bundle,
     word_analysis,
 )
-from idealtri.moves import MoveError, _edge_cycle
+from idealtri.moves import (
+    MoveError, _edge_cycle, apply_move, enumerate_moves,
+)
 from idealtri.perms import (
     COMPOSE, INVERSE, S4, S4_INDEX, compose, inverse, sign,
 )
-from idealtri.search import _PERMS_TAKING, random_move_walk
+from idealtri.search import (
+    _PERMS_TAKING, SearchResult, closed_admissible, random_move_walk,
+)
 from idealtri.surfaces import (
     SurfaceComponent, SurfaceComponents, SurfaceError, _arc_stack,
     _boundary_cycle, _disc_sheets, quad_type_of_pair,
@@ -1637,3 +1641,64 @@ def reference_classify_face(tri, t, f):
         if cls[i] == cls[j]:
             return FaceType.MOEBIUS if sgn[i] == sgn[j] else FaceType.CONE
     raise AssertionError("unreachable")
+
+
+def reference_bounded_move_search(tri, max_tets, max_depth,
+                                  max_nodes=200_000,
+                                  admissible=closed_admissible):
+    """``search.bounded_move_search`` as it was before the last level
+    went unencoded: every image is built and encoded.
+
+    Breadth-first exploration of the move graph under a size cap.
+
+    Reports every canonical signature reached, whether any triangulation
+    with fewer tetrahedra than the start satisfies the admissibility
+    filter, and which cap cut the search, if any: ``"max_nodes"`` when
+    a new signature came after ``max_nodes`` were seen, ``"max_depth"``
+    when the frontier was still live at ``max_depth``.
+    """
+    if max_depth < 0:
+        raise ValueError("search depth must be at least 0")
+    start = encode_canonical(tri)
+    # Signature -> number of tetrahedra.  Size and admissibility are
+    # isomorphism invariants, so both are read off the triangulation
+    # that first reaches a signature.
+    seen = {start: tri.n}
+    smaller = []
+    frontier = [start]
+    reason = None
+    depth = 0
+    for depth in range(1, max_depth + 1):
+        next_frontier = []
+        for sig in frontier:
+            current = decode(sig)
+            for site in enumerate_moves(current):
+                if site.kind == "2-3" and current.n + 1 > max_tets:
+                    continue
+                image = apply_move(current, site)
+                new_sig = encode_canonical(image)
+                if new_sig in seen:
+                    continue
+                if len(seen) >= max_nodes:
+                    reason = "max_nodes"
+                    break
+                seen[new_sig] = image.n
+                if image.n < tri.n and admissible(image):
+                    smaller.append(new_sig)
+                next_frontier.append(new_sig)
+            if reason:
+                break
+        if reason or not next_frontier:
+            frontier = next_frontier
+            break
+        frontier = next_frontier
+    if frontier and not reason and depth == max_depth:
+        reason = "max_depth"
+
+    return SearchResult(
+        start=start,
+        reachable=frozenset(seen),
+        min_tetrahedra=min(seen.values()),
+        smaller_admissible=tuple(sorted(smaller)),
+        depth_reached=depth,
+        truncation_reason=reason)

@@ -12,6 +12,7 @@ from idealtri import (
 )
 from idealtri.cohomology import Cocycle, classify_tet_rank1
 from idealtri.monodromy import build_bundle
+from idealtri.moves import image_degrees
 from idealtri.triangulation import InvalidEdge
 
 from helpers import (
@@ -144,6 +145,21 @@ def test_site_index_out_of_range_raises(kind):
     for index in (-1, count):
         with pytest.raises(MoveError, match="not in range"):
             apply_move(tri, MoveSite(kind, index))
+
+
+def test_image_degrees_refuses_what_apply_move_refuses():
+    # both read the move's ball through one checked path
+    for tri, sites in (
+            (build_bundle("RL").tri, [MoveSite("3-2", 0), MoveSite("4-4", 0),
+                                      MoveSite("5-1", 0)]),
+            (decode("gLLMQbeefffehhqxhqq"), [MoveSite("2-3", -1),
+                                              MoveSite("3-2", 6)])):
+        degrees = [e.degree for e in tri.edge_classes]
+        for site in sites:
+            with pytest.raises(MoveError):
+                apply_move(tri, site)
+            with pytest.raises(MoveError):
+                image_degrees(tri, site, degrees)
 
 
 def _edge_class_count(tri):

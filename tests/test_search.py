@@ -1,14 +1,17 @@
 """Enumeration oracles and bounded move-graph search."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from idealtri import (
-    InvalidEdge, bounded_move_search, build_bundle, decode, encode_canonical,
-    enumerate_complexes, lst_build, search, triangulation,
+    InvalidEdge, apply_move, bound_certificate, bounded_move_search,
+    build_bundle, decode, encode_canonical, enumerate_complexes,
+    enumerate_moves, lst_build, search, triangulation,
 )
+from idealtri.moves import image_degrees
 from idealtri.search import (
     PREDICATES, closed_admissible, has_interior_degree3_and_torus_boundary,
     random_move_walk, torus_links_only,
@@ -17,8 +20,8 @@ from idealtri.triangulation import _from_table, _relabel_rows
 
 from helpers import (
     assert_revalidates, random_admissible, random_complex,
-    reference_enumerate_complexes, reference_results, reference_valid_leaves,
-    reference_walk,
+    reference_bounded_move_search, reference_enumerate_complexes,
+    reference_results, reference_valid_leaves, reference_walk,
 )
 
 
@@ -425,3 +428,168 @@ def test_random_move_walk_respects_filter():
     walked = random_move_walk(tri, 5, rng, max_tets=6, keep=torus_links_only)
     assert torus_links_only(walked)
     assert walked.n <= 6
+
+
+def _search_or_error(search_fn, *args):
+    try:
+        return search_fn(*args)
+    except InvalidEdge as exc:
+        return type(exc)
+
+
+def _fields(result):
+    if isinstance(result, type):
+        return result
+    return (result.start, set(result.reachable), result.min_tetrahedra,
+            result.smaller_admissible, result.depth_reached,
+            result.truncation_reason)
+
+
+def _sorted_degrees(tri):
+    return tuple(sorted(e.degree for e in tri.edge_classes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["admissible", "closed", "bounded"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(-1, 1),
+       st.sampled_from([1, 2, 5, 200_000]),
+       st.sampled_from([closed_admissible, torus_links_only]))
+@example("admissible", 42, 3, 1, 200_000, closed_admissible)   # 369 classes
+@example("admissible", 13, 2, 0, 40, torus_links_only)
+@example("closed", 6, 1, 1, 200_000, torus_links_only)      # reversed edge
+@example("closed", 6, 0, 1, 200_000, torus_links_only)
+def test_bounded_search_matches_encoding_oracle(
+        kind, seed, depth, cap, max_nodes, admissible):
+    # The last level keys its images by their edge degrees and encodes
+    # only on a collision: every field is still the fully encoding
+    # search's, and its length costs no encode.
+    rng = random.Random(seed)
+    if kind == "admissible":
+        tri = random_admissible(rng, 3, 6, steps=rng.randrange(2, 9))
+    else:
+        tri = random_complex(rng, rng.randint(1, 4), closed=kind == "closed")
+    args = (tri, tri.n + cap, depth, max_nodes, admissible)
+    encodes = []
+
+    def spy(image):
+        encodes.append(image)
+        return encode_canonical(image)
+
+    with mock.patch.object(search, "encode_canonical", spy):
+        result = _search_or_error(bounded_move_search, *args)
+        searched = len(encodes)
+        if not isinstance(result, type):
+            len(result.reachable)
+            assert len(encodes) == searched
+    expected = _search_or_error(reference_bounded_move_search, *args)
+    assert _fields(result) == _fields(expected)
+    if isinstance(result, type):
+        return
+    assert len(result.reachable) == len(expected.reachable)
+    assert result == expected
+    try:
+        degrees = [e.degree for e in tri.edge_classes]
+    except InvalidEdge:
+        return
+    keys = [_sorted_degrees(tri)]
+    for site in enumerate_moves(tri):
+        key = image_degrees(tri, site, degrees)
+        assert key == _sorted_degrees(apply_move(tri, site))
+        if site.kind != "2-3" or cap >= 1:
+            keys.append(key)
+    if depth == 1 and len(set(keys)) == len(keys):
+        # no image is encoded but the smaller admissible ones
+        assert searched == 1 + len(result.smaller_admissible)
+
+
+@pytest.mark.parametrize("sig", [
+    "eLMkbcdddhhqqa", "fLLQcbcedeelsasti", "fLAPcbcceeedmgsgf",
+    "gLLPQccdeffftngamgv", "gLLMQbcdefffebbpukb", "gvLQQcdefeffncjtceu"])
+def test_two_level_searches_match_encoding_oracle(sig):
+    tri = decode(sig)
+    for max_nodes in (1, 5, 40, 200_000):
+        for admissible in (closed_admissible, torus_links_only):
+            args = (tri, tri.n + 1, 2, max_nodes, admissible)
+            result = bounded_move_search(*args)
+            assert _fields(result) == _fields(
+                reference_bounded_move_search(*args))
+
+
+def test_depth_one_search_with_distinct_keys_encodes_once(monkeypatch):
+    # a probe whose 12 images and start have 13 distinct keys, and no
+    # image is smaller and admissible
+    tri = decode("fLLQcbcdeeehkkhmp")
+    keys = [_sorted_degrees(tri)] + [
+        _sorted_degrees(apply_move(tri, site)) for site in enumerate_moves(tri)]
+    assert len(set(keys)) == len(keys)
+    encodes = []
+
+    def spy(image):
+        encodes.append(image)
+        return encode_canonical(image)
+
+    monkeypatch.setattr(search, "encode_canonical", spy)
+    result = bounded_move_search(tri, tri.n + 1, 1)
+    assert len(result.reachable) == len(keys)
+    assert len(encodes) == 1
+    assert set(result.reachable) == set(
+        reference_bounded_move_search(tri, tri.n + 1, 1).reachable)
+    assert len(encodes) == len(keys)
+
+
+def test_reachable_acts_as_the_frozenset_it_replaces():
+    # Its set operators and frozenset's named methods give frozensets,
+    # its repr shows the signatures, and its unencoded classes are held
+    # as (signature, site) pairs, not as decoded triangulations.
+    tri = decode("gLLPQccdeffftngamgv")
+    result = bounded_move_search(tri, tri.n + 1, 2)
+    reachable = result.reachable
+    assert reachable._pairs
+    assert all(isinstance(sig, str) for sig, _ in reachable._pairs)
+    expected = reference_bounded_move_search(tri, tri.n + 1, 2).reachable
+    start = {result.start}
+    assert reachable | set() == expected | set() == expected
+    assert reachable & start == expected & start == start
+    assert reachable - start == expected - start
+    assert reachable ^ start == expected ^ start
+    assert start - reachable == frozenset()
+    for op in (reachable | set(), reachable & start, reachable - set(),
+               reachable ^ start, reachable.union(), reachable.copy()):
+        assert type(op) is frozenset
+    assert reachable.issubset(expected) and reachable.issuperset(expected)
+    assert reachable.difference(expected) == frozenset()
+    assert hash(reachable) == hash(expected)
+    assert repr(reachable).startswith("frozenset({")
+    assert all(repr(sig) in repr(result) for sig in expected)
+    with pytest.raises(AttributeError):
+        reachable.add
+
+
+def test_depth_zero_search_reads_no_edge_classes():
+    # a reversed edge: every depth from 1 on raises, depth 0 does not
+    tri = decode("cMcabbjns")
+    result = bounded_move_search(tri, 3, 0)
+    assert "_edge_slots" not in vars(tri)
+    assert set(result.reachable) == {"cMcabbjns"}
+    assert result.truncation_reason == "max_depth"
+    for search_fn in (bounded_move_search, reference_bounded_move_search):
+        with pytest.raises(InvalidEdge):
+            search_fn(tri, 3, 1)
+
+
+@pytest.mark.parametrize("sig, reached", [
+    ("iLLLQPcbefegfhhhxxhhhxqhh", "gLLMQbeefffehhqxhqq"),
+    ("iLLLQPcbefegghhhxxhxhhqhh", "gLMzQbcdefffhhhhxqh"),
+    ("iLLLQPcbefgfghhhxqqhqhhhh", "gLMzQbcdefffhxqqxha"),
+])
+def test_certificate_does_not_force_minimality(sig, reached):
+    # Equality on T's own canonical surfaces bounds no other
+    # triangulation: each of these carries a certificate with
+    # sum(-chi) = |T| = 8, and four moves reach smaller admissible ones.
+    tri = decode(sig)
+    cert = bound_certificate(tri)
+    assert cert is not None
+    assert cert.sum_neg_chi == tri.n == 8
+    result = bounded_move_search(tri, 9, 4)
+    assert reached in result.smaller_admissible
+    assert result == reference_bounded_move_search(tri, 9, 4)
