@@ -23,7 +23,7 @@ from .monodromy import MonodromyError, bundle_certificate, word_analysis
 from .moves import enumerate_moves
 from .search import PREDICATES, bounded_move_search, enumerate_complexes
 from .surfaces import euler_characteristic
-from .triangulation import InvalidTriangulation, anatomy_report
+from .triangulation import anatomy_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,8 +48,6 @@ def _load(sig):
         return decode(sig)
     except MalformedSignature as exc:
         raise CliError(EXIT_MALFORMED, "malformed-signature", str(exc))
-    except InvalidTriangulation as exc:
-        raise CliError(EXIT_MALFORMED, "invalid-triangulation", str(exc))
 
 
 def _inputs(value):
@@ -227,11 +225,7 @@ def _report_enumerate(n, filter_name):
                        f"choose from {sorted(PREDICATES)}")
     predicate = PREDICATES[filter_name]
     boundary = 2 if filter_name == "degree3-lst-context" else 0
-    # Both predicates reject every non-orientable complex, so the walk
-    # may cut them early.
-    orientable = filter_name in ("closed-admissible", "torus-links")
-    found = enumerate_complexes(n, predicate, boundary_faces=boundary,
-                                orientable=orientable)
+    found = enumerate_complexes(n, predicate, boundary_faces=boundary)
     return {
         "tetrahedra": n,
         "filter": filter_name,

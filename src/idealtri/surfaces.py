@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cohomology import _rank1_types
+from .perms import sign
 from .triangulation import _PAIRS, _signed_orbits
 
 
@@ -192,23 +193,6 @@ def _disc_sheets(surface):
     return sheets
 
 
-def _boundary_cycle(kind, t, label):
-    """The boundary of a disc as face -> (entry edge, exit edge)."""
-    if kind == "tri":
-        v = label
-        w1, w2, w3 = [x for x in range(4) if x != v]
-        cycle = [(w3, frozenset((v, w1)), frozenset((v, w2))),
-                 (w1, frozenset((v, w2)), frozenset((v, w3))),
-                 (w2, frozenset((v, w3)), frozenset((v, w1)))]
-    else:
-        i = label
-        j, k = sorted({1, 2, 3} - {i})
-        e1, e2 = frozenset((0, j)), frozenset((0, k))
-        e3, e4 = frozenset((i, k)), frozenset((i, j))
-        cycle = [(i, e1, e2), (j, e2, e3), (0, e3, e4), (k, e4, e1)]
-    return {face: (enter, leave) for face, enter, leave in cycle}
-
-
 def _arc_stack(surface, t, f, v):
     """Disc sheets whose arcs cut corner v in face f, nearest first.
 
@@ -259,10 +243,14 @@ def components(surface):
     in the order of their least disc sheet.
 
     The components are the signed orbits of the disc sheets under the
-    matched arcs.  A sheet's sign orients its disc; joined arcs must
-    induce opposite directions, so the sign flips across an arc whose
-    two discs traverse it the same way.  A component is orientable
-    exactly when its signs are consistent.
+    matched arcs.  A sheet's sign orients its disc the way a tetrahedron
+    is oriented, by its vertex order, with the normal towards the vertex
+    of a triangle or the pair {0, i} of quad type i.  Across an arc
+    cutting corner v of a face glued by ``perm``, the two tetrahedra's
+    orientations disagree exactly when ``perm`` is even, and the two
+    normals disagree exactly when one points towards the shared corner
+    and the other away; the sign flips when one of the two disagrees.  A
+    component is orientable exactly when its signs are consistent.
     """
     tri = surface.tri
     sheets = _disc_sheets(surface)
@@ -271,6 +259,7 @@ def components(surface):
     for fc in tri.face_classes:
         (t, f), (t2, f2) = fc.sides
         perm = tri.gluings[t][f][1]
+        even = sign(perm) == 1
         for v in range(4):
             if v == f:
                 continue
@@ -279,14 +268,9 @@ def components(surface):
             if len(side_a) != len(side_b):
                 raise SurfaceError("arc stacks mismatch across a gluing")
             for sa, sb in zip(side_a, side_b):
-                cyc_a = _boundary_cycle(sa[0], sa[1], sa[2])
-                cyc_b = _boundary_cycle(sb[0], sb[1], sb[2])
-                enter_a, leave_a = cyc_a[f]
-                enter_b, leave_b = cyc_b[f2]
-                image = frozenset(perm[x] for x in enter_a)
-                if image != enter_b and image != leave_b:
-                    raise SurfaceError("arc endpoints scrambled by a gluing")
-                flip = image == enter_b     # same traversal direction
+                # The normal points towards the corner: a triangle in the
+                # stack is at the corner, and quad i when it is in {0, i}.
+                flip = even != ((v in (0, sa[2])) != (perm[v] in (0, sb[2])))
                 moves += [(index[sa], index[sb], flip),
                           (index[sb], index[sa], flip)]
     orbit, _, orientable = _signed_orbits(len(sheets), moves)

@@ -22,11 +22,11 @@ Derived classes are signed orbits of dense integer items under gluings:
 - edge slot ``6t + k`` is the ``k``-th edge of tetrahedron ``t`` in the
   order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3), signed by direction;
 - corner ``4t + v`` is vertex ``v`` of tetrahedron ``t``, signed by the
-  orientation of its link triangle.  Across face ``f != v`` glued by
-  ``perm`` the sign flips when ``sign(perm) == (-1)**(v + perm[v])``,
-  and a link is orientable when its corner signs are consistent;
-- tetrahedron ``t`` is signed by orientation, flipping across every
-  gluing by an even permutation.
+  orientation of its link triangle, and tetrahedron ``t`` by its own
+  orientation.  A link triangle is oriented by its tetrahedron's vertex
+  order with its normal towards ``v``, so corners and tetrahedra flip
+  across every gluing by an even permutation; a link is orientable when
+  its corner signs are consistent.
 
 The moves a gluing makes on one tetrahedron's items (``_EDGE_MOVES``,
 ``_CORNER_MOVES``, ``_TET_MOVES``, which the enumerator merges by) are
@@ -74,9 +74,6 @@ class EdgeClass:
     @property
     def degree(self):
         return len(self.occurrences)
-
-    def slots(self):
-        return [(t, pair) for t, pair, _ in self.occurrences]
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ _EDGE_MOVES = {p: tuple(tuple((k, _SLOT[p[a]][p[b]], p[a] > p[b])
                               for k, (a, b) in enumerate(_PAIRS)
                               if f != a and f != b) for f in range(4))
                for p in S4}
-_CORNER_MOVES = {p: tuple(tuple((v, p[v], sign(p) == (-1) ** (v + p[v]))
+_CORNER_MOVES = {p: tuple(tuple((v, p[v], sign(p) == 1)
                                 for v in range(4) if v != f)
                           for f in range(4))
                  for p in S4}
@@ -286,19 +283,7 @@ class Triangulation:
 
         self.n = n
         self.gluings = tuple(tuple(row) for row in table)
-
-        # connectivity
-        seen = {0}
-        stack = [0]
-        while stack:
-            t = stack.pop()
-            for f in range(4):
-                if self.gluings[t][f] is not None:
-                    t2 = self.gluings[t][f][0]
-                    if t2 not in seen:
-                        seen.add(t2)
-                        stack.append(t2)
-        if len(seen) != n:
+        if len(_walk(self.gluings, _TET_STEPS)[2]) != 1:
             raise InvalidTriangulation("triangulation is not connected")
 
     # -- basic accessors -------------------------------------------------

@@ -23,7 +23,7 @@ from idealtri.search import (
 )
 from idealtri.surfaces import (
     SurfaceComponent, SurfaceComponents, SurfaceError, _arc_stack,
-    _boundary_cycle, _disc_sheets, quad_type_of_pair,
+    _disc_sheets, quad_type_of_pair,
 )
 from idealtri.triangulation import (
     EdgeClass, FaceClass, FaceType, InvalidEdge, InvalidTriangulation,
@@ -105,6 +105,18 @@ def random_complex(rng, n, closed=False):
     for _ in range(min(extra, len(free) // 2)):
         glue(*rng.sample(free, 2))
     return build(n, gluings, closed=closed)
+
+
+def random_closed_complex(rng, n):
+    """A closed ``random_complex`` with no edge identified with itself
+    in reverse, drawn again until one has none."""
+    while True:
+        tri = random_complex(rng, n, closed=True)
+        try:
+            tri.edge_classes
+        except InvalidEdge:
+            continue
+        return tri
 
 
 def octahedron_model():
@@ -714,9 +726,10 @@ def reference_relabelled(tri, tet_map, vertex_maps):
 
 
 # The walks that searched for isomorphisms, components and the boundary
-# surface before they ran on the labelling and signed-orbit kernels.
-# The differential oracles for ``find_isomorphism``, ``components`` and
-# ``boundary_surface``.
+# surface before they ran on the labelling and signed-orbit kernels, with
+# the disc orientations ``components`` read off boundary cycles before it
+# flipped them by the gluing's parity.  The differential oracles for
+# ``find_isomorphism``, ``components`` and ``boundary_surface``.
 
 def reference_find_isomorphism(t1, t2):
     """A combinatorial isomorphism t1 -> t2, or None.
@@ -759,6 +772,23 @@ def reference_find_isomorphism(t1, t2):
                 return ([tet_map[t] for t in range(t1.n)],
                         [vmaps[t] for t in range(t1.n)])
     return None
+
+
+def _boundary_cycle(kind, t, label):
+    """The boundary of a disc as face -> (entry edge, exit edge)."""
+    if kind == "tri":
+        v = label
+        w1, w2, w3 = [x for x in range(4) if x != v]
+        cycle = [(w3, frozenset((v, w1)), frozenset((v, w2))),
+                 (w1, frozenset((v, w2)), frozenset((v, w3))),
+                 (w2, frozenset((v, w3)), frozenset((v, w1)))]
+    else:
+        i = label
+        j, k = sorted({1, 2, 3} - {i})
+        e1, e2 = frozenset((0, j)), frozenset((0, k))
+        e3, e4 = frozenset((i, k)), frozenset((i, j))
+        cycle = [(i, e1, e2), (j, e2, e3), (0, e3, e4), (k, e4, e1)]
+    return {face: (enter, leave) for face, enter, leave in cycle}
 
 
 def _reference_union_find(surface):

@@ -19,6 +19,7 @@ from idealtri.search import PREDICATES, enumerate_complexes
 from helpers import random_complex
 
 FIXTURE = "gLLMQbeefffehhqxhqq"
+SWEEP_COMMANDS = list(_SINGLE) + ["minsearch"]
 
 
 def invoke(argv):
@@ -34,6 +35,19 @@ def assert_invalid_input(argv):
     lines = out.splitlines()
     assert len(lines) == 1, argv
     assert json.loads(lines[0])["error"]["kind"] == "invalid-input", argv
+
+
+# A signature whose replay is a valid table but whose edge (0,{0,3}) is
+# identified with itself in reverse: decoding accepts it, and every
+# subcommand that reads its edge classes reports an invalid input.
+@pytest.mark.parametrize("command",
+                         [c for c in SWEEP_COMMANDS if c != "encode"])
+def test_reversed_edge_is_invalid_input(command):
+    code, out = invoke([command, "cMcabbjns"])
+    assert code == EXIT_MALFORMED
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid-input"
+    assert "in reverse" in error["message"]
 
 
 def test_decode_reports_shape():
@@ -88,9 +102,6 @@ def test_every_command_reports_one_json_line(n, closed, seed):
         lines = out.splitlines()
         assert len(lines) == 1, argv
         json.loads(lines[0])
-
-
-SWEEP_COMMANDS = list(_SINGLE) + ["minsearch"]
 
 
 @pytest.fixture(scope="module")
@@ -309,26 +320,21 @@ def test_monodromy_reports_are_frozen():
     assert "".join(reports) == golden.read_text(encoding="utf-8")
 
 
-def test_orientable_pruning_only_under_orientable_filters(monkeypatch):
-    # a filter may ask the walk to cut non-orientable gluings only if its
-    # predicate rejects every non-orientable complex
-    everything = enumerate_complexes(1, None, boundary_faces=None)
-    non_orientable = [t for t in everything.values() if not t.is_orientable]
-    assert non_orientable
+def test_enumerate_passes_only_predicate_and_boundary(monkeypatch):
+    # enumerate_complexes decides itself whether a filter's walk may cut
+    # non-orientable gluings; the CLI hands it the predicate and the
+    # number of free faces alone
     asked = {}
 
-    def spy(n, predicate, boundary_faces, orientable=False):
-        asked[predicate] = orientable
+    def spy(n, predicate, boundary_faces):
+        asked[predicate] = boundary_faces
         return {}
 
     monkeypatch.setattr(cli, "enumerate_complexes", spy)
     for name in PREDICATES:
         assert invoke(["enumerate", "--tets", "1", "--filter", name])[0] == 0
-    assert len(asked) == len(PREDICATES)
-    orientable_only = [p for p, orientable in asked.items() if orientable]
-    assert orientable_only
-    for predicate in orientable_only:
-        assert not any(predicate(t) for t in non_orientable)
+    assert asked == {predicate: 2 if name == "degree3-lst-context" else 0
+                     for name, predicate in PREDICATES.items()}
 
 
 def test_cohomology_command():

@@ -1,13 +1,15 @@
 """Monodromy bundles: word analysis, construction, covers, certificates."""
 
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealtri import (
     MonodromyError, build_bundle, bundle_certificate, cover, cocycle_space,
-    canonical_surface, encode_canonical, euler_characteristic, word_analysis,
+    canonical_surface, decode, encode_canonical, euler_characteristic,
+    read_census, word_analysis,
 )
 from idealtri.monodromy import _ELLIPTIC, _closure, _mat_mul, _mat_mod2, IDENT
 from idealtri.perms import IDENTITY
@@ -215,6 +217,22 @@ def test_longer_words_build():
 def test_admissible_word_counts():
     assert len(admissible_words(6)) == 62
     assert sum(len(admissible_words(k)) for k in range(2, 7)) == 114
+
+
+def test_bound_attaining_fixtures_are_not_monodromy_triangulations():
+    # The shipped census triangulations attain the bound without being
+    # the closure of any word of their length through either twist.
+    census = (pathlib.Path(__file__).resolve().parents[1] / "demos"
+              / "bound_attaining.census").read_text(encoding="utf-8")
+    closures = {n: {encode_canonical(_closure(w, twist))
+                    for w in admissible_words(n)
+                    for twist in (IDENTITY, _ELLIPTIC)} for n in (6, 8)}
+    assert [len(closures[6]), len(closures[8])] == [14, 34]
+    sigs = read_census(census)
+    assert len(sigs) == 4
+    for sig in sigs:
+        tri = decode(sig)
+        assert encode_canonical(tri) not in closures[tri.n]
 
 
 def test_closure_lets_unexpected_errors_surface(monkeypatch):

@@ -1,6 +1,7 @@
 """Canonical and vertex-linking normal surfaces, cell-count Euler
 characteristics, components, orientability."""
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,8 @@ from idealtri.cohomology import classify_rank2
 from idealtri.monodromy import build_bundle
 
 from helpers import (
-    random_admissible, reference_components, reference_least_sheets,
+    random_admissible, random_closed_complex, reference_components,
+    reference_least_sheets,
 )
 
 CENSUS_FIXTURES = [
@@ -234,22 +236,28 @@ def test_sum_with_vertex_link_splits_into_both():
         assert euler_characteristic(both) == euler_characteristic(surface)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_components_match_reference(seed):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 2 ** 32 - 1))
+def test_components_match_reference(n, seed):
     # The same components as the union-find oracle, listed in the order
-    # of their least disc sheet.
-    tri = random_admissible(random.Random(seed))
-    link = vertex_link_surface(tri)
-    surfaces = [link]
-    for phi in cocycle_space(tri).nonzero_elements():
-        vector = canonical_surface(tri, phi).coordinate_vector()
-        surfaces += [
-            from_coordinates(tri, vector),
-            from_coordinates(tri, [2 * x for x in vector]),
-            from_coordinates(tri, [x + y for x, y in zip(
-                vector, link.coordinate_vector())])]
-    for surface in surfaces:
+    # of their least disc sheet: over admissible triangulations (n = 0)
+    # and closed complexes of n tetrahedra, many of them non-orientable;
+    # for the vertex links and canonical surfaces, their doubles and
+    # triples, and their embeddable pairwise sums.
+    rng = random.Random(seed)
+    tri = random_admissible(rng) if n == 0 else random_closed_complex(rng, n)
+    base = [vertex_link_surface(tri, k).coordinate_vector()
+            for k in range(len(tri.vertex_classes))]
+    base += [canonical_surface(tri, phi).coordinate_vector()
+             for phi in cocycle_space(tri).nonzero_elements()]
+    vectors = [[m * x for x in v] for v in base for m in (1, 2, 3)]
+    vectors += [[x + y for x, y in zip(v, w)]
+                for v, w in itertools.combinations(base, 2)]
+    for vector in vectors:
+        try:
+            surface = from_coordinates(tri, vector)
+        except SurfaceError:        # two quad types in a tetrahedron
+            continue
         expected = reference_components(surface).components
         by_least = sorted(zip(reference_least_sheets(surface), expected))
         assert components(surface).components == tuple(c for _, c in by_least)

@@ -17,9 +17,11 @@ from idealtri.triangulation import (
 from idealtri.perms import S4, inverse
 
 from helpers import (
-    random_complex, reference_boundary_surface, reference_edge_classes,
-    reference_face_classes, reference_face_types, reference_find_isomorphism,
-    reference_orbits, reference_orientation_signs, reference_vertex_classes,
+    random_admissible, random_closed_complex, random_complex,
+    reference_boundary_surface, reference_edge_classes, reference_face_classes,
+    reference_face_types, reference_find_isomorphism,
+    reference_link_orientable, reference_orbits, reference_orientation_signs,
+    reference_vertex_classes,
 )
 
 FIG8 = "cPcbbbiht"
@@ -229,6 +231,34 @@ def test_derived_data_invariant_under_relabelling():
             assert sorted((v.link_euler, v.link_orientable)
                           for v in other.vertex_classes) == base_links
             assert other.is_orientable == tri.is_orientable
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_links_of_closed_orientable_complexes_are_orientable(n, seed):
+    # a vertex link is orientable when a neighbourhood of the vertex is
+    rng = random.Random(seed)
+    tri = random_admissible(rng) if n == 0 else random_closed_complex(rng, n)
+    if tri.is_orientable:
+        assert all(v.link_orientable for v in tri.vertex_classes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_link_orientability_matches_reference_under_relabelling(n, closed,
+                                                                seed):
+    rng = random.Random(seed)
+    tri = random_complex(rng, n, closed=closed)
+    other = relabelled(tri, rng.sample(range(n), n),
+                       [rng.choice(S4) for _ in range(n)])
+    try:
+        classes = other.vertex_classes
+    except InvalidEdge:
+        return
+    assert [v.link_orientable for v in classes] == [
+        reference_link_orientable(other, list(v.corners)) for v in classes]
+    assert (sorted(v.link_orientable for v in classes)
+            == sorted(v.link_orientable for v in tri.vertex_classes))
 
 
 def test_relabelled_rejects_bad_maps():
