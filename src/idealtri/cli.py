@@ -79,6 +79,7 @@ def _report_decode(sig):
 
 def _report_encode(sig):
     tri = _load(sig)
+    tri.edge_classes        # raises InvalidEdge on a reversed edge
     return {"signature": sig, "canonical": encode_canonical(tri)}
 
 

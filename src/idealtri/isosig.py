@@ -43,6 +43,12 @@ graph isomorphism*, 1981).  A grown start lies outside the known orbits,
 so the automorphism it gives is new and at least doubles the group.  A
 periodic bundle of n tetrahedra grows about 24n / |Aut| starts.
 
+The group is complete when the encode ends, since every start that
+grows the canonical string lies in one orbit.  ``encode_with_automorphisms``
+conjugates it by the best start's labelling into that of
+``decode(signature)``, for the bounded move search, which expands one
+move site per orbit; ``encode_canonical`` never conjugates.
+
 Two triangulations have the same canonical signature exactly when they
 are combinatorially isomorphic.  The same labelling kernel, ``_grow``,
 also decides isomorphism: ``triangulation.find_isomorphism`` grows one
@@ -225,13 +231,36 @@ def encode_canonical(tri):
     return _canonical(tri)[0]
 
 
+def encode_with_automorphisms(tri):
+    """The canonical signature, and the automorphism group of the
+    triangulation ``decode`` rebuilds from it, identity included: each
+    element is ``(tet_map, vertex_maps)`` as ``find_isomorphism`` gives
+    them, so ``relabelled(decode(sig), *element) == decode(sig)``."""
+    signature, _, group, (order, vmap) = _canonical(tri)
+    # decode(signature) is tri relabelled by the best start: tetrahedron
+    # order[i] becomes i, its vertices relabelled by vmap[order[i]].
+    image = [0] * tri.n
+    for i, t in enumerate(order):
+        image[t] = i
+    automorphisms = []
+    for img, tau in group:
+        automorphisms.append((
+            [image[img[t]] for t in order],
+            [S4[COMPOSE[COMPOSE[vmap[img[t]]][INVERSE[tau[t]]]][
+                INVERSE[vmap[t]]]] for t in order]))
+    return signature, automorphisms
+
+
 def _canonical(tri):
-    """The canonical signature and the order of the automorphism group.
+    """The canonical signature, the order of the automorphism group, its
+    elements and the labelling ``(order, vmap)`` of the best start.
 
     Starts are numbered ``24 * tet + perm``; only unmarked ones with the
     least first action character are grown, so each automorphism
     ``(img, tau)`` found is new.  It takes start ``24a + p`` to
-    ``24 img[a] + p.tau[a]``; ``group`` keys each by its image of start 0.
+    ``24 img[a] + p.tau[a]``, so it maps tetrahedron a onto img[a] with
+    the vertex map ``INVERSE[tau[a]]``; ``group`` keys each by its image
+    of start 0.
     """
     dest, partner, _, _ = flat = _flatten(tri)
     size_str, n_chars = _size_chars(tri.n)
@@ -296,7 +325,7 @@ def _canonical(tri):
                     elements.append(h)
         mark(grown_starts)
     signature = size_str + (bytes(best_actions) + best_tail).decode()
-    return signature, len(group)
+    return signature, len(group), group.values(), grown_from[best_tail][1:]
 
 
 def decode(sig):

@@ -33,6 +33,10 @@ encode every image, since their classes are expanded from their
 signatures.  This pays at depth 1, where the whole search is the last
 level; in deeper searches most last-level images meet a key already
 reached.
+
+Each class the search expands is encoded with its automorphism group,
+and only the first move site of each orbit is tried: the others give
+isomorphic images (McKay, "Practical graph isomorphism", 1981).
 """
 
 from __future__ import annotations
@@ -41,11 +45,11 @@ from collections.abc import Set
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .isosig import decode, encode_canonical
+from .isosig import decode, encode_canonical, encode_with_automorphisms
 from .moves import apply_move, enumerate_moves, image_degrees
 from .perms import S4, inverse
 from .triangulation import (
-    _CORNER_MOVES, _EDGE_MOVES, _PAIRS, _TET_MOVES, _from_table,
+    _CORNER_MOVES, _EDGE_MOVES, _PAIRS, _SLOT, _TET_MOVES, _from_table,
     _relabel_rows, boundary_surface,
 )
 
@@ -379,14 +383,25 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
     field is the one the fully encoding search gives, and ``reachable``
     encodes the pairs only when iterated or tested for membership; its
     length encodes nothing.
+
+    The start and the images of the levels before the last, the classes
+    that are expanded, are encoded by ``encode_with_automorphisms``; a
+    group other than the identity is kept by signature until its class
+    is expanded.  ``_orbit_heads`` then drops each 2-3 or 3-2 site that
+    an automorphism takes to an earlier site.  Its image is isomorphic
+    to that site's, so the search would have found it reached, and every
+    field, ``truncation_reason`` included, is unchanged.
     """
     if max_depth < 0:
         raise ValueError("search depth must be at least 0")
-    start = encode_canonical(tri)
+    start, automorphisms = encode_with_automorphisms(tri)
     # Signature -> number of tetrahedra.  Size and admissibility are
     # isomorphism invariants, so both are read off the triangulation
     # that first reaches a signature.
     seen = {start: tri.n}
+    # The frontier classes with automorphisms other than the identity,
+    # in the labelling of their decoded signatures.
+    groups = {start: automorphisms} if len(automorphisms) > 1 else {}
     keyed = set()       # the keys of the classes in seen
     lone = {}           # key -> the last level's unencoded class with it
     smaller = []
@@ -399,6 +414,8 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
         for sig in frontier:
             current = decode(sig)
             sites = enumerate_moves(current)
+            if sig in groups:
+                sites = _orbit_heads(current, sites, groups.pop(sig))
             degrees = [e.degree for e in current.edge_classes]
             keyed.add(tuple(sorted(degrees)))
             for site in sites:
@@ -406,13 +423,15 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
                     continue
                 if not last:
                     image = apply_move(current, site)
-                    new_sig = encode_canonical(image)
+                    new_sig, automorphisms = encode_with_automorphisms(image)
                     if new_sig in seen:
                         continue
                     if len(seen) >= max_nodes:
                         reason = "max_nodes"
                         break
                     seen[new_sig] = image.n
+                    if len(automorphisms) > 1:
+                        groups[new_sig] = automorphisms
                     if image.n < tri.n and admissible(image):
                         smaller.append(new_sig)
                     if depth == max_depth - 1:
@@ -464,6 +483,35 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
         smaller_admissible=tuple(sorted(smaller)),
         depth_reached=depth,
         truncation_reason=reason)
+
+
+def _orbit_heads(tri, sites, automorphisms):
+    """The sites no automorphism takes to an earlier site of the same
+    kind, in order.  A 2-3 site's orbit is read off the first side of
+    its face class, a 3-2 site's off the first slot of its edge class;
+    4-4 sites are all kept.  The identity is among ``automorphisms``, so
+    a site heads its orbit when no image has a smaller index."""
+    face_of = {}
+    for fc in tri.face_classes:
+        for t, f in fc.sides:
+            face_of[4 * t + f] = fc.index
+    slots = tri._edge_slots[0]
+    heads = []
+    for site in sites:
+        if site.kind == "2-3":
+            t, f = tri.face_classes[site.index].sides[0]
+            images = (face_of[4 * img[t] + maps[t][f]]
+                      for img, maps in automorphisms)
+        elif site.kind == "3-2":
+            t, (a, b), _ = tri.edge_classes[site.index].occurrences[0]
+            images = (slots[6 * img[t] + _SLOT[maps[t][a]][maps[t][b]]]
+                      for img, maps in automorphisms)
+        else:
+            heads.append(site)
+            continue
+        if min(images) == site.index:
+            heads.append(site)
+    return heads
 
 
 def random_move_walk(tri, steps, rng, max_tets=8, keep=None):

@@ -283,7 +283,7 @@ class Triangulation:
 
         self.n = n
         self.gluings = tuple(tuple(row) for row in table)
-        if len(_walk(self.gluings, _TET_STEPS)[2]) != 1:
+        if len(self._tets[2]) != 1:
             raise InvalidTriangulation("triangulation is not connected")
 
     # -- basic accessors -------------------------------------------------
@@ -380,9 +380,13 @@ class Triangulation:
         return self._corners[0][4 * t + v]
 
     @cached_property
+    def _tets(self):
+        return _walk(self.gluings, _TET_STEPS)
+
+    @cached_property
     def orientation_signs(self):
         """Coherent orientation signs per tetrahedron, or None."""
-        _, signs, consistent = _walk(self.gluings, _TET_STEPS)
+        _, signs, consistent = self._tets
         return tuple(signs) if consistent[0] else None
 
     @cached_property

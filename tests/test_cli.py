@@ -13,7 +13,8 @@ from idealtri import cli, cohomology
 from idealtri.cli import (
     EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, _SINGLE, run,
 )
-from idealtri.isosig import decode, encode_canonical
+from idealtri.isosig import decode, encode_canonical, read_census
+from idealtri.monodromy import build_bundle
 from idealtri.search import PREDICATES, enumerate_complexes
 
 from helpers import random_complex
@@ -39,9 +40,8 @@ def assert_invalid_input(argv):
 
 # A signature whose replay is a valid table but whose edge (0,{0,3}) is
 # identified with itself in reverse: decoding accepts it, and every
-# subcommand that reads its edge classes reports an invalid input.
-@pytest.mark.parametrize("command",
-                         [c for c in SWEEP_COMMANDS if c != "encode"])
+# subcommand reports an invalid input.
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
 def test_reversed_edge_is_invalid_input(command):
     code, out = invoke([command, "cMcabbjns"])
     assert code == EXIT_MALFORMED
@@ -317,6 +317,29 @@ def test_monodromy_reports_are_frozen():
         code, out = invoke(["monodromy", "--word", word])
         assert code == EXIT_OK
         reports.append(out)
+    assert "".join(reports) == golden.read_text(encoding="utf-8")
+
+
+def test_minsearch_reports_are_frozen():
+    # the reports the search printed before it pruned its sites by the
+    # automorphism group: the census fixtures, a two-tetrahedron
+    # complex and three bundles, under caps of one to three tetrahedra
+    # above the start
+    here = pathlib.Path(__file__).parent
+    golden = here / "golden" / "minsearch_reports.txt"
+    census = here.parent / "demos" / "bound_attaining.census"
+    words = ("RRLL", "RLRLRL", "RRLRRL")
+    sigs = (read_census(census.read_text(encoding="utf-8")) + ["cPcbbbiht"]
+            + [build_bundle(word).signature for word in words])
+    reports = []
+    for sig in sigs:
+        for extra in (1, 2, 3):
+            for depth in (2, 3):
+                code, out = invoke(["minsearch", sig, "--cap",
+                                    str(decode(sig).n + extra),
+                                    "--depth", str(depth)])
+                assert code == EXIT_OK
+                reports.append(out)
     assert "".join(reports) == golden.read_text(encoding="utf-8")
 
 

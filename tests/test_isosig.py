@@ -13,8 +13,9 @@ from idealtri import (
     lst_build, read_census, relabelled,
 )
 from idealtri import find_isomorphism, isosig
-from idealtri.isosig import SCHARS, _canonical
-from idealtri.perms import S4
+from idealtri.isosig import SCHARS, _canonical, encode_with_automorphisms
+from idealtri.monodromy import _ELLIPTIC, _closure
+from idealtri.perms import IDENTITY, S4
 
 from helpers import (
     assert_revalidates, random_admissible, random_complex,
@@ -255,7 +256,7 @@ def test_oracle_symmetric_bundles(word):
     assert reference[0] == bundle.signature
     rng = random.Random(word)
     for _ in range(3):
-        assert _canonical(random_relabelling(bundle.tri, rng)) == reference
+        assert _canonical(random_relabelling(bundle.tri, rng))[:2] == reference
 
 
 @pytest.mark.parametrize("word", SYMMETRIC_WORDS)
@@ -279,7 +280,7 @@ def test_marked_orbits_prune_the_starts(word):
             return grow(*args)
 
         with mock.patch.object(isosig, "_grow", spy):
-            _, order = isosig._canonical(tri)
+            _, order = isosig._canonical(tri)[:2]
         assert order > 1
         assert len(grown) <= (firsts.count(min(firsts)) / order
                               + math.log2(order)), (word, order)
@@ -289,7 +290,7 @@ def test_marked_orbits_prune_the_starts(word):
 @given(st.integers(1, 4), st.booleans(), SEEDS)
 def test_group_order_counts_canonical_starts(n, closed, seed):
     tri = random_complex(random.Random(seed), n, closed=closed)
-    assert _canonical(tri) == reference_canonical_starts(tri)
+    assert _canonical(tri)[:2] == reference_canonical_starts(tri)
 
 
 @settings(max_examples=80, deadline=None)
@@ -313,7 +314,7 @@ def test_first_character_table_matches_grow(n, closed, seed):
         return grow(dest, partner, back, rows, start, start_perm, bound)
 
     with mock.patch.object(isosig, "_grow", spy):
-        assert isosig._canonical(tri) == reference_canonical_starts(tri)
+        assert isosig._canonical(tri)[:2] == reference_canonical_starts(tri)
     assert grown
     assert all(firsts[s] == min(firsts) for s in grown)
 
@@ -329,7 +330,7 @@ def test_bundle_group_order_law():
             for k in (1, 2, 3):
                 word = cover("".join(letters), k)
                 bundle = build_bundle(word)
-                signature, order = _canonical(bundle.tri)
+                signature, order = _canonical(bundle.tri)[:2]
                 assert signature == bundle.signature
                 rotations = sum(word[i:] + word[:i] == word
                                 for i in range(len(word)))
@@ -337,6 +338,43 @@ def test_bundle_group_order_law():
                 if order >= 24:
                     assert (signature, order) == reference_canonical_starts(
                         bundle.tri), word
+
+
+def assert_automorphism_law(tri, rng):
+    """Every automorphism returned keeps the gluings of the decoded
+    signature, there are as many as the group's order, and relabelling
+    the input returns the same set."""
+    sig, automorphisms = encode_with_automorphisms(tri)
+    canonical = decode(sig)
+    assert all(relabelled(canonical, *g) == canonical for g in automorphisms)
+    group = {(tuple(m), tuple(v)) for m, v in automorphisms}
+    assert len(group) == len(automorphisms) == _canonical(tri)[1]
+    again = encode_with_automorphisms(random_relabelling(tri, rng))
+    assert again[0] == sig
+    assert {(tuple(m), tuple(v)) for m, v in again[1]} == group
+    return len(group)
+
+
+def test_automorphisms_of_bundle_closures_keep_the_gluings():
+    # both closures of every admissible word of length 2 to 5
+    orders = []
+    for length in range(2, 6):
+        for letters in itertools.product("RL", repeat=length):
+            if "R" not in letters or "L" not in letters:
+                continue
+            word = "".join(letters)
+            rng = random.Random(word)
+            for twist in (IDENTITY, _ELLIPTIC):
+                orders.append(assert_automorphism_law(_closure(word, twist),
+                                                      rng))
+    assert max(orders) >= 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.booleans(), SEEDS)
+def test_automorphisms_of_random_complexes_keep_the_gluings(n, closed, seed):
+    rng = random.Random(seed)
+    assert_automorphism_law(random_complex(rng, n, closed=closed), rng)
 
 
 # -- differential oracle: the labelling kernel against the reference -----

@@ -1,5 +1,7 @@
 """Enumeration oracles and bounded move-graph search."""
 
+import contextlib
+import itertools
 import random
 from unittest import mock
 
@@ -11,12 +13,15 @@ from idealtri import (
     build_bundle, decode, encode_canonical, enumerate_complexes,
     enumerate_moves, lst_build, search, triangulation,
 )
+from idealtri.isosig import encode_with_automorphisms
+from idealtri.monodromy import _ELLIPTIC, _closure
 from idealtri.moves import image_degrees
+from idealtri.perms import IDENTITY, S4
 from idealtri.search import (
     PREDICATES, closed_admissible, has_interior_degree3_and_torus_boundary,
     random_move_walk, torus_links_only,
 )
-from idealtri.triangulation import _from_table, _relabel_rows
+from idealtri.triangulation import _from_table, _relabel_rows, relabelled
 
 from helpers import (
     assert_revalidates, random_admissible, random_complex,
@@ -449,6 +454,22 @@ def _sorted_degrees(tri):
     return tuple(sorted(e.degree for e in tri.edge_classes))
 
 
+@contextlib.contextmanager
+def _counting_encodes(encodes):
+    """Patch both of the search's encoders to record each triangulation
+    they encode in ``encodes``."""
+    def spy(encoder):
+        def recorded(image):
+            encodes.append(image)
+            return encoder(image)
+        return recorded
+
+    with mock.patch.multiple(
+            search, encode_canonical=spy(encode_canonical),
+            encode_with_automorphisms=spy(encode_with_automorphisms)):
+        yield
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["admissible", "closed", "bounded"]),
        st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(-1, 1),
@@ -470,12 +491,7 @@ def test_bounded_search_matches_encoding_oracle(
         tri = random_complex(rng, rng.randint(1, 4), closed=kind == "closed")
     args = (tri, tri.n + cap, depth, max_nodes, admissible)
     encodes = []
-
-    def spy(image):
-        encodes.append(image)
-        return encode_canonical(image)
-
-    with mock.patch.object(search, "encode_canonical", spy):
+    with _counting_encodes(encodes):
         result = _search_or_error(bounded_move_search, *args)
         searched = len(encodes)
         if not isinstance(result, type):
@@ -502,6 +518,75 @@ def test_bounded_search_matches_encoding_oracle(
         assert searched == 1 + len(result.smaller_admissible)
 
 
+@pytest.mark.parametrize("length", [2, 3, 4, 5])
+def test_searches_from_symmetric_starts_match_encoding_oracle(length):
+    # Bundle closures have automorphisms, so the search expands one move
+    # site per orbit; from any labelling of the start every field is the
+    # fully encoding search's.  The oracle depends only on the start's
+    # class, so it runs once per class.
+    expected = {}
+    symmetric = 0
+    for letters in itertools.product("RL", repeat=length):
+        if "R" not in letters or "L" not in letters:
+            continue
+        word = "".join(letters)
+        rng = random.Random(word)
+        for twist in (IDENTITY, _ELLIPTIC):
+            closure = _closure(word, twist)
+            sig, automorphisms = encode_with_automorphisms(closure)
+            symmetric += len(automorphisms) > 1
+            tet_map = list(range(length))
+            rng.shuffle(tet_map)
+            relabelling = relabelled(closure, tet_map,
+                                     [rng.choice(S4) for _ in tet_map])
+            for tri in (closure, relabelling):
+                for depth, max_nodes in itertools.product(
+                        (1, 2, 3), (1, 5, 40, 200_000)):
+                    args = (tri, tri.n + 1, depth, max_nodes)
+                    if (sig, depth, max_nodes) not in expected:
+                        expected[sig, depth, max_nodes] = (
+                            reference_bounded_move_search(*args))
+                    oracle = expected[sig, depth, max_nodes]
+                    result = bounded_move_search(*args)
+                    assert _fields(result) == _fields(oracle), (word, args)
+                    assert len(result.reachable) == len(oracle.reachable)
+    assert symmetric
+
+
+def test_orbit_heads_drop_only_sites_with_an_earlier_isomorphic_image():
+    # the classes two moves or fewer from the closures of the words of
+    # length 2 and 3 that have automorphisms other than the identity
+    classes = set()
+    for letters in itertools.chain(itertools.product("RL", repeat=2),
+                                   itertools.product("RL", repeat=3)):
+        if "R" in letters and "L" in letters:
+            word = "".join(letters)
+            classes.update(encode_canonical(_closure(word, twist))
+                           for twist in (IDENTITY, _ELLIPTIC))
+    for _ in range(2):
+        for sig in list(classes):
+            tri = decode(sig)
+            classes.update(encode_canonical(apply_move(tri, site))
+                           for site in enumerate_moves(tri))
+    dropped = set()
+    for sig in sorted(classes):
+        tri = decode(sig)
+        _, automorphisms = encode_with_automorphisms(tri)
+        if len(automorphisms) == 1:
+            continue
+        sites = enumerate_moves(tri)
+        heads = search._orbit_heads(tri, sites, automorphisms)
+        kept = set()
+        for site in sites:
+            image = encode_canonical(apply_move(tri, site))
+            if site in heads:
+                kept.add(image)
+            else:
+                assert image in kept, (sig, site)
+                dropped.add(site.kind)
+    assert dropped == {"2-3", "3-2"}
+
+
 @pytest.mark.parametrize("sig", [
     "eLMkbcdddhhqqa", "fLLQcbcedeelsasti", "fLAPcbcceeedmgsgf",
     "gLLPQccdeffftngamgv", "gLLMQbcdefffebbpukb", "gvLQQcdefeffncjtceu"])
@@ -515,7 +600,7 @@ def test_two_level_searches_match_encoding_oracle(sig):
                 reference_bounded_move_search(*args))
 
 
-def test_depth_one_search_with_distinct_keys_encodes_once(monkeypatch):
+def test_depth_one_search_with_distinct_keys_encodes_once():
     # a probe whose 12 images and start have 13 distinct keys, and no
     # image is smaller and admissible
     tri = decode("fLLQcbcdeeehkkhmp")
@@ -523,18 +608,13 @@ def test_depth_one_search_with_distinct_keys_encodes_once(monkeypatch):
         _sorted_degrees(apply_move(tri, site)) for site in enumerate_moves(tri)]
     assert len(set(keys)) == len(keys)
     encodes = []
-
-    def spy(image):
-        encodes.append(image)
-        return encode_canonical(image)
-
-    monkeypatch.setattr(search, "encode_canonical", spy)
-    result = bounded_move_search(tri, tri.n + 1, 1)
-    assert len(result.reachable) == len(keys)
-    assert len(encodes) == 1
-    assert set(result.reachable) == set(
-        reference_bounded_move_search(tri, tri.n + 1, 1).reachable)
-    assert len(encodes) == len(keys)
+    with _counting_encodes(encodes):
+        result = bounded_move_search(tri, tri.n + 1, 1)
+        assert len(result.reachable) == len(keys)
+        assert len(encodes) == 1
+        assert set(result.reachable) == set(
+            reference_bounded_move_search(tri, tri.n + 1, 1).reachable)
+        assert len(encodes) == len(keys)
 
 
 def test_reachable_acts_as_the_frozenset_it_replaces():
