@@ -273,13 +273,8 @@ def has_interior_degree3_and_torus_boundary(tri):
 def closed_admissible(tri):
     """Closed, orientable, one vertex with torus link, no low-degree
     edges: the combinatorial shadow of the census filters."""
-    if not tri.is_closed or not tri.is_orientable:
-        return False
-    if len(tri.vertex_classes) != 1:
-        return False
-    if not tri.vertex_classes[0].is_torus_link:
-        return False
-    return min(e.degree for e in tri.edge_classes) >= 3
+    return (torus_links_only(tri) and len(tri.vertex_classes) == 1
+            and min(e.degree for e in tri.edge_classes) >= 3)
 
 
 def torus_links_only(tri):

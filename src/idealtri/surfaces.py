@@ -7,7 +7,9 @@ so it is disjoint from exactly that pair of opposite edges.
 
 The induced cell structure has one 0-cell per intersection point with
 an edge, one 1-cell per matched arc in a face, and the discs as
-2-cells; the Euler characteristic is computed from these counts.
+2-cells; ``euler_characteristic`` computes chi from these counts.  A
+connected component is itself a normal surface, so ``components``
+reads each component's chi with ``euler_characteristic`` as well.
 
 ``from_coordinates`` checks a vector from outside: its length, signs,
 one quad type per tetrahedron and the matching equations.  Canonical
@@ -18,7 +20,6 @@ and vertex-linking surfaces meet these by construction, so a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cohomology import _rank1_types
 from .perms import sign
@@ -147,7 +148,10 @@ def _surface_of_types(tri, types):
 
 
 def vertex_link_surface(tri, vertex_index=0):
-    """The vertex-linking surface: one triangle per corner of the class."""
+    """The vertex-linking surface: one triangle per corner of the class.
+    Raises ``SurfaceError`` unless ``vertex_index`` numbers a class."""
+    if vertex_index not in range(len(tri.vertex_classes)):
+        raise SurfaceError(f"no vertex class {vertex_index}")
     triangles = [[0, 0, 0, 0] for _ in range(tri.n)]
     for (t, v) in tri.vertex_classes[vertex_index].corners:
         triangles[t][v] = 1
@@ -251,6 +255,9 @@ def components(surface):
     normals disagree exactly when one points towards the shared corner
     and the other away; the sign flips when one of the two disagrees.  A
     component is orientable exactly when its signs are consistent.
+
+    A component is itself a normal surface: its sheets name its discs,
+    and ``euler_characteristic`` reads its chi.
     """
     tri = surface.tri
     sheets = _disc_sheets(surface)
@@ -274,43 +281,21 @@ def components(surface):
                 moves += [(index[sa], index[sb], flip),
                           (index[sb], index[sa], flip)]
     orbit, _, orientable = _signed_orbits(len(sheets), moves)
-    return _assemble_components(surface, index, orbit, moves, orientable)
-
-
-def _assemble_components(surface, index, orbit, moves, orientable):
-    tri = surface.tri
-    discs = [0] * len(orientable)
-    for k in orbit:
-        discs[k] += 1
-    arcs = [0] * len(orientable)
-    for a, _, _ in moves[::2]:      # one move per arc
-        arcs[orbit[a]] += 1
-
-    # 0-cells: a point on an edge class of degree d is a corner of d
-    # discs, one in each occurrence of the edge, joined around it by
-    # arcs; so a component's points on the class are its disc corners
-    # there over d.  A triangle has corners on the edges through its
-    # vertex, a quad on the four edges its type does not avoid.
-    corners = {}        # (component, edge class) -> disc corners
-    for (kind, t, label, _), i in index.items():
-        for a, b in combinations(range(4), 2):
-            if kind == "tri" and label not in (a, b):
-                continue
-            if kind == "quad" and quad_type_of_pair(a, b) == label:
-                continue
-            key = orbit[i], tri.edge_class_of(t, a, b)
-            corners[key] = corners.get(key, 0) + 1
-    points = [0] * len(orientable)
-    for (k, e), count in corners.items():
-        on_edge, left = divmod(count, tri.edge_classes[e].degree)
-        if left:
-            raise SurfaceError("edge point meets several components")
-        points[k] += on_edge
-
-    comps = tuple(SurfaceComponent(euler=points[k] - arcs[k] + discs[k],
-                                   orientable=orientable[k], discs=discs[k])
-                  for k in range(len(orientable)))
-    return SurfaceComponents(surface=surface, components=comps)
+    parts = [([[0] * 4 for _ in range(tri.n)], [[0] * 3 for _ in range(tri.n)])
+             for _ in orientable]
+    for (kind, t, label, _), k in zip(sheets, orbit):
+        triangles, quads = parts[k]
+        if kind == "tri":
+            triangles[t][label] += 1
+        else:
+            quads[t][label - 1] += 1
+    comps = []
+    for (triangles, quads), ok in zip(parts, orientable):
+        part = NormalSurface(tri=tri, triangles=tuple(map(tuple, triangles)),
+                             quads=tuple(map(tuple, quads)))
+        comps.append(SurfaceComponent(euler=euler_characteristic(part),
+                                      orientable=ok, discs=part.disc_count))
+    return SurfaceComponents(surface=surface, components=tuple(comps))
 
 
 def chi_minus(surface):

@@ -12,10 +12,11 @@ edge identified with itself in reverse raises ``InvalidEdge`` when the
 edge classes, or the vertex classes that read them, are computed.
 
 Gluing data is checked where it enters: ``Triangulation(n, gluings,
-closed)``, ``build``, ``subcomplex`` and ``relabelled`` validate it,
-and ``isosig.decode`` checks its action stream as it replays it.  The
-decoder, layering, bistellar moves, the bundle closure and the
-enumerator build valid tables and adopt them through ``_from_table``.
+closed)``, ``build`` and ``subcomplex`` validate it, ``relabelled``
+checks that its maps are bijections, and ``isosig.decode`` checks its
+action stream as it replays it.  The decoder, layering, bistellar
+moves, the bundle closure, the enumerator and ``relabelled`` build
+valid tables and adopt them through ``_from_table``.
 
 Derived classes are signed orbits of dense integer items under gluings:
 
@@ -425,8 +426,8 @@ def _from_table(rows):
     every gluing is listed from both sides, no face is glued to itself
     and the complex is connected.  Only for builders whose output is
     valid by construction (the decoder's replay, moves, layering, the
-    bundle closure and the enumerator's leaves); data from callers is
-    validated by ``Triangulation``."""
+    bundle closure, the enumerator's leaves and ``relabelled``); data
+    from callers is validated by ``Triangulation``."""
     tri = Triangulation.__new__(Triangulation)
     tri.n = len(rows)
     tri.gluings = tuple(tuple(row) for row in rows)
@@ -613,12 +614,10 @@ def _relabel_rows(rows, tet_map, vertex_maps):
 
 def relabelled(tri, tet_map, vertex_maps):
     """Apply an isomorphism: tetrahedron t becomes tet_map[t], with its
-    vertices relabelled by vertex_maps[t]."""
+    vertices relabelled by vertex_maps[t].  Once both maps are checked
+    to be bijections, the relabelled table is valid and adopted."""
     if (sorted(tet_map) != list(range(tri.n)) or len(vertex_maps) != tri.n
             or not all(is_perm(tuple(p)) for p in vertex_maps)):
         raise InvalidTriangulation("relabelling is not a bijection")
-    rows = _relabel_rows(tri.gluings, tet_map,
-                         [S4_INDEX[tuple(p)] for p in vertex_maps])
-    gluings = {(t, f): g for t, row in enumerate(rows)
-               for f, g in enumerate(row)}
-    return Triangulation(tri.n, gluings, closed=tri.is_closed)
+    return _from_table(_relabel_rows(
+        tri.gluings, tet_map, [S4_INDEX[tuple(p)] for p in vertex_maps]))

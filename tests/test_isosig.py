@@ -182,14 +182,16 @@ def random_relabelling(tri, rng):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.booleans(), SEEDS, st.data())
 def test_signature_invariant_under_random_relabelling(n, closed, seed, data):
-    # relabelled runs on the enumerator's S4-index kernel; it agrees with
-    # the gluing-by-gluing relabelling, and the signature ignores both
+    # relabelled runs on the enumerator's S4-index kernel and adopts its
+    # table unchecked; it agrees with the gluing-by-gluing relabelling,
+    # the validating constructor accepts it, and the signature ignores both
     tri = random_complex(random.Random(seed), n, closed=closed)
     tet_map = data.draw(st.permutations(range(n)))
     vertex_maps = data.draw(st.lists(st.sampled_from(S4), min_size=n,
                                      max_size=n))
     other = relabelled(tri, tet_map, vertex_maps)
     assert other == reference_relabelled(tri, tet_map, vertex_maps)
+    assert_revalidates(other)
     assert encode_canonical(other) == encode_canonical(tri)
 
 

@@ -243,7 +243,8 @@ def test_components_match_reference(n, seed):
     # of their least disc sheet: over admissible triangulations (n = 0)
     # and closed complexes of n tetrahedra, many of them non-orientable;
     # for the vertex links and canonical surfaces, their doubles and
-    # triples, and their embeddable pairwise sums.
+    # triples, and their embeddable pairwise sums.  Each component's chi
+    # is read by euler_characteristic, so their sum must be the surface's.
     rng = random.Random(seed)
     tri = random_admissible(rng) if n == 0 else random_closed_complex(rng, n)
     base = [vertex_link_surface(tri, k).coordinate_vector()
@@ -260,7 +261,18 @@ def test_components_match_reference(n, seed):
             continue
         expected = reference_components(surface).components
         by_least = sorted(zip(reference_least_sheets(surface), expected))
-        assert components(surface).components == tuple(c for _, c in by_least)
+        got = components(surface).components
+        assert got == tuple(c for _, c in by_least)
+        assert sum(c.euler for c in got) == euler_characteristic(surface)
+        assert sum(c.discs for c in got) == surface.disc_count
+
+
+def test_vertex_link_of_missing_class_is_rejected():
+    # -1 does not wrap round to the last class
+    tri = decode("cPcbbbiht")
+    for index in (-1, len(tri.vertex_classes)):
+        with pytest.raises(SurfaceError):
+            vertex_link_surface(tri, index)
 
 
 def test_chi_minus_over_mixed_components():
