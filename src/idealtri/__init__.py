@@ -11,7 +11,7 @@ from .triangulation import (
 from .isosig import decode, encode_canonical, read_census, MalformedSignature
 from .cohomology import (
     Cocycle, CocycleBasis, RankTwoColouring, BoundCertificate,
-    ParityError, IdentityError,
+    ParityError, IdentityError, LinkError,
     cocycle_space, classify_rank1, classify_rank2, check_identities,
     bound_certificate, rank2_subgroups,
 )

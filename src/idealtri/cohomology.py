@@ -30,6 +30,11 @@ class IdentityError(AssertionError):
     implementation bug somewhere."""
 
 
+class LinkError(ValueError):
+    """A vertex link is not a torus or Klein bottle, so the counting
+    identities do not apply."""
+
+
 @dataclass(frozen=True)
 class Cocycle:
     """A parity-respecting GF(2) edge colouring, as a bitmask."""
@@ -404,7 +409,7 @@ def certificate_of(rc):
     """The bound certificate of one rank-2 colouring, or None unless
     every tetrahedron has type qqq; then the sum of -chi over the three
     canonical surfaces equals the size of the triangulation, which must
-    be even."""
+    be even.  A failed sum raises ``LinkError`` when a link has chi != 0."""
     from .surfaces import euler_characteristic
 
     tri = rc.tri
@@ -414,6 +419,10 @@ def certificate_of(rc):
     chis = tuple(euler_characteristic(s) for s in surfaces)
     total = sum(-x for x in chis)
     if total != tri.n:
+        # the links are read on failure only, not for every bundle
+        if any(v.link_euler for v in tri.vertex_classes):
+            raise LinkError("certificates need every vertex link to be a "
+                            "torus or Klein bottle")
         raise IdentityError(
             f"all-quadrilateral colouring with sum(-chi) = {total} != {tri.n}")
     types = qqq_orientation_types(tri, rc)

@@ -245,11 +245,8 @@ def maximal_extension(cert, tri):
             break
         extended = None
         for letter in "abc":
-            try:
-                match = _match_template(tri, list(current.tets) + targets[:1],
-                                        current.word + letter)
-            except LstError:
-                continue
+            match = _match_template(tri, list(current.tets) + targets[:1],
+                                    current.word + letter)
             if match is not None:
                 extended = _certificate_from_match(tri, current.edge, match)
                 break

@@ -99,7 +99,6 @@ class BundleTriangulation:
     tri: Triangulation
     analysis: MonodromyWord
     signature: str         # canonical signature of tri
-    horizontal_quad: int = HORIZONTAL_QUAD
 
     @property
     def word(self):
@@ -203,7 +202,7 @@ def bundle_certificate(word):
                 raise AssertionError(
                     "certificate surface is not a quadrilateral surface")
             used[t].add(quad_types[0])
-            if quad_types[0] == bundle.horizontal_quad:
+            if quad_types[0] == HORIZONTAL_QUAD:
                 count += 1
         if chi != -count:
             raise AssertionError(

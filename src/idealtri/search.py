@@ -50,7 +50,7 @@ from .moves import apply_move, enumerate_moves, image_degrees
 from .perms import S4, inverse
 from .triangulation import (
     _CORNER_MOVES, _EDGE_MOVES, _PAIRS, _SLOT, _TET_MOVES, _from_table,
-    _relabel_rows, boundary_surface,
+    _relabel_rows, _union_find, boundary_surface,
 )
 
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
@@ -70,10 +70,10 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     representative, in the order first visited.
 
     The walk pairs faces one gluing at a time, writing both sides into
-    one table, and keeps a union-find over edge slots ``6t + k``,
-    tetrahedra ``6n + t`` and corners ``7n + 4t + v``, merged by the
-    moves of ``triangulation._EDGE_MOVES``, ``_TET_MOVES`` and
-    ``_CORNER_MOVES``, every item signed.  A reversed edge cuts the
+    one table, and keeps a ``triangulation._union_find`` over edge
+    slots ``6t + k``, tetrahedra ``6n + t`` and corners ``7n + 4t + v``,
+    merged by the moves of ``triangulation._EDGE_MOVES``, ``_TET_MOVES``
+    and ``_CORNER_MOVES``, every item signed.  A reversed edge cuts the
     whole subtree; ``orientable`` only decides whether a contradiction
     on the tetrahedra cuts too.  Corners are merged only for the leaf
     tests below, their one reader, and never cut: those walks are
@@ -123,28 +123,7 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     # Both sides of every gluing on the current path; each face is
     # written before any leaf below it, so nothing is undone.
     rows = [[None] * 4 for _ in range(n)]
-    # The union-find: each item's parent and its sign relative to it, and
-    # each root's size.  Without path compression a union is undone by
-    # making its attached root a root again.
-    parent = list(range(11 * n))
-    flipped = [False] * (11 * n)
-    size = [1] * (11 * n)
-    attached = []
-
-    def find(x):
-        s = False
-        while parent[x] != x:
-            s ^= flipped[x]
-            x = parent[x]
-        return x, s
-
-    def union(a, b, flip):
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b] = a
-        flipped[b] = flip
-        size[a] += size[b]
-        attached.append(b)
+    parent, size, attached, find, link = _union_find(11 * n)
 
     def merge(moves, base, base2):
         """Apply the moves ``(i, j, flip)`` from items ``base + i`` to
@@ -152,7 +131,7 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
         for i, j, flip in moves:
             (a, sa), (b, sb) = find(base + i), find(base2 + j)
             if a != b:
-                union(a, b, sa ^ sb ^ flip)
+                link(a, b, sa ^ sb ^ flip)
             elif sa ^ sb != flip:
                 return False
         return True
@@ -187,7 +166,7 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
         for i, j, flip in _EDGE_MOVES[perm][f1]:
             (a, sa), (b, sb) = find(6 * t1 + i), find(6 * t2 + j)
             if a != b:
-                union(a, b, sa ^ sb ^ flip)
+                link(a, b, sa ^ sb ^ flip)
                 roots -= 1
             elif sa ^ sb != flip:       # a reversed edge
                 return None

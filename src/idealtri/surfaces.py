@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cohomology import _rank1_types
 from .perms import sign
-from .triangulation import _PAIRS, _signed_orbits
+from .triangulation import _PAIRS, _union_find
 
 
 class SurfaceError(ValueError):
@@ -256,13 +256,15 @@ def components(surface):
     and the other away; the sign flips when one of the two disagrees.  A
     component is orientable exactly when its signs are consistent.
 
+    The sheets are linked arc by arc in ``triangulation._union_find``.
     A component is itself a normal surface: its sheets name its discs,
     and ``euler_characteristic`` reads its chi.
     """
     tri = surface.tri
     sheets = _disc_sheets(surface)
     index = {s: i for i, s in enumerate(sheets)}
-    moves = []      # each matched arc, from both sides
+    _, _, _, find, link = _union_find(len(sheets))
+    twisted = []    # the root of each arc that contradicts the signs
     for fc in tri.face_classes:
         (t, f), (t2, f2) = fc.sides
         perm = tri.gluings[t][f][1]
@@ -278,23 +280,30 @@ def components(surface):
                 # The normal points towards the corner: a triangle in the
                 # stack is at the corner, and quad i when it is in {0, i}.
                 flip = even != ((v in (0, sa[2])) != (perm[v] in (0, sb[2])))
-                moves += [(index[sa], index[sb], flip),
-                          (index[sb], index[sa], flip)]
-    orbit, _, orientable = _signed_orbits(len(sheets), moves)
-    parts = [([[0] * 4 for _ in range(tri.n)], [[0] * 3 for _ in range(tri.n)])
-             for _ in orientable]
-    for (kind, t, label, _), k in zip(sheets, orbit):
-        triangles, quads = parts[k]
+                (a, fa), (b, fb) = find(index[sa]), find(index[sb])
+                if a != b:
+                    link(a, b, fa ^ fb ^ flip)
+                elif fa ^ fb != flip:
+                    twisted.append(a)
+    twisted = {find(x)[0] for x in twisted}
+    parts = {}      # root -> disc counts, in the order of least sheets
+    for i, (kind, t, label, _) in enumerate(sheets):
+        root = find(i)[0]
+        if root not in parts:
+            parts[root] = ([[0] * 4 for _ in range(tri.n)],
+                           [[0] * 3 for _ in range(tri.n)])
+        triangles, quads = parts[root]
         if kind == "tri":
             triangles[t][label] += 1
         else:
             quads[t][label - 1] += 1
     comps = []
-    for (triangles, quads), ok in zip(parts, orientable):
+    for root, (triangles, quads) in parts.items():
         part = NormalSurface(tri=tri, triangles=tuple(map(tuple, triangles)),
                              quads=tuple(map(tuple, quads)))
         comps.append(SurfaceComponent(euler=euler_characteristic(part),
-                                      orientable=ok, discs=part.disc_count))
+                                      orientable=root not in twisted,
+                                      discs=part.disc_count))
     return SurfaceComponents(surface=surface, components=tuple(comps))
 
 

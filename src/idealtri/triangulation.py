@@ -36,9 +36,10 @@ image and flip across each face under each permutation.  One depth-first
 walk, ``_walk``, reads ``gluings`` through them, and the derived classes
 read its flat arrays; ``classify_face`` reads them through
 ``_FACE_CYCLES``, the slots of each face's directed boundary cycle.
-``_signed_orbits`` walks a list of moves instead, for
-``surfaces.components`` (normal disc sheets) and ``boundary_surface``
-(free-face corners ``16t + 4f + v``).
+The enumerator's undoable signed union-find, ``_union_find``, also
+links the disc sheets of ``surfaces.components`` and the free-face
+corners ``16t + 4f + v`` of ``boundary_surface``; neither is a step
+table's fixed set of items stepped across one gluing at a time.
 """
 
 from __future__ import annotations
@@ -107,42 +108,38 @@ class FaceClass:
     boundary: bool
 
 
-def _signed_orbits(size, moves):
-    """Orbits of the items ``0..size-1`` with a sign on every item.
-
-    A move ``(a, b, flip)`` takes item ``a`` to item ``b``, reversing
-    the sign when ``flip`` is true; every move must also be listed from
-    ``b``.  Returns ``(orbit, signs, consistent)``: ``orbit[i]`` numbers
-    the orbit of ``i``, orbits counted in the order of their least items;
-    ``signs[i]`` is the sign of ``i`` relative to that least item; and
-    ``consistent[k]`` tells whether orbit ``k`` has no move that
-    contradicts those signs.
+def _union_find(items):
+    """An undoable signed union-find over the items ``0..items-1``:
+    ``(parent, size, attached, find, link)``.  ``find(x)`` is ``(root,
+    flip)``, ``flip`` true when the sign of ``x`` differs from its
+    root's.  ``link(a, b, flip)`` joins the roots ``a`` and ``b``, the
+    smaller under the larger, so that their signs differ exactly when
+    ``flip`` is true, and appends the attached root to ``attached``;
+    ``size[r]`` counts the items under root ``r``.  There is no path
+    compression, so popping ``b`` off ``attached``, then
+    ``size[parent[b]] -= size[b]`` and ``parent[b] = b``, undoes a link.
     """
-    links = [[] for _ in range(size)]
-    for a, b, flip in moves:
-        links[a].append((b, flip))
-    orbit = [-1] * size
-    signs = [1] * size
-    consistent = []
-    for least in range(size):
-        if orbit[least] >= 0:
-            continue
-        k = len(consistent)
-        orbit[least] = k
-        ok = True
-        stack = [least]
-        while stack:
-            a = stack.pop()
-            for b, flip in links[a]:
-                s = -signs[a] if flip else signs[a]
-                if orbit[b] < 0:
-                    orbit[b] = k
-                    signs[b] = s
-                    stack.append(b)
-                elif signs[b] != s:
-                    ok = False
-        consistent.append(ok)
-    return orbit, signs, consistent
+    parent = list(range(items))
+    flipped = [False] * items
+    size = [1] * items
+    attached = []
+
+    def find(x):
+        s = False
+        while parent[x] != x:
+            s ^= flipped[x]
+            x = parent[x]
+        return x, s
+
+    def link(a, b, flip):
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        flipped[b] = flip
+        size[a] += size[b]
+        attached.append(b)
+
+    return parent, size, attached, find, link
 
 
 # Edge slot 6t + k is edge _PAIRS[k] of tetrahedron t; _SLOT[a][b] = k.
@@ -192,9 +189,14 @@ _FACE_CYCLES = tuple(((_SLOT[a][b], 1), (_SLOT[b][c], 1), (_SLOT[a][c], -1))
 
 
 def _walk(gluings, table):
-    """``_signed_orbits`` of the items ``width * t + i`` under the
-    gluings, stepping through ``table`` (a ``_step_table``) as it reads
-    each item's faces, with no list of moves."""
+    """Signed orbits of the items ``width * t + i`` under the gluings,
+    stepping through ``table`` (a ``_step_table``) as it reads each
+    item's faces: ``orbit[i]`` numbers the orbit of item ``i`` in the
+    order of least items, ``signs[i]`` is its sign relative to that
+    least item, and ``consistent[k]`` tells whether no gluing
+    contradicts the signs of orbit ``k``.  The batch kernel for edges,
+    corners and tetrahedra; orbits linked one pair at a time run on
+    ``_union_find``."""
     width, faces, steps = table
     size = width * len(gluings)
     orbit = [-1] * size
@@ -520,7 +522,7 @@ def boundary_surface(tri):
             if tri.gluings[t][f] is None]
     if not free:
         return None
-    moves = []
+    _, _, _, find, link = _union_find(16 * tri.n)
     edges = 0
     for e in tri.edge_classes:
         ends = []       # (tail, head) corners of each free-face slot
@@ -531,11 +533,12 @@ def boundary_surface(tri):
                      if tri.gluings[t][f] is None]
         if ends:
             (tail, head), (tail2, head2) = ends
-            moves += [(tail, tail2, False), (tail2, tail, False),
-                      (head, head2, False), (head2, head, False)]
+            for x, y in ((tail, tail2), (head, head2)):
+                x, y = find(x)[0], find(y)[0]
+                if x != y:
+                    link(x, y, False)
             edges += 1
-    orbit, _, _ = _signed_orbits(16 * tri.n, moves)
-    vertices = len({orbit[16 * t + 4 * f + v]
+    vertices = len({find(16 * t + 4 * f + v)[0]
                     for t, f in free for v in range(4) if v != f})
     return {"vertices": vertices, "edges": edges,
             "triangles": len(free), "euler": vertices - edges + len(free)}

@@ -27,7 +27,7 @@ from idealtri.surfaces import (
 )
 from idealtri.triangulation import (
     EdgeClass, FaceClass, FaceType, InvalidEdge, InvalidTriangulation,
-    Triangulation, VertexClass, _from_table, _signed_orbits,
+    Triangulation, VertexClass, _from_table,
 )
 
 
@@ -442,6 +442,44 @@ def reference_decode(sig):
         return Triangulation(n, table, closed=closed)
     except InvalidTriangulation as exc:
         raise MalformedSignature(f"inconsistent gluing stream: {exc}") from exc
+
+
+def _signed_orbits(size, moves):
+    """Orbits of the items ``0..size-1`` with a sign on every item.
+
+    A move ``(a, b, flip)`` takes item ``a`` to item ``b``, reversing
+    the sign when ``flip`` is true; every move must also be listed from
+    ``b``.  Returns ``(orbit, signs, consistent)``: ``orbit[i]`` numbers
+    the orbit of ``i``, orbits counted in the order of their least items;
+    ``signs[i]`` is the sign of ``i`` relative to that least item; and
+    ``consistent[k]`` tells whether orbit ``k`` has no move that
+    contradicts those signs.
+    """
+    links = [[] for _ in range(size)]
+    for a, b, flip in moves:
+        links[a].append((b, flip))
+    orbit = [-1] * size
+    signs = [1] * size
+    consistent = []
+    for least in range(size):
+        if orbit[least] >= 0:
+            continue
+        k = len(consistent)
+        orbit[least] = k
+        ok = True
+        stack = [least]
+        while stack:
+            a = stack.pop()
+            for b, flip in links[a]:
+                s = -signs[a] if flip else signs[a]
+                if orbit[b] < 0:
+                    orbit[b] = k
+                    signs[b] = s
+                    stack.append(b)
+                elif signs[b] != s:
+                    ok = False
+        consistent.append(ok)
+    return orbit, signs, consistent
 
 
 def reference_orbits(tri, width, moves_of):

@@ -15,6 +15,7 @@ from idealtri import (
     enumerate_complexes, enumerate_moves, euler_characteristic, lst_build,
     rank2_subgroups, relabelled, word_analysis,
 )
+from idealtri.monodromy import HORIZONTAL_QUAD
 from idealtri.perms import S4
 from idealtri.search import has_interior_degree3_and_torus_boundary
 
@@ -115,7 +116,7 @@ def test_criterion_4_monodromy_suite():
         assert all(e.degree % 2 == 0 for e in tri.edge_classes)
         for phi in cocycle_space(tri).nonzero_elements():
             surface = canonical_surface(tri, phi)
-            horizontal = sum(surface.quads[t][bundle.horizontal_quad - 1]
+            horizontal = sum(surface.quads[t][HORIZONTAL_QUAD - 1]
                              for t in range(tri.n))
             assert euler_characteristic(surface) == -horizontal
         if word_analysis(word).mod2_order == 1:

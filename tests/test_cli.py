@@ -62,8 +62,10 @@ def test_decode_reports_shape():
 
 # Closed 2-tetrahedron complexes with sphere or projective-plane vertex
 # links: outside the hypotheses of the counting identities.
-@pytest.mark.parametrize("sig", ["cMcabbgag", "cPcbbbaaa", "cPcbbbabb",
-                                 "cPcbbbahh", "cPcbbbqxh"])
+NON_CUSPED = ["cMcabbgag", "cPcbbbaaa", "cPcbbbabb", "cPcbbbahh", "cPcbbbqxh"]
+
+
+@pytest.mark.parametrize("sig", NON_CUSPED)
 def test_certificate_rejects_non_cusped_links(sig):
     code, out = invoke(["certificate", sig])
     assert code == EXIT_INAPPLICABLE
@@ -72,6 +74,16 @@ def test_certificate_rejects_non_cusped_links(sig):
     error = json.loads(lines[0])["error"]
     assert error["kind"] == "inapplicable"
     assert "vertex link" in error["message"]
+
+
+@pytest.mark.parametrize("sig", NON_CUSPED)
+def test_bound_certificate_rejects_non_cusped_links(sig):
+    # the library finds no certificate or names the links, and never
+    # reports a failed identity outside the identities' hypotheses
+    try:
+        assert cohomology.bound_certificate(decode(sig)) is None
+    except cohomology.LinkError as exc:
+        assert "vertex link" in str(exc)
 
 
 def test_certificate_rejects_non_orientable_all_quadrilateral_colouring():

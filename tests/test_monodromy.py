@@ -11,7 +11,9 @@ from idealtri import (
     canonical_surface, decode, encode_canonical, euler_characteristic,
     read_census, word_analysis,
 )
-from idealtri.monodromy import _ELLIPTIC, _closure, _mat_mul, _mat_mod2, IDENT
+from idealtri.monodromy import (
+    _ELLIPTIC, _closure, _mat_mul, _mat_mod2, HORIZONTAL_QUAD, IDENT,
+)
 from idealtri.perms import IDENTITY
 from idealtri.triangulation import _from_table
 
@@ -166,7 +168,7 @@ def test_chi_equals_minus_horizontal_for_all_canonical_surfaces():
         tri = bundle.tri
         for phi in cocycle_space(tri).nonzero_elements():
             surface = canonical_surface(tri, phi)
-            horizontal = sum(surface.quads[t][bundle.horizontal_quad - 1]
+            horizontal = sum(surface.quads[t][HORIZONTAL_QUAD - 1]
                              for t in range(tri.n))
             assert euler_characteristic(surface) == -horizontal
 

@@ -282,14 +282,16 @@ def test_admissible_walk_adopts_exactly_the_admissible_leaves(
 
 def test_admissible_walk_builds_no_derived_classes(monkeypatch):
     calls = []
-    signed_orbits = triangulation._signed_orbits
+    union_find = triangulation._union_find
 
-    def spy(size, moves):
-        calls.append(size)
-        return signed_orbits(size, moves)
+    def spy(items):
+        calls.append(items)
+        return union_find(items)
 
-    monkeypatch.setattr(triangulation, "_signed_orbits", spy)
-    # derived classes walk their step tables, not _signed_orbits
+    # the enumerator holds its own reference to _union_find, so only
+    # boundary_surface reaches this spy
+    monkeypatch.setattr(triangulation, "_union_find", spy)
+    # derived classes walk their step tables
     walk = triangulation._walk
 
     def walk_spy(gluings, table):
