@@ -328,37 +328,36 @@ def _canonical(tri):
     return signature, len(group), group.values(), grown_from[best_tail][1:]
 
 
+# The three 2-bit facet actions of each character, the first lowest.
+_ACTIONS = tuple((v & 3, v >> 2 & 3, v >> 4) for v in range(64))
+
+
 def decode(sig):
     """Rebuild the triangulation a signature describes."""
     if not sig:
         raise MalformedSignature("empty signature")
-    if any(c not in _SVAL for c in sig):
-        raise MalformedSignature("characters outside the signature alphabet")
-    pos = 0
+    try:
+        vals = [_SVAL[c] for c in sig]
+    except KeyError:
+        raise MalformedSignature(
+            "characters outside the signature alphabet") from None
+    end = len(vals)
 
-    def read_char():
-        nonlocal pos
-        if pos >= len(sig):
+    def read_int(pos, n_chars):
+        if pos + n_chars > end:
             raise MalformedSignature("truncated signature")
-        val = _SVAL[sig[pos]]
-        pos += 1
-        return val
-
-    def read_int(n_chars):
         val = 0
         for i in range(n_chars):
-            val |= read_char() << (6 * i)
+            val |= vals[pos + i] << (6 * i)
         return val
 
-    first = read_char()
-    if first < 63:
-        n = first
-        n_chars = 1
-    else:
-        n_chars = read_char()
+    n, n_chars, pos = vals[0], 1, 1
+    if n == 63:
+        n_chars = read_int(1, 1)
         if n_chars == 0:
             raise MalformedSignature("zero-length size field")
-        n = read_int(n_chars)
+        n = read_int(2, n_chars)
+        pos = 2 + n_chars
     if n == 0:
         raise MalformedSignature("empty triangulation")
 
@@ -369,28 +368,33 @@ def decode(sig):
     n_joins = 0
     total = 4 * n
     while n_facets < total:
-        val = read_char()
-        for j in range(3):
-            a = (val >> (2 * j)) & 3
+        if pos == end:
+            raise MalformedSignature("truncated signature")
+        for a in _ACTIONS[vals[pos]]:
             if n_facets == total:
                 if a != 0:
                     raise MalformedSignature("nonzero padding in facet actions")
                 continue
             if a == 0:
                 n_facets += 1
-            elif a in (1, 2):
-                n_facets += 2
-                if a == 2:
-                    n_joins += 1
-            else:
+            elif a == 3:
                 raise MalformedSignature("facet action 3 is undefined")
+            else:
+                n_facets += 2
+                n_joins += a - 1
             actions.append(a)
+        pos += 1
         if n_facets > total:
             raise MalformedSignature("facet actions overrun the tetrahedra")
 
-    dests = [read_int(n_chars) for _ in range(n_joins)]
-    gluings_idx = [read_char() for _ in range(n_joins)]
-    if pos != len(sig):
+    # The destinations, n_chars characters each, then the gluings.
+    if pos + n_joins * (n_chars + 1) > end:
+        raise MalformedSignature("truncated signature")
+    dests = (vals[pos:pos + n_joins] if n_chars == 1 else
+             [read_int(pos + n_chars * j, n_chars) for j in range(n_joins)])
+    pos += n_chars * n_joins
+    gluings_idx = vals[pos:pos + n_joins]
+    if pos + n_joins != end:
         raise MalformedSignature("trailing data after one component")
 
     # Replay the actions in facet order, writing both sides of every
@@ -402,9 +406,9 @@ def decode(sig):
     next_new = 1
     action_pos = 0
     join_pos = 0
-    for t in range(n):
+    for t, row in enumerate(rows):
         for f in range(4):
-            if rows[t][f] is not None:
+            if row[f] is not None:
                 continue
             if action_pos >= len(actions):
                 raise MalformedSignature("too few facet actions")
@@ -415,7 +419,7 @@ def decode(sig):
             if a == 1:
                 if next_new >= n:
                     raise MalformedSignature("join to a nonexistent tetrahedron")
-                rows[t][f] = (next_new, (0, 1, 2, 3))
+                row[f] = (next_new, (0, 1, 2, 3))
                 rows[next_new][f] = (t, (0, 1, 2, 3))
                 next_new += 1
                 continue
@@ -428,7 +432,7 @@ def decode(sig):
             if rows[dest][perm[f]] is not None:
                 raise MalformedSignature("facet glued twice")
             # No self-gluing check: it fills one facet, so actions run out.
-            rows[t][f] = (dest, perm)
+            row[f] = (dest, perm)
             rows[dest][perm[f]] = (t, S4[INVERSE[idx]])
     if action_pos != len(actions) or join_pos != n_joins or next_new != n:
         raise MalformedSignature("inconsistent gluing stream")

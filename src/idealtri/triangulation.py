@@ -12,11 +12,12 @@ edge identified with itself in reverse raises ``InvalidEdge`` when the
 edge classes, or the vertex classes that read them, are computed.
 
 Gluing data is checked where it enters: ``Triangulation(n, gluings,
-closed)``, ``build`` and ``subcomplex`` validate it, ``relabelled``
-checks that its maps are bijections, and ``isosig.decode`` checks its
-action stream as it replays it.  The decoder, layering, bistellar
-moves, the bundle closure, the enumerator and ``relabelled`` build
-valid tables and adopt them through ``_from_table``.
+closed)``, ``build`` and ``subcomplex`` validate it, shapes and integer
+types included, ``relabelled`` checks that its maps are bijections, and
+``isosig.decode`` checks its action stream as it replays it.  The
+decoder, layering, bistellar moves, the bundle closure, the enumerator
+and ``relabelled`` build valid tables and adopt them through
+``_from_table``.
 
 Derived classes are signed orbits of dense integer items under gluings:
 
@@ -32,9 +33,11 @@ Derived classes are signed orbits of dense integer items under gluings:
 The moves a gluing makes on one tetrahedron's items (``_EDGE_MOVES``,
 ``_CORNER_MOVES``, ``_TET_MOVES``, which the enumerator merges by) are
 turned at import into step tables: the faces each item lies on, and its
-image and flip across each face under each permutation.  One depth-first
-walk, ``_walk``, reads ``gluings`` through them, and the derived classes
-read its flat arrays; ``classify_face`` reads them through
+image and flip across each face under each permutation.  The
+depth-first walk ``_walk`` reads ``gluings`` through them for corners
+and tetrahedra, and ``_edge_walk`` rotates around each edge, whose
+slots lie on two faces each.  The derived classes read their flat
+arrays into named-tuple records; ``classify_face`` reads them through
 ``_FACE_CYCLES``, the slots of each face's directed boundary cycle.
 The enumerator's undoable signed union-find, ``_union_find``, also
 links the disc sheets of ``surfaces.components`` and the free-face
@@ -44,9 +47,9 @@ table's fixed set of items stepped across one gluing at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .perms import COMPOSE, INVERSE, S4, S4_INDEX, inverse, is_perm, sign
 
@@ -59,8 +62,7 @@ class InvalidEdge(InvalidTriangulation):
     """An edge is identified with itself in reverse."""
 
 
-@dataclass(frozen=True)
-class EdgeClass:
+class EdgeClass(NamedTuple):
     """An orbit of tetrahedron edges under the gluing maps.
 
     Each occurrence is ``(tet, (a, b), sign)`` with ``a < b``; the sign
@@ -78,8 +80,7 @@ class EdgeClass:
         return len(self.occurrences)
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     """An orbit of tetrahedron corners, with its link surface data."""
 
     index: int
@@ -101,8 +102,7 @@ class FaceType(Enum):
     DUNCE = "dunce"
 
 
-@dataclass(frozen=True)
-class FaceClass:
+class FaceClass(NamedTuple):
     index: int
     sides: tuple        # ((t, f),) or ((t, f), (t2, f2))
     boundary: bool
@@ -181,6 +181,8 @@ def _step_table(width, moves):
 _EDGE_STEPS = _step_table(6, _EDGE_MOVES)
 _CORNER_STEPS = _step_table(4, _CORNER_MOVES)
 _TET_STEPS = _step_table(1, _TET_MOVES)
+# An edge slot k entered through face f leaves by face _EDGE_TURN[k] - f.
+_EDGE_TURN = tuple(map(sum, _EDGE_STEPS[1]))
 # _FACE_CYCLES[f]: the directed boundary cycle a -> b -> c -> a of face
 # f, where a < b < c are its vertices, as (slot, direction) per edge.
 _FACE_CYCLES = tuple(((_SLOT[a][b], 1), (_SLOT[b][c], 1), (_SLOT[a][c], -1))
@@ -194,9 +196,9 @@ def _walk(gluings, table):
     item's faces: ``orbit[i]`` numbers the orbit of item ``i`` in the
     order of least items, ``signs[i]`` is its sign relative to that
     least item, and ``consistent[k]`` tells whether no gluing
-    contradicts the signs of orbit ``k``.  The batch kernel for edges,
-    corners and tetrahedra; orbits linked one pair at a time run on
-    ``_union_find``."""
+    contradicts the signs of orbit ``k``.  The batch kernel for corners
+    and tetrahedra; edges rotate in ``_edge_walk`` to the same arrays,
+    and orbits linked one pair at a time run on ``_union_find``."""
     width, faces, steps = table
     size = width * len(gluings)
     orbit = [-1] * size
@@ -231,6 +233,42 @@ def _walk(gluings, table):
     return orbit, signs, consistent
 
 
+def _edge_walk(gluings):
+    """``_walk(gluings, _EDGE_STEPS)`` by rotating around each edge: a
+    slot lies on two faces, so an orbit is a cycle or a path of slots,
+    each entered by one face and left by the other.  The least slot is
+    left by its first face, and by its second after a free face."""
+    _, faces, steps = _EDGE_STEPS
+    size = 6 * len(gluings)
+    orbit = [-1] * size
+    signs = [1] * size
+    consistent = []
+    for least in range(size):
+        if orbit[least] >= 0:
+            continue
+        orbit[least] = k = len(consistent)
+        consistent.append(True)
+        t0, i0 = divmod(least, 6)
+        for f in faces[i0]:
+            t, i, s = t0, i0, 1
+            g = gluings[t][f]
+            while g is not None:
+                t, perm = g
+                j, flip = steps[perm][f][i]
+                f, i = perm[_EDGE_TURN[i] - f], j
+                s = -s if flip else s
+                b = 6 * t + i
+                if b == least:          # a cycle: consistent if s is 1
+                    consistent[k] = s == 1
+                    break
+                orbit[b], signs[b] = k, s
+                g = gluings[t][f]
+            else:
+                continue                # a free face: walk the other way
+            break
+    return orbit, signs, consistent
+
+
 class Triangulation:
     """An immutable collection of face-paired tetrahedra.
 
@@ -240,22 +278,31 @@ class Triangulation:
     """
 
     def __init__(self, n, gluings, closed=True):
+        if not isinstance(n, int):
+            raise InvalidTriangulation(f"tetrahedron count {n!r} is not an integer")
         if n < 1:
             raise InvalidTriangulation("need at least one tetrahedron")
         table = [[None] * 4 for _ in range(n)]
         items = gluings.items() if hasattr(gluings, "items") else gluings
         for key, target in items:
-            t, f = key
+            t, f = _pair(key)
+            if not (isinstance(t, int) and isinstance(f, int)):
+                raise InvalidTriangulation(f"face {key!r} is not a pair of integers")
             if not (0 <= t < n and 0 <= f < 4):
                 raise InvalidTriangulation(f"face ({t},{f}) out of range")
             if target is None:
                 continue
-            t2, perm = target
-            perm = tuple(perm)
+            t2, perm = _pair(target)
+            if not isinstance(t2, int):
+                raise InvalidTriangulation(
+                    f"gluing of ({t},{f}) is not a (tetrahedron, permutation) pair")
             if not (0 <= t2 < n):
                 raise InvalidTriangulation(f"target tetrahedron {t2} out of range")
-            if not is_perm(perm):
-                raise InvalidTriangulation(f"gluing of ({t},{f}) is not a permutation")
+            try:
+                perm = S4[S4_INDEX[tuple(perm)]]
+            except (KeyError, TypeError):
+                raise InvalidTriangulation(
+                    f"gluing of ({t},{f}) is not a permutation") from None
             entry = (t2, perm)
             if table[t][f] is not None and table[t][f] != entry:
                 raise InvalidTriangulation(f"conflicting gluings for face ({t},{f})")
@@ -313,7 +360,7 @@ class Triangulation:
 
     @cached_property
     def _edge_slots(self):
-        orbit, signs, consistent = _walk(self.gluings, _EDGE_STEPS)
+        orbit, signs, consistent = _edge_walk(self.gluings)
         if not all(consistent):
             t, k = divmod(orbit.index(consistent.index(False)), 6)
             a, b = _PAIRS[k]
@@ -420,6 +467,15 @@ class Triangulation:
                 if g is None or sides[0] < sides[1]:
                     classes.append(FaceClass(len(classes), sides, g is None))
         return tuple(classes)
+
+
+def _pair(value):
+    """``value`` unpacked as a pair, or ``(None, None)`` if it is not one."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        return None, None
+    return a, b
 
 
 def _from_table(rows):

@@ -327,12 +327,11 @@ def reference_grow_isomorphism(t1, t2):
     return None
 
 
-# The dict-keyed walks that derived the edge and vertex classes and the
-# orientation before the signed-orbit kernel.  The differential oracle
-# for ``Triangulation.edge_classes``, ``vertex_classes`` and
-# ``orientation_signs``.
+# The decoders before the table decoder: one validates its table
+# through ``Triangulation``, the other is the seed decoder that read one
+# character per call.  The differential oracles for ``isosig.decode``.
 
-def reference_decode(sig):
+def reference_validating_decode(sig):
     """The decoder that validates its table through ``Triangulation``:
     the oracle for ``isosig.decode``."""
     if not sig:
@@ -442,6 +441,114 @@ def reference_decode(sig):
         return Triangulation(n, table, closed=closed)
     except InvalidTriangulation as exc:
         raise MalformedSignature(f"inconsistent gluing stream: {exc}") from exc
+
+
+def reference_decode(sig):
+    """The decoder that read one character per call: the oracle for
+    ``isosig.decode``."""
+    if not sig:
+        raise MalformedSignature("empty signature")
+    if any(c not in _SVAL for c in sig):
+        raise MalformedSignature("characters outside the signature alphabet")
+    pos = 0
+
+    def read_char():
+        nonlocal pos
+        if pos >= len(sig):
+            raise MalformedSignature("truncated signature")
+        val = _SVAL[sig[pos]]
+        pos += 1
+        return val
+
+    def read_int(n_chars):
+        val = 0
+        for i in range(n_chars):
+            val |= read_char() << (6 * i)
+        return val
+
+    first = read_char()
+    if first < 63:
+        n = first
+        n_chars = 1
+    else:
+        n_chars = read_char()
+        if n_chars == 0:
+            raise MalformedSignature("zero-length size field")
+        n = read_int(n_chars)
+    if n == 0:
+        raise MalformedSignature("empty triangulation")
+
+    # Read facet actions until they account for all 4n facets: an action
+    # 0 covers one facet, actions 1 and 2 cover the facet and its partner.
+    actions = []
+    n_facets = 0
+    n_joins = 0
+    total = 4 * n
+    while n_facets < total:
+        val = read_char()
+        for j in range(3):
+            a = (val >> (2 * j)) & 3
+            if n_facets == total:
+                if a != 0:
+                    raise MalformedSignature("nonzero padding in facet actions")
+                continue
+            if a == 0:
+                n_facets += 1
+            elif a in (1, 2):
+                n_facets += 2
+                if a == 2:
+                    n_joins += 1
+            else:
+                raise MalformedSignature("facet action 3 is undefined")
+            actions.append(a)
+        if n_facets > total:
+            raise MalformedSignature("facet actions overrun the tetrahedra")
+
+    dests = [read_int(n_chars) for _ in range(n_joins)]
+    gluings_idx = [read_char() for _ in range(n_joins)]
+    if pos != len(sig):
+        raise MalformedSignature("trailing data after one component")
+
+    # Replay the actions in facet order, writing both sides of every
+    # join, and skip facets already glued from the other side.  A stream
+    # that replays exactly joins each facet once, to a fresh partner, and
+    # reaches every tetrahedron through a type-1 join, so its table is
+    # valid and connected.
+    rows = [[None] * 4 for _ in range(n)]
+    next_new = 1
+    action_pos = 0
+    join_pos = 0
+    for t in range(n):
+        for f in range(4):
+            if rows[t][f] is not None:
+                continue
+            if action_pos >= len(actions):
+                raise MalformedSignature("too few facet actions")
+            a = actions[action_pos]
+            action_pos += 1
+            if a == 0:
+                continue
+            if a == 1:
+                if next_new >= n:
+                    raise MalformedSignature("join to a nonexistent tetrahedron")
+                rows[t][f] = (next_new, (0, 1, 2, 3))
+                rows[next_new][f] = (t, (0, 1, 2, 3))
+                next_new += 1
+                continue
+            dest = dests[join_pos]
+            idx = gluings_idx[join_pos]
+            join_pos += 1
+            if dest >= next_new or idx >= 24:
+                raise MalformedSignature("join data out of range")
+            perm = S4[idx]
+            if rows[dest][perm[f]] is not None:
+                raise MalformedSignature("facet glued twice")
+            # No self-gluing check: it fills one facet, so actions run out.
+            rows[t][f] = (dest, perm)
+            rows[dest][perm[f]] = (t, S4[INVERSE[idx]])
+    if action_pos != len(actions) or join_pos != n_joins or next_new != n:
+        raise MalformedSignature("inconsistent gluing stream")
+    return _from_table(rows)
 
 
 def _signed_orbits(size, moves):
@@ -555,6 +662,11 @@ def reference_face_types(tri, edges):
             types[fc.index] = FaceType.MOEBIUS if one_vertex else FaceType.CONE
     return types
 
+
+# The dict-keyed walks that derived the edge and vertex classes and the
+# orientation before the signed-orbit kernel.  The differential oracle
+# for ``Triangulation.edge_classes``, ``vertex_classes`` and
+# ``orientation_signs``.
 
 def reference_edge_classes(tri):
     """Edge classes and the slot -> class map, or raises InvalidEdge."""

@@ -15,7 +15,7 @@ from idealtri.cli import (
 )
 from idealtri.isosig import decode, encode_canonical, read_census
 from idealtri.monodromy import build_bundle
-from idealtri.search import PREDICATES, enumerate_complexes
+from idealtri.search import PREDICATES, enumerate_complexes, random_move_walk
 
 from helpers import random_complex
 
@@ -353,6 +353,51 @@ def test_minsearch_reports_are_frozen():
                 assert code == EXIT_OK
                 reports.append(out)
     assert "".join(reports) == golden.read_text(encoding="utf-8")
+
+
+def census_report_inputs():
+    """The census fixtures, the bundles of the RL-words of length 2 to
+    4, forty move walks off them, the non-cusped complexes and a few
+    malformed or invalid lines."""
+    census = pathlib.Path(__file__).parents[1] / "demos" / "bound_attaining.census"
+    sigs = read_census(census.read_text(encoding="utf-8")) + ["cPcbbbiht"]
+    sigs = list(dict.fromkeys(sigs + [
+        build_bundle("".join(w)).signature
+        for length in (2, 3, 4) for w in itertools.product("RL", repeat=length)
+        if "R" in w and "L" in w]))
+    seeds = [decode(sig) for sig in sigs]
+    rng = random.Random(0)
+    walks = []
+    while len(walks) < 40:
+        walk = random_move_walk(rng.choice(seeds), rng.randrange(1, 6), rng,
+                                max_tets=7)
+        sig = encode_canonical(walk)
+        if sig not in sigs and sig not in walks:
+            walks.append(sig)
+    return (sigs + walks + NON_CUSPED
+            + ["bBaa", FIXTURE[:-3], "cPcbb!iht", "cMcabbjns"])
+
+
+def census_report_text(path):
+    """The six census batch reports over the file at ``path``, each
+    headed by its subcommand and exit code."""
+    reports = []
+    for command in ("decode", "analyze", "cohomology", "certificate", "lst",
+                    "moves"):
+        code, out = invoke([command, str(path)])
+        reports.append(f"# {command} exit {code}\n{out}")
+    return "".join(reports)
+
+
+def test_census_reports_are_frozen(tmp_path):
+    # the six batch reports that the census-report benchmark runs, as
+    # the front end printed them when it decoded character by character
+    # and walked edge classes depth first
+    golden = pathlib.Path(__file__).parent / "golden" / "census_reports.txt"
+    path = tmp_path / "census.txt"
+    path.write_text("".join(sig + "\n" for sig in census_report_inputs()),
+                    encoding="utf-8")
+    assert census_report_text(path) == golden.read_text(encoding="utf-8")
 
 
 def test_enumerate_passes_only_predicate_and_boundary(monkeypatch):

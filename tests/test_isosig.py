@@ -21,7 +21,7 @@ from helpers import (
     assert_revalidates, random_admissible, random_complex,
     reference_canonical_starts, reference_decode, reference_encode_canonical,
     reference_flatten, reference_grow, reference_grow_isomorphism,
-    reference_relabelled,
+    reference_relabelled, reference_validating_decode,
 )
 
 CENSUS_FIXTURES = [
@@ -105,7 +105,7 @@ def signature_like(draw):
 @example("cPcbbbiht")
 def test_decode_matches_validating_reference(sig):
     try:
-        expected = reference_decode(sig)
+        expected = reference_validating_decode(sig)
     except MalformedSignature as exc:
         with pytest.raises(MalformedSignature) as caught:
             decode(sig)
@@ -116,8 +116,50 @@ def test_decode_matches_validating_reference(sig):
     assert_revalidates(tri)
 
 
+# Signatures of 63 and 64 tetrahedra, whose labels take two characters.
+LONG_SIGS = [encode_canonical(random_complex(random.Random(n), n, closed=closed))
+             for n, closed in ((63, False), (64, True))]
+
+
+@st.composite
+def decoder_input(draw):
+    """A ``signature_like`` string or a long signature, maybe cut at a
+    character, with one character deleted or with a stray one."""
+    sig = draw(st.one_of(signature_like(), st.sampled_from(LONG_SIGS)))
+    if not sig:
+        return sig
+    i = draw(st.integers(0, len(sig) - 1))
+    change = draw(st.sampled_from(["none", "cut", "delete", "stray"]))
+    if change == "cut":
+        return sig[:i]
+    if change == "delete":
+        return sig[:i] + sig[i + 1:]
+    if change == "stray":
+        return sig[:i] + draw(st.sampled_from("!_ .")) + sig[i:]
+    return sig
+
+
+@settings(max_examples=500, deadline=None)
+@given(decoder_input())
+@example("bBaa")            # facet action 3
+@example("-")               # a long size prefix cut short
+@example(LONG_SIGS[0])
+@example(LONG_SIGS[1][:-1])
+def test_decode_matches_seed_decoder(sig):
+    # the table decoder rebuilds the seed decoder's table, or raises its
+    # message
+    try:
+        expected = reference_decode(sig)
+    except MalformedSignature as exc:
+        with pytest.raises(MalformedSignature) as caught:
+            decode(sig)
+        assert str(caught.value) == str(exc)
+        return
+    assert decode(sig).gluings == expected.gluings
+
+
 def test_self_gluing_runs_out_of_actions():
-    for decoder in (decode, reference_decode):
+    for decoder in (decode, reference_decode, reference_validating_decode):
         with pytest.raises(MalformedSignature, match="too few facet actions"):
             decoder("bcaa")
 

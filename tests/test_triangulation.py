@@ -11,8 +11,9 @@ from idealtri import (
     face_type_counts, find_isomorphism, relabelled,
 )
 from idealtri.triangulation import (
-    _CORNER_MOVES, _CORNER_STEPS, _EDGE_MOVES, _EDGE_STEPS, _TET_MOVES,
-    _TET_STEPS, _walk, classify_faces, subcomplex,
+    _CORNER_MOVES, _CORNER_STEPS, _EDGE_MOVES, _EDGE_STEPS, _PAIRS,
+    _TET_MOVES, _TET_STEPS, Triangulation, _edge_walk, _walk, classify_faces,
+    subcomplex,
 )
 from idealtri.perms import S4, inverse
 
@@ -57,6 +58,26 @@ def test_build_rejects_involution_violation():
     }
     with pytest.raises(InvalidTriangulation):
         build(2, glu, closed=False)
+
+
+# Data whose shape or types are wrong: each must raise the documented
+# error, never a TypeError or an unpacking ValueError.
+MALFORMED_BUILDS = [
+    (1, {0: None}, "face 0 is not a pair"),
+    (1, {(0, 0): 5}, r"gluing of \(0,0\) is not a \(tetrahedron"),
+    (1, {(0, 0): (0, 7)}, r"gluing of \(0,0\) is not a permutation"),
+    (1, {(0, 0, 1): (0, (1, 0, 3, 2))}, r"face \(0, 0, 1\) is not a pair"),
+    (1, {(0.5, 0): (0, (1, 0, 3, 2))}, r"face \(0.5, 0\) is not a pair"),
+    (1, {(0, 0): ("a", (1, 0, 3, 2))}, r"gluing of \(0,0\) is not a \(tetrahedron"),
+    ("2", {}, "tetrahedron count '2' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("n,gluings,message", MALFORMED_BUILDS)
+def test_build_rejects_malformed_data(n, gluings, message):
+    for make in (build, Triangulation):
+        with pytest.raises(InvalidTriangulation, match=message):
+            make(n, gluings, closed=False)
 
 
 def test_build_fills_reverse_entries():
@@ -211,6 +232,48 @@ def test_walk_matches_move_list_orbits(n, closed, seed):
         assert consistent == ref_consistent
         assert all(s == r for s, r, k in zip(signs, ref_signs, orbit)
                    if consistent[k])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_edge_rotation_matches_walk(n, closed, seed):
+    # rotating around each edge finds the depth-first walk's orbits and
+    # flags, and its signs wherever an orbit is consistent; so the first
+    # reversed edge, and its InvalidEdge message, are the walk's
+    tri = random_complex(random.Random(seed), n, closed=closed)
+    orbit, signs, consistent = _edge_walk(tri.gluings)
+    ref_orbit, ref_signs, ref_consistent = _walk(tri.gluings, _EDGE_STEPS)
+    assert orbit == ref_orbit
+    assert consistent == ref_consistent
+    assert all(s == r for s, r, k in zip(signs, ref_signs, orbit)
+               if consistent[k])
+    if all(ref_consistent):
+        assert tri._edge_slots == (ref_orbit, ref_signs)
+        return
+    t, k = divmod(ref_orbit.index(ref_consistent.index(False)), 6)
+    a, b = _PAIRS[k]
+    with pytest.raises(InvalidEdge) as raised:
+        tri.edge_classes
+    assert str(raised.value) == (
+        f"edge ({t},{{{a},{b}}}) identified with itself in reverse")
+
+
+def test_class_records_are_immutable():
+    # named tuples with the fields, order and properties of the records
+    tri = decode(FIG8)
+    edge, vertex, face = (tri.edge_classes[0], tri.vertex_classes[0],
+                          tri.face_classes[0])
+    assert edge._fields == ("index", "occurrences", "boundary")
+    assert vertex._fields == ("index", "corners", "link_euler",
+                              "link_orientable", "link_closed")
+    assert face._fields == ("index", "sides", "boundary")
+    assert edge.degree == len(edge.occurrences) == 6
+    assert vertex.is_torus_link
+    assert face == (0, ((0, 0), (1, 0)), False)
+    for record in (edge, vertex, face):
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
 
 def test_derived_data_invariant_under_relabelling():
