@@ -6,6 +6,11 @@ order: the line's report, or ``{"error": ...}`` when that line fails.
 Exit codes: 0 success, 2 malformed input, 3 I/O failure, 4 inapplicable
 request, 1 usage errors; a census batch exits with the code of its
 first failing line.
+
+The analysis modules are called through their module objects, which
+the package registers without executing them, so a subcommand executes
+only the modules it calls: ``enumerate`` and ``minsearch`` never
+execute ``cohomology``, ``surfaces``, ``lst`` or ``monodromy``.
 """
 
 from __future__ import annotations
@@ -15,14 +20,8 @@ import json
 import os
 import sys
 
-from . import __version__
-from .cohomology import certificate_of, check_identities, cocycle_space, rank2_colourings
+from . import __version__, cohomology, lst, monodromy, moves, search, surfaces
 from .isosig import MalformedSignature, decode, encode_canonical, read_census
-from .lst import detect_degree3, maximal_extension, pairwise_intersection
-from .monodromy import MonodromyError, bundle_certificate, word_analysis
-from .moves import enumerate_moves
-from .search import PREDICATES, bounded_move_search, enumerate_complexes
-from .surfaces import euler_characteristic
 from .triangulation import anatomy_report
 
 EXIT_OK = 0
@@ -97,7 +96,7 @@ def _report_analyze(sig):
 
 def _report_cohomology(sig):
     tri = _load(sig)
-    basis = cocycle_space(tri)
+    basis = cohomology.cocycle_space(tri)
     return {
         "signature": sig,
         "tetrahedra": tri.n,
@@ -115,14 +114,14 @@ def _report_certificate(sig):
         raise CliError(EXIT_INAPPLICABLE, "inapplicable",
                        "certificates need every vertex link to be a torus "
                        "or Klein bottle")
-    basis = cocycle_space(tri)
-    colourings = list(rank2_colourings(basis))
+    basis = cohomology.cocycle_space(tri)
+    colourings = list(cohomology.rank2_colourings(basis))
     if (any(rc.counts["qqq"] == tri.n for rc in colourings)
             and not tri.is_orientable):
         raise CliError(EXIT_INAPPLICABLE, "inapplicable",
                        "all-quadrilateral certificates need an orientable "
                        "triangulation")
-    cert = next(filter(None, map(certificate_of, colourings)), None)
+    cert = next(filter(None, map(cohomology.certificate_of, colourings)), None)
     report = {
         "signature": sig,
         "tetrahedra": tri.n,
@@ -134,7 +133,7 @@ def _report_certificate(sig):
     if cert is not None:
         rc = cert.colouring
         chis = cert.chi
-        check_identities(rc, *chis)
+        cohomology.check_identities(rc, *chis)
         report.update({
             "subgroup": [sorted(p.odd_edges()) for p in rc.phi],
             "surfaces": [s.coordinate_vector() for s in cert.surfaces],
@@ -152,8 +151,9 @@ def _report_certificate(sig):
     else:
         # report identity checks over every rank-2 subgroup anyway
         for rc in colourings:
-            check_identities(rc, *(euler_characteristic(s)
-                                   for s in rc.canonical_surfaces()))
+            cohomology.check_identities(
+                rc, *map(surfaces.euler_characteristic,
+                         rc.canonical_surfaces()))
         report["subgroups_checked"] = len(colourings)
         report["identities_hold"] = True
     return report
@@ -161,9 +161,9 @@ def _report_certificate(sig):
 
 def _report_monodromy(word):
     try:
-        analysis = word_analysis(word)
-        bc = bundle_certificate(word)
-    except MonodromyError as exc:
+        analysis = monodromy.word_analysis(word)
+        bc = monodromy.bundle_certificate(word)
+    except monodromy.MonodromyError as exc:
         raise CliError(EXIT_MALFORMED, "bad-word", str(exc))
     report = {
         "word": word,
@@ -188,12 +188,13 @@ def _report_monodromy(word):
 
 def _report_lst(sig):
     tri = _load(sig)
-    certs, failures = detect_degree3(tri)
-    maximal = [maximal_extension(c, tri) for c in certs]
+    certs, failures = lst.detect_degree3(tri)
+    maximal = [lst.maximal_extension(c, tri) for c in certs]
     intersections = []
     for i in range(len(maximal)):
         for j in range(i + 1, len(maximal)):
-            kind, detail = pairwise_intersection(maximal[i], maximal[j], tri)
+            kind, detail = lst.pairwise_intersection(maximal[i], maximal[j],
+                                                      tri)
             intersections.append({"pair": [i, j], "kind": kind,
                                   "shared": detail})
     return {
@@ -211,7 +212,7 @@ def _report_lst(sig):
 
 def _report_moves(sig):
     tri = _load(sig)
-    sites = enumerate_moves(tri)
+    sites = moves.enumerate_moves(tri)
     return {
         "signature": sig,
         "sites": [{"kind": s.kind, "index": s.index, "axis": s.axis,
@@ -220,13 +221,14 @@ def _report_moves(sig):
 
 
 def _report_enumerate(n, filter_name):
-    if filter_name not in PREDICATES:
+    if filter_name not in search.PREDICATES:
         raise CliError(EXIT_USAGE, "unknown-filter",
                        f"unknown filter {filter_name!r}; "
-                       f"choose from {sorted(PREDICATES)}")
-    predicate = PREDICATES[filter_name]
+                       f"choose from {sorted(search.PREDICATES)}")
+    predicate = search.PREDICATES[filter_name]
     boundary = 2 if filter_name == "degree3-lst-context" else 0
-    found = enumerate_complexes(n, predicate, boundary_faces=boundary)
+    found = search.enumerate_complexes(n, predicate,
+                                       boundary_faces=boundary)
     return {
         "tetrahedra": n,
         "filter": filter_name,
@@ -238,7 +240,7 @@ def _report_enumerate(n, filter_name):
 
 def _report_minsearch(sig, cap, depth):
     tri = _load(sig)
-    result = bounded_move_search(tri, cap, depth)
+    result = search.bounded_move_search(tri, cap, depth)
     return {
         "signature": sig,
         "start_tetrahedra": tri.n,
@@ -256,7 +258,8 @@ def build_parser():
         prog="idealtri",
         description="ideal triangulations: anatomy, GF(2) cohomology, "
                     "canonical surfaces, complexity certificates")
-    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--version", action="store_true",
+                        help="show program's version number and exit")
     sub = parser.add_subparsers(dest="command")
 
     for name, needs in [("decode", "input"), ("encode", "input"),
@@ -311,6 +314,9 @@ def run(argv, out=None):
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    if args.version:
+        out.write(__version__ + "\n")
+        return EXIT_OK
     if args.command is None:
         _PARSER.print_usage(out)
         return EXIT_USAGE

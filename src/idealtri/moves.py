@@ -29,7 +29,7 @@ degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .perms import compose, inverse
 from .triangulation import _PAIRS, InvalidEdge, _from_table
@@ -39,8 +39,7 @@ class MoveError(ValueError):
     """The requested move is not applicable."""
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     kind: str            # "2-3" | "3-2" | "4-4"
     index: int           # face class (2-3) or edge class (3-2, 4-4)
     axis: int = 0        # diagonal choice for 4-4

@@ -33,10 +33,6 @@ def inverse(p):
     return tuple(inv)
 
 
-def is_perm(p):
-    return len(p) == 4 and sorted(p) == [0, 1, 2, 3]
-
-
 # Index ordering of S4 used by the census signature format: the
 # lexicographic ordering of image tuples.
 S4 = tuple(sorted(itertools.permutations(range(4))))

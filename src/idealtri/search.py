@@ -42,8 +42,8 @@ isomorphic images (McKay, "Practical graph isomorphism", 1981).
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .isosig import decode, encode_canonical, encode_with_automorphisms
 from .moves import apply_move, enumerate_moves, image_degrees
@@ -317,8 +317,7 @@ class _Reachable(Set):
     __hash__ = Set._hash
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     start: str
     reachable: Set
     min_tetrahedra: int

@@ -51,7 +51,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .perms import COMPOSE, INVERSE, S4, S4_INDEX, inverse, is_perm, sign
+from .perms import COMPOSE, INVERSE, S4, S4_INDEX, inverse, sign
 
 
 class InvalidTriangulation(ValueError):
@@ -284,7 +284,11 @@ class Triangulation:
             raise InvalidTriangulation("need at least one tetrahedron")
         table = [[None] * 4 for _ in range(n)]
         items = gluings.items() if hasattr(gluings, "items") else gluings
-        for key, target in items:
+        for item in items:
+            key, target = _pair(item)
+            if key is None:
+                raise InvalidTriangulation(
+                    f"gluing {item!r} is not a (face, target) pair")
             t, f = _pair(key)
             if not (isinstance(t, int) and isinstance(f, int)):
                 raise InvalidTriangulation(f"face {key!r} is not a pair of integers")
@@ -637,13 +641,14 @@ def subcomplex(tri, tets):
     them are kept, all other faces become free.
 
     Returns (sub, index_of) where index_of maps old to new indices.
-    Vertex labels are unchanged.  A tetrahedron outside ``range(tri.n)``
-    raises InvalidTriangulation.
+    Vertex labels are unchanged.  A tetrahedron that is not an integer
+    in ``range(tri.n)`` raises InvalidTriangulation.
     """
-    tets = sorted(set(tets))
+    tets = list(tets)
     for t in tets:
-        if not 0 <= t < tri.n:
-            raise InvalidTriangulation(f"tetrahedron {t} out of range")
+        if not (isinstance(t, int) and 0 <= t < tri.n):
+            raise InvalidTriangulation(f"tetrahedron {t!r} out of range")
+    tets = sorted(set(tets))
     index_of = {t: i for i, t in enumerate(tets)}
     gluings = {}
     for t in tets:
@@ -675,8 +680,12 @@ def relabelled(tri, tet_map, vertex_maps):
     """Apply an isomorphism: tetrahedron t becomes tet_map[t], with its
     vertices relabelled by vertex_maps[t].  Once both maps are checked
     to be bijections, the relabelled table is valid and adopted."""
-    if (sorted(tet_map) != list(range(tri.n)) or len(vertex_maps) != tri.n
-            or not all(is_perm(tuple(p)) for p in vertex_maps)):
+    try:
+        vertex_maps = [S4_INDEX[tuple(p)] for p in vertex_maps]
+        bijective = (sorted(tet_map) == list(range(tri.n))
+                     and all(isinstance(t, int) for t in tet_map))
+    except (KeyError, TypeError):
+        bijective = False
+    if not bijective or len(vertex_maps) != tri.n:
         raise InvalidTriangulation("relabelling is not a bijection")
-    return _from_table(_relabel_rows(
-        tri.gluings, tet_map, [S4_INDEX[tuple(p)] for p in vertex_maps]))
+    return _from_table(_relabel_rows(tri.gluings, tet_map, vertex_maps))

@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealtri import cli, cohomology
+from idealtri import cli, cohomology, search
 from idealtri.cli import (
     EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, _SINGLE, run,
 )
@@ -410,11 +410,17 @@ def test_enumerate_passes_only_predicate_and_boundary(monkeypatch):
         asked[predicate] = boundary_faces
         return {}
 
-    monkeypatch.setattr(cli, "enumerate_complexes", spy)
+    monkeypatch.setattr(search, "enumerate_complexes", spy)
     for name in PREDICATES:
         assert invoke(["enumerate", "--tets", "1", "--filter", name])[0] == 0
     assert asked == {predicate: 2 if name == "degree3-lst-context" else 0
                      for name, predicate in PREDICATES.items()}
+
+
+def test_version_goes_to_the_report_stream(capsys):
+    code, out = invoke(["--version"])
+    assert (code, out) == (EXIT_OK, "0.1.0\n")
+    assert capsys.readouterr().out == ""
 
 
 def test_cohomology_command():

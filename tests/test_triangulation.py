@@ -109,6 +109,29 @@ def test_subcomplex_collapses_repeated_tetrahedra():
     assert all(g is None for g in sub.gluings[0])
 
 
+# Malformed arguments to the other entry points: each must raise
+# InvalidTriangulation, never a TypeError or an unpacking ValueError.
+IDENTITY = (0, 1, 2, 3)
+MALFORMED_CALLS = {
+    "relabelled-vertex-map-int":
+        lambda tri: relabelled(tri, [0, 1], [7, IDENTITY]),
+    "relabelled-tet-map-str":
+        lambda tri: relabelled(tri, ["a", 0], [IDENTITY, IDENTITY]),
+    "subcomplex-str": lambda tri: subcomplex(tri, ["a"]),
+    "subcomplex-float": lambda tri: subcomplex(tri, [0.5]),
+    "build-item-int": lambda tri: build(1, [5]),
+    "build-item-triple":
+        lambda tri: build(1, [((0, 0), (0, (1, 0, 3, 2)), 1)]),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_CALLS.values(),
+                         ids=MALFORMED_CALLS.keys())
+def test_entry_points_reject_malformed_arguments(call):
+    with pytest.raises(InvalidTriangulation):
+        call(decode(FIG8))
+
+
 def test_edge_degrees_sum_to_six_n():
     for sig in [FIG8] + CENSUS_FIXTURES:
         tri = decode(sig)
