@@ -1,11 +1,13 @@
 """Ideal triangulations of cusped 3-manifolds: combinatorics,
 GF(2) cohomology, canonical normal surfaces, and complexity bounds.
 
-Importing the package executes none of its submodules.  Each is
-registered in ``sys.modules`` (and as an attribute here) through
-``importlib.util.LazyLoader`` and executes when one of its attributes
-is first read, so a subcommand executes only the modules it calls.
-The public names below resolve on first access (PEP 562).
+Importing the package executes none of its submodules.  Each one but
+the ``cli`` entry point is registered in ``sys.modules`` (and as an
+attribute here) through ``importlib.util.LazyLoader`` and executes when
+one of its attributes is first read, so a subcommand executes only the
+modules it calls.  ``cli`` is imported the usual way, so that
+``python -m idealtri.cli`` does not find it imported already.  The
+public names below resolve on first access (PEP 562).
 """
 
 import sys
@@ -56,7 +58,7 @@ def _register(name):
     loader.exec_module(module)
 
 
-for _name in ("perms", *_EXPORTS, "cli"):
+for _name in ("perms", *_EXPORTS):
     _register(_name)
 
 

@@ -10,7 +10,9 @@ first failing line.
 The analysis modules are called through their module objects, which
 the package registers without executing them, so a subcommand executes
 only the modules it calls: ``enumerate`` and ``minsearch`` never
-execute ``cohomology``, ``surfaces``, ``lst`` or ``monodromy``.
+execute ``cohomology``, ``surfaces``, ``lst`` or ``monodromy``, and
+``enumerate`` never executes ``moves``.  Every result record is a named
+tuple, so no subcommand imports a record-class library at start-up.
 """
 
 from __future__ import annotations

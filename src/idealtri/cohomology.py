@@ -15,8 +15,8 @@ tables: ``_RANK1`` holds the rank-1 type of each of the 64 masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .triangulation import _FACE_CYCLES, _PAIRS
 
@@ -35,17 +35,23 @@ class LinkError(ValueError):
     identities do not apply."""
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    """A parity-respecting GF(2) edge colouring, as a bitmask."""
-
+class _CocycleFields(NamedTuple):
     tri: object
     mask: int
 
-    def __post_init__(self):
-        for row in self.tri.parity_rows:
-            if (self.mask & row).bit_count() % 2:
+
+class Cocycle(_CocycleFields):
+    """A parity-respecting GF(2) edge colouring, as a bitmask."""
+
+    __slots__ = ()
+    # NamedTuple bodies bar __new__; this _make keeps _replace checked.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, tri, mask):
+        for row in tri.parity_rows:
+            if (mask & row).bit_count() % 2:
                 raise ParityError("face with odd edge-colour sum")
+        return tuple.__new__(cls, (tri, mask))
 
     def value(self, edge_index):
         return (self.mask >> edge_index) & 1
@@ -62,8 +68,7 @@ class Cocycle:
         return Cocycle(self.tri, self.mask ^ other.mask)
 
 
-@dataclass(frozen=True)
-class CocycleBasis:
+class CocycleBasis(NamedTuple):
     tri: object
     vectors: tuple  # of Cocycle
 
@@ -176,8 +181,7 @@ def classify_rank1(tri, phi):
 TET_TYPES = ("qtt", "qq", "tt", "empty", "qqq")
 
 
-@dataclass(frozen=True)
-class RankTwoColouring:
+class RankTwoColouring(NamedTuple):
     """A pair of independent cocycles with the derived taxonomy.
 
     edge_labels[e] is 0 for H-even edges and i when phi_i is the unique
@@ -337,8 +341,7 @@ def check_identities(rc, chi1, chi2, chi3):
 # ---------------------------------------------------------------------------
 # the complexity bound certificate
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """A rank-2 subgroup whose canonical surfaces are all quadrilateral."""
 
     tri: object

@@ -14,7 +14,7 @@ removed) is the same combinatorial object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .perms import inverse
 from .triangulation import Triangulation, _from_table, find_isomorphism, subcomplex
@@ -30,24 +30,29 @@ class LstError(ValueError):
     """Invalid layering request."""
 
 
-@dataclass(frozen=True)
-class LstParams:
+class _LstParamsFields(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        if not (0 <= self.a <= self.b <= self.c and self.a + self.b == self.c):
-            raise LstError(f"not a meridian triple: {(self.a, self.b, self.c)}")
-        if math.gcd(self.a, self.b) != 1:
-            raise LstError(f"meridian numbers not coprime: {(self.a, self.b, self.c)}")
+
+class LstParams(_LstParamsFields):
+    __slots__ = ()
+    # NamedTuple bodies bar __new__; this _make keeps _replace checked.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, a, b, c):
+        if not (0 <= a <= b <= c and a + b == c):
+            raise LstError(f"not a meridian triple: {(a, b, c)}")
+        if math.gcd(a, b) != 1:
+            raise LstError(f"meridian numbers not coprime: {(a, b, c)}")
+        return tuple.__new__(cls, (a, b, c))
 
     def as_tuple(self):
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class LstComplex:
+class LstComplex(NamedTuple):
     """A layered solid torus built by lst_build.
 
     ``boundary`` maps each meridian number to a representative boundary
@@ -143,8 +148,7 @@ def lst_build(word="", minimal_context=False):
                       boundary=boundary, free_faces=faces)
 
 
-@dataclass(frozen=True)
-class LstCertificate:
+class LstCertificate(NamedTuple):
     """A layered solid torus subcomplex located inside a triangulation."""
 
     edge: int                 # the degree-3 edge class that seeded detection
@@ -160,8 +164,7 @@ class LstCertificate:
         return frozenset(self.tets)
 
 
-@dataclass(frozen=True)
-class DetectionFailure:
+class DetectionFailure(NamedTuple):
     """A degree-3 edge that is not inside an embedded LST(1,3,4)."""
 
     edge: int
@@ -253,7 +256,7 @@ def maximal_extension(cert, tri):
         if extended is None:
             break
         current = extended
-    return replace(current, maximal=True)
+    return current._replace(maximal=True)
 
 
 def _cells_of(tri, tets):

@@ -22,7 +22,7 @@ the least canonical signature is kept.  The quadrilateral separating
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import bound_certificate
 from .isosig import encode_canonical
@@ -52,8 +52,7 @@ def _mat_mod2(m):
     return ((m[0][0] % 2, m[0][1] % 2), (m[1][0] % 2, m[1][1] % 2))
 
 
-@dataclass(frozen=True)
-class MonodromyWord:
+class MonodromyWord(NamedTuple):
     word: str
     matrix: tuple
     trace: int
@@ -92,8 +91,7 @@ def cover(word, k):
     return word * k
 
 
-@dataclass(frozen=True)
-class BundleTriangulation:
+class BundleTriangulation(NamedTuple):
     """A layered bundle: |word| tetrahedra, one fibre per level."""
 
     tri: Triangulation
@@ -146,8 +144,7 @@ def build_bundle(word):
 # ---------------------------------------------------------------------------
 # the bound certificate
 
-@dataclass(frozen=True)
-class BundleCertificate:
+class BundleCertificate(NamedTuple):
     """The complexity certificate for a bundle, possibly via a cover.
 
     The canonical surfaces of the certifying rank-2 subgroup meet every

@@ -45,8 +45,8 @@ from collections.abc import Set
 from itertools import permutations, product
 from typing import NamedTuple
 
+from . import moves
 from .isosig import decode, encode_canonical, encode_with_automorphisms
-from .moves import apply_move, enumerate_moves, image_degrees
 from .perms import S4, inverse
 from .triangulation import (
     _CORNER_MOVES, _EDGE_MOVES, _PAIRS, _SLOT, _TET_MOVES, _from_table,
@@ -293,7 +293,8 @@ class _Reachable(Set):
             sig, site = self._pairs.pop()
             if sig not in decoded:
                 decoded[sig] = decode(sig)
-            self._sigs.add(encode_canonical(apply_move(decoded[sig], site)))
+            image = moves.apply_move(decoded[sig], site)
+            self._sigs.add(encode_canonical(image))
         return self._sigs
 
     def __iter__(self):
@@ -386,7 +387,7 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
         next_frontier = []
         for sig in frontier:
             current = decode(sig)
-            sites = enumerate_moves(current)
+            sites = moves.enumerate_moves(current)
             if sig in groups:
                 sites = _orbit_heads(current, sites, groups.pop(sig))
             degrees = [e.degree for e in current.edge_classes]
@@ -395,7 +396,7 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
                 if site.kind == "2-3" and current.n + 1 > max_tets:
                     continue
                 if not last:
-                    image = apply_move(current, site)
+                    image = moves.apply_move(current, site)
                     new_sig, automorphisms = encode_with_automorphisms(image)
                     if new_sig in seen:
                         continue
@@ -408,19 +409,20 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
                     if image.n < tri.n and admissible(image):
                         smaller.append(new_sig)
                     if depth == max_depth - 1:
-                        keyed.add(image_degrees(current, site, degrees))
+                        keyed.add(moves.image_degrees(current, site, degrees))
                     next_frontier.append(new_sig)
                     continue
-                key = image_degrees(current, site, degrees)
+                key = moves.image_degrees(current, site, degrees)
                 n = sum(key) // 6
                 if key in lone:     # met again: encode the first one
                     first, first_site = lone.pop(key)
                     first = current if first == sig else decode(first)
-                    seen[encode_canonical(apply_move(first, first_site))] = n
+                    image = moves.apply_move(first, first_site)
+                    seen[encode_canonical(image)] = n
                     keyed.add(key)
                 image = new_sig = None
                 if key in keyed:
-                    image = apply_move(current, site)
+                    image = moves.apply_move(current, site)
                     new_sig = encode_canonical(image)
                     if new_sig in seen:
                         continue
@@ -429,7 +431,7 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
                     break
                 if n < tri.n:
                     if image is None:
-                        image = apply_move(current, site)
+                        image = moves.apply_move(current, site)
                     if admissible(image):
                         if new_sig is None:
                             new_sig = encode_canonical(image)
@@ -492,12 +494,12 @@ def random_move_walk(tri, steps, rng, max_tets=8, keep=None):
     passes ``keep``; used to generate varied admissible triangulations."""
     current = tri
     for _ in range(steps):
-        sites = enumerate_moves(current)
+        sites = moves.enumerate_moves(current)
         rng.shuffle(sites)
         for site in sites:
             if site.kind == "2-3" and current.n + 1 > max_tets:
                 continue
-            candidate = apply_move(current, site)
+            candidate = moves.apply_move(current, site)
             if keep is None or keep(candidate):
                 current = candidate
                 break

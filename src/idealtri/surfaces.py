@@ -19,7 +19,7 @@ and vertex-linking surfaces meet these by construction, so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cohomology import _rank1_types
 from .perms import sign
@@ -43,17 +43,23 @@ def quad_type_of_pair(x, y):
 _SLOT_CORNERS = tuple((a, b, quad_type_of_pair(a, b) - 1) for a, b in _PAIRS)
 
 
-@dataclass(frozen=True)
-class NormalSurface:
-    """Vectors of triangle and quadrilateral counts per tetrahedron."""
-
+class _NormalSurfaceFields(NamedTuple):
     tri: object
     triangles: tuple   # triangles[t][v]
     quads: tuple       # quads[t][i-1] for quad types 1,2,3
 
-    def __post_init__(self):
-        if not self.tri.is_closed:
+
+class NormalSurface(_NormalSurfaceFields):
+    """Vectors of triangle and quadrilateral counts per tetrahedron."""
+
+    __slots__ = ()
+    # NamedTuple bodies bar __new__; this _make keeps _replace checked.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, tri, triangles, quads):
+        if not tri.is_closed:
             raise SurfaceError("normal surfaces need a closed triangulation")
+        return tuple.__new__(cls, (tri, triangles, quads))
 
     def quad_count(self, t):
         return sum(self.quads[t])
@@ -215,8 +221,7 @@ def _arc_stack(surface, t, f, v):
     return stack
 
 
-@dataclass(frozen=True)
-class SurfaceComponent:
+class SurfaceComponent(NamedTuple):
     euler: int
     orientable: bool
     discs: int
@@ -226,8 +231,7 @@ class SurfaceComponent:
         return self.euler == 2
 
 
-@dataclass(frozen=True)
-class SurfaceComponents:
+class SurfaceComponents(NamedTuple):
     surface: object
     components: tuple
 

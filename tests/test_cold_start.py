@@ -1,7 +1,8 @@
 """Cold start: importing the package executes none of its submodules,
-and a subcommand executes only the modules it calls.  Each check runs
-in a fresh interpreter (``-S``, so no site hook imports anything), since
-the pytest process itself has executed every module long before."""
+a subcommand executes only the modules it calls, and none imports
+``dataclasses``.  Each check runs in a fresh interpreter (``-S``, so no
+site hook imports anything), since the pytest process itself has
+executed every module long before."""
 
 import json
 import os
@@ -15,7 +16,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # The modules the benchmark's tracer reads from sys.modules.
 TRACED = ("isosig", "triangulation", "cohomology", "surfaces", "lst",
           "moves", "search", "monodromy", "cli")
+# The modules the package registers: all but the cli entry point.
+REGISTERED = ("perms", *(m for m in TRACED if m != "cli"))
 UNCALLED_BY_SEARCH = {"cohomology", "lst", "monodromy", "surfaces"}
+CENSUS_COMMANDS = ("decode", "analyze", "cohomology", "certificate", "lst",
+                   "moves")
 
 # The package's public names, by home module, as the eager package
 # exported them.
@@ -63,11 +68,15 @@ print(json.dumps({
 """
 
 
-def _fresh(code, *args):
+def _python(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-S", "-c", code, *args], env=env,
-                          check=True, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-S", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _fresh(code, *args):
+    done = _python("-c", code, *args)
+    assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -75,25 +84,48 @@ def _short(names):
     return {name.removeprefix("idealtri.") for name in names}
 
 
+def _run_fresh(argv):
+    return _fresh("import io\nfrom idealtri import cli\n"
+                  f"assert cli.run({argv!r}, io.StringIO()) == 0\n" + STATE)
+
+
 def test_import_registers_every_module_and_executes_none():
     state = _fresh("import idealtri\n" + STATE)
-    assert _short(state["registered"]) >= set(TRACED)
+    registered = _short(state["registered"])
+    assert registered >= set(REGISTERED)
+    assert "cli" not in registered
     assert state["executed"] == []
     assert state["dataclasses"] is False
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "--tets", "1", "--filter", "closed-admissible"],
-    ["minsearch", "cPcbbbiht", "--cap", "3", "--depth", "1"],
+def test_module_entry_point_runs_without_warnings():
+    # runpy warns when the module it is asked to run as __main__ is in
+    # sys.modules already after its package is imported.
+    done = _python("-m", "idealtri.cli", "--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.1.0\n", "")
+
+
+@pytest.mark.parametrize("argv, uncalled", [
+    (["enumerate", "--tets", "1", "--filter", "closed-admissible"],
+     UNCALLED_BY_SEARCH | {"moves"}),
+    (["minsearch", "cPcbbbiht", "--cap", "3", "--depth", "1"],
+     UNCALLED_BY_SEARCH),
 ], ids=["enumerate", "minsearch"])
-def test_search_commands_leave_the_other_modules_unexecuted(argv):
-    state = _fresh("import io\nfrom idealtri import cli\n"
-                   f"assert cli.run({argv!r}, io.StringIO()) == 0\n" + STATE)
+def test_search_commands_leave_the_other_modules_unexecuted(argv, uncalled):
+    state = _run_fresh(argv)
     assert _short(state["registered"]) >= set(TRACED)
     executed = _short(state["executed"])
     assert {"cli", "search"} <= executed
-    assert not executed & UNCALLED_BY_SEARCH
+    assert not executed & uncalled
     assert state["dataclasses"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "cPcbbbiht"] for command in CENSUS_COMMANDS),
+    ["monodromy", "--word", "RRL"],
+], ids=[*CENSUS_COMMANDS, "monodromy"])
+def test_no_command_imports_dataclasses(argv):
+    assert _run_fresh(argv)["dataclasses"] is False
 
 
 # Imports every name of the export table in argv[1] from the package and
