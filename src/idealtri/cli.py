@@ -5,7 +5,9 @@ per line, '#' comments) produces one JSON line per input line, in input
 order: the line's report, or ``{"error": ...}`` when that line fails.
 Exit codes: 0 success, 2 malformed input, 3 I/O failure, 4 inapplicable
 request, 1 usage errors; a census batch exits with the code of its
-first failing line.
+first failing line.  A reader that closes standard output early is an
+I/O failure: ``main`` points standard output at the null device, so
+nothing more is written and no traceback is printed, and exits with 3.
 
 The analysis modules are called through their module objects, which
 the package registers without executing them, so a subcommand executes
@@ -344,7 +346,14 @@ def run(argv, out=None):
 
 
 def main():
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes standard output again at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

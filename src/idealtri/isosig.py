@@ -49,6 +49,17 @@ conjugates it by the best start's labelling into that of
 ``decode(signature)``, for the bounded move search, which expands one
 move site per orbit; ``encode_canonical`` never conjugates.
 
+The state of one search (best actions and tail, grown starts by tail,
+the group and the marked starts) is a ``_Search``, fed one grown start
+at a time, so two searches can run side by side.
+``least_twin_signature`` does that for two triangulations that differ
+in a few gluings which can be moved away from any start, such as the
+two closures of a bundle (``monodromy``).  A start both searches want
+grows on the first one's tables with those facets flagged by a
+destination below -1, a test the hot loop already makes for free
+facets.  At the first flagged read the grow copies its state, then
+finishes; the copy finishes on the second triangulation's tables.
+
 Two triangulations have the same canonical signature exactly when they
 are combinatorially isomorphic.  The same labelling kernel, ``_grow``,
 also decides isomorphism: ``triangulation.find_isomorphism`` grows one
@@ -57,6 +68,8 @@ whose labelled stream is equal.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .perms import COMPOSE, INVERSE, S4, S4_INDEX
 from .triangulation import _from_table
@@ -124,7 +137,8 @@ def _action_char(chunk):
 _CHAR = (0,) + tuple(map(_action_char, range(1, 128)))
 
 
-def _grow(dest, partner, back, rows, start, start_perm, bound):
+def _grow(dest, partner, back, rows, start, start_perm, bound, resume=None,
+          fork=None):
     """Grow the labelling from one start choice.
 
     Returns ``(actions, dests, gluings, tied, order, vmap)``: the code
@@ -134,20 +148,33 @@ def _grow(dest, partner, back, rows, start, start_perm, bound):
     S4 index relabelling each tetrahedron's vertices.  None as soon as
     an action character exceeds ``bound``'s.  A start that ties
     ``bound`` returns it as its actions, and one that beats it copies
-    the tied prefix only then."""
-    n = len(dest) // 4
-    image = [-1] * n            # tet -> its new label
-    order = [start]             # new label -> tet
-    vmap = [0] * n              # tet -> S4 index relabelling its vertices
-    image[start] = 0
-    vmap[start] = start_perm
-    used = [False] * (4 * n)    # facets reached from their partner
-    actions = [] if bound is None else None
-    k = 0                       # characters that tie bound so far
-    dests = []
-    gluings = []
-    chunk = 1
-    for t in order:
+    the tied prefix only then.
+
+    A destination d below -1 flags a facet glued to tetrahedron -2 - d,
+    whose gluing a twin triangulation replaces.  Its first read appends
+    to the list ``fork`` a copy of the state before it, with the facets
+    of the current tetrahedron already read marked used.  ``resume``
+    takes such a state, its ``actions`` and ``k`` made relative to
+    ``bound`` by ``_rebase``, and finishes the grow on the twin's
+    tables; ``start`` and ``start_perm`` are then ignored."""
+    if resume is None:
+        n = len(dest) // 4
+        image = [-1] * n            # tet -> its new label
+        order = [start]             # new label -> tet
+        vmap = [0] * n              # tet -> S4 index relabelling its vertices
+        image[start] = 0
+        vmap[start] = start_perm
+        used = [False] * (4 * n)    # facets reached from their partner
+        actions = [] if bound is None else None
+        k = 0                       # characters that tie bound so far
+        dests = []
+        gluings = []
+        chunk = 1
+        tets = order
+    else:
+        image, order, vmap, used, dests, gluings, chunk, i, actions, k = resume
+        tets = islice(order, i, None)
+    for t in tets:
         vt = vmap[t]
         base = 4 * t
         for f in _FACET_ORDER[vt]:
@@ -155,9 +182,28 @@ def _grow(dest, partner, back, rows, start, start_perm, bound):
             if used[s]:
                 continue
             d = dest[s]
-            if d < 0:
+            if d >= 0:
+                used[partner[s]] = True
+                if image[d] < 0:
+                    chunk = chunk << 2 | 1
+                    image[d] = len(order)
+                    order.append(d)
+                    vmap[d] = COMPOSE[vt][back[s]]
+                else:
+                    chunk = chunk << 2 | 2
+                    dests.append(image[d])
+                    gluings.append(COMPOSE[vmap[d]][rows[s][INVERSE[vt]]])
+            elif d == -1:
                 chunk <<= 2
             else:
+                # A flagged facet.  Its first read hands the twin the
+                # state so far; then it is the join above, to -2 - d,
+                # repeated rather than shared: a test per facet or a
+                # return-and-resume made plain grows 1-3% slower.
+                if not fork:
+                    fork.append(_snapshot(image, order, vmap, used, dests,
+                                          gluings, chunk, actions, k, t, f))
+                d = -2 - d
                 used[partner[s]] = True
                 if image[d] < 0:
                     chunk = chunk << 2 | 1
@@ -192,16 +238,49 @@ def _grow(dest, partner, back, rows, start, start_perm, bound):
     return actions, dests, gluings, False, order, vmap
 
 
-# Row shape -> the first action characters of its 24 starts.  A shape
-# gives each facet one of a few small values, so the table stays small.
+def _snapshot(image, order, vmap, used, dests, gluings, chunk, actions, k,
+              t, f):
+    """A copy of a grow's state before it reads facet f of tetrahedron
+    t, the facets of t read before f marked used: the ``resume`` of a
+    grow that finishes it on other tables."""
+    used = used[:]
+    for g in _FACET_ORDER[vmap[t]]:
+        if g == f:
+            break
+        used[4 * t + g] = True
+    return [image[:], order[:], vmap[:], used, dests[:], gluings[:], chunk,
+            image[t], actions if actions is None else actions[:], k]
+
+
+def _rebase(state, bound, new_bound):
+    """A forked state, its actions taken against ``bound``, made
+    relative to ``new_bound`` instead; None if they already exceed it."""
+    if new_bound == bound:
+        return state
+    actions, k = state[8:]
+    prefix = bound[:k] if actions is None else actions
+    m = len(prefix)
+    if new_bound is not None and prefix == new_bound[:m]:
+        state[8:] = None, m
+    elif new_bound is None or prefix < new_bound[:m]:
+        state[8:] = prefix, 0
+    else:
+        return None
+    return state
+
+
+# Row shape -> the first action characters of its 24 starts, the least
+# of them and the start perms that have it.  A shape gives each facet
+# one of a few small values, so the table stays small.
 _FIRST = {}
 
 
-def _first_characters(dest, partner, t):
-    """Code points of the first action character of starts ``24t + p``,
-    for p = 0..23, looked up by the shape of t's row: per facet, -1 when
-    free, 4 + g when glued to facet g of t itself, and otherwise the
-    first facet of t glued to the same neighbour."""
+def _first_row(dest, partner, t):
+    """``(chars, least, perms)``: the code points of the first action
+    character of starts ``24t + p``, for p = 0..23, their least and the
+    p that have it, looked up by the shape of t's row: per facet, -1
+    when free, 4 + g when glued to facet g of t itself, and otherwise
+    the first facet of t glued to the same neighbour."""
     base = 4 * t
     d0, d1, d2, d3 = dest[base:base + 4]
     shape = (-1 if d0 < 0 else 4 + partner[base] - base if d0 == t else 0,
@@ -211,8 +290,8 @@ def _first_characters(dest, partner, t):
              else 0 if d2 == d0 else 1 if d2 == d1 else 2,
              -1 if d3 < 0 else 4 + partner[base + 3] - base if d3 == t
              else 0 if d3 == d0 else 1 if d3 == d1 else 2 if d3 == d2 else 3)
-    chars = _FIRST.get(shape)
-    if chars is None:
+    row = _FIRST.get(shape)
+    if row is None:
         # Grow them on a model of the row: tetrahedron 0 with its free and
         # self-glued facets, the neighbour first met at facet i as i + 1.
         model = [-1] * 20, [-1] * 20, [0] * 20, [COMPOSE[0]] * 20
@@ -220,9 +299,19 @@ def _first_characters(dest, partner, t):
             if x >= 0:
                 model[0][f], model[1][f] = ((0, x - 4) if x >= 4
                                            else (x + 1, 4 * x + 4))
-        chars = _FIRST[shape] = tuple(_grow(*model, 0, p, None)[0][0]
-                                      for p in range(24))
-    return chars
+        chars = tuple(_grow(*model, 0, p, None)[0][0] for p in range(24))
+        least = min(chars)
+        row = _FIRST[shape] = (chars, least, tuple(
+            p for p, c in enumerate(chars) if c == least))
+    return row
+
+
+def _least_starts(dest, partner, n):
+    """The starts, in order, whose first action character is the least."""
+    rows = [_first_row(dest, partner, t) for t in range(n)]
+    least = min([row[1] for row in rows])
+    return [24 * t + p for t, (_, c, perms) in enumerate(rows) if c == least
+            for p in perms]
 
 
 def encode_canonical(tri):
@@ -251,66 +340,83 @@ def encode_with_automorphisms(tri):
     return signature, automorphisms
 
 
-def _canonical(tri):
-    """The canonical signature, the order of the automorphism group, its
-    elements and the labelling ``(order, vmap)`` of the best start.
+class _Search:
+    """The state of one canonical search over the starts ``24 * tet +
+    perm`` of a triangulation of ``n`` tetrahedra, fed one grown start
+    at a time: the best start's actions and tail, the grown starts by
+    tail, the automorphism group found so far and the starts its orbits
+    mark done.
 
-    Starts are numbered ``24 * tet + perm``; only unmarked ones with the
-    least first action character are grown, so each automorphism
-    ``(img, tau)`` found is new.  It takes start ``24a + p`` to
-    ``24 img[a] + p.tau[a]``, so it maps tetrahedron a onto img[a] with
-    the vertex map ``INVERSE[tau[a]]``; ``group`` keys each by its image
-    of start 0.
+    Each automorphism ``(img, tau)`` found is new.  It takes start
+    ``24a + p`` to ``24 img[a] + p.tau[a]``, so it maps tetrahedron a
+    onto img[a] with the vertex map ``INVERSE[tau[a]]``; ``group`` keys
+    each by its image of start 0.  ``relabel(t, vmap)``, when given,
+    turns the vertex maps of a start of tetrahedron t into those of the
+    triangulation the group acts on.
     """
-    dest, partner, _, _ = flat = _flatten(tri)
-    size_str, n_chars = _size_chars(tri.n)
 
-    best_actions = best_tail = None
-    # Tail -> (start, order, vmap) for the grown starts whose actions
-    # are the best start's: a later start reaches the end only if its
-    # actions tie the best, so no other string can recur.
-    grown_from = {}
-    group = {0: (range(tri.n), (0,) * tri.n)}
-    generators, grown_starts = [], []
-    done = bytearray(24 * tri.n)
+    __slots__ = ("best_actions", "best_tail", "grown_from", "group",
+                 "generators", "grown_starts", "done", "labels", "relabel")
 
-    def mark(starts):
+    def __init__(self, n, relabel=None):
+        self.best_actions = self.best_tail = None
+        # Tail -> (start, order, vmap) for the grown starts whose actions
+        # are the best start's: a later start reaches the end only if its
+        # actions tie the best, so no other string can recur.
+        self.grown_from = {}
+        self.group = {0: (range(n), (0,) * n)}
+        self.generators = []
+        self.grown_starts = []
+        self.done = bytearray(24 * n)
+        # The code points of each label, when labels take more than one
+        # character (n >= 63).
+        n_chars = _size_chars(n)[1]
+        self.labels = None if n_chars == 1 else [
+            bytes((d >> 6 * i) & 0x3F for i in range(n_chars)).translate(
+                _ORD_BYTES) for d in range(n)]
+        self.relabel = relabel
+
+    def mark(self, starts):
+        done, group = self.done, self.group.values()
         for s in starts:
             a, p = divmod(s, 24)
-            for img, tau in group.values():
+            for img, tau in group:
                 done[24 * img[a] + COMPOSE[p][tau[a]]] = 1
 
-    firsts = []
-    for t in range(tri.n):
-        firsts += _first_characters(dest, partner, t)
-    least = min(firsts)
-    for s in [s for s, c in enumerate(firsts) if c == least]:
-        if done[s]:
-            continue
-        grown_starts.append(s)
-        if generators:          # else s's orbit is s, never met again
-            mark((s,))
-        start, start_perm = divmod(s, 24)
-        grown = _grow(*flat, start, start_perm, best_actions)
+    def visit(self, s):
+        """Start s is about to grow: mark its orbit done."""
+        self.grown_starts.append(s)
+        if self.generators:     # else s's orbit is s, never met again
+            self.mark((s,))
+
+    def offer(self, s, grown):
+        """Take in what start s grew, if it did not die."""
         if grown is None:
-            continue
+            return
         actions, dests, gluings, tied, order, vmap = grown
-        if n_chars > 1:
-            dests = [(d >> 6 * i) & 0x3F
-                     for d in dests for i in range(n_chars)]
-        tail = bytes(dests + gluings).translate(_ORD_BYTES)
+        if self.labels is None:
+            tail = bytes(dests + gluings).translate(_ORD_BYTES)
+        else:
+            tail = (b"".join(map(self.labels.__getitem__, dests))
+                    + bytes(gluings).translate(_ORD_BYTES))
         if not tied:
-            best_actions, best_tail = actions, tail
-            grown_from = {}
-        elif tail < best_tail:
-            best_tail = tail
-        seen = grown_from.setdefault(tail, (s, order, vmap))
-        if seen[0] == s:
-            continue
-        # The automorphism taking tetrahedron a = order_a[i] to b =
-        # order[i]; close the group under it and the earlier generators.
-        _, order_a, vmap_a = seen
+            self.best_actions, self.best_tail = actions, tail
+            self.grown_from = {}
+        elif tail < self.best_tail:
+            self.best_tail = tail
+        seen = self.grown_from.setdefault(tail, (s, order, vmap))
+        if seen[0] != s:
+            self.extend(s, order, vmap, *seen)
+
+    def extend(self, s, order, vmap, s_a, order_a, vmap_a):
+        """Close the group under the automorphism that takes start s_a's
+        labelling to start s's, and mark the orbits it adds."""
+        # It takes tetrahedron a = order_a[i] to b = order[i].
+        if self.relabel is not None:
+            vmap_a = self.relabel(s_a // 24, vmap_a)
+            vmap = self.relabel(s // 24, vmap)
         pairs = sorted(zip(order_a, order))
+        generators, group = self.generators, self.group
         generators.append(([b for _, b in pairs],
                            [COMPOSE[INVERSE[vmap_a[a]]][vmap[b]]
                             for a, b in pairs]))
@@ -323,9 +429,149 @@ def _canonical(tri):
                                       [COMPOSE[t][x_tau[b]]
                                        for t, b in zip(g_tau, g_img)])
                     elements.append(h)
-        mark(grown_starts)
-    signature = size_str + (bytes(best_actions) + best_tail).decode()
-    return signature, len(group), group.values(), grown_from[best_tail][1:]
+        self.mark(self.grown_starts)
+
+    def signature(self, n):
+        return _size_chars(n)[0] + (bytes(self.best_actions)
+                                    + self.best_tail).decode()
+
+
+def _canonical(tri):
+    """The canonical signature, the order of the automorphism group, its
+    elements and the labelling ``(order, vmap)`` of the best start.
+
+    Only unmarked starts with the least first action character are
+    grown, so each automorphism found is new.
+    """
+    dest, partner, _, _ = flat = _flatten(tri)
+    search = _Search(tri.n)
+    done, grown_starts = search.done, search.grown_starts
+    generators = search.generators
+    for s in _least_starts(dest, partner, tri.n):
+        if done[s]:
+            continue
+        # search.visit(s), inline: most grows die early, and a call per
+        # grow costs a general encode about 1%.
+        grown_starts.append(s)
+        if generators:
+            search.mark((s,))
+        start, start_perm = divmod(s, 24)
+        grown = _grow(*flat, start, start_perm, search.best_actions)
+        if grown is not None:
+            search.offer(s, grown)
+    return (search.signature(tri.n), len(search.group), search.group.values(),
+            search.grown_from[search.best_tail][1:])
+
+
+# Below this many tetrahedra the first flagged read comes too early in
+# a grow to pay for the copy at the fork: on the bundles of all RL-words
+# of length 2 to 6 and their covers (Python 3.11, one core of a shared
+# Xeon VM) the paired search was 4% slower than two encodes at 6
+# tetrahedra and 7% faster at 10.
+_PAIR_MIN = 8
+
+
+def least_twin_signature(tri, twin, slide, sigma):
+    """``(signature, which)``: the lesser of the canonical signatures of
+    ``tri`` and ``twin``, and 0 when it is ``tri``'s (a tie included) or
+    1 when it is ``twin``'s.  Both are whole searches, each with its own
+    bound and group, and each grows the starts its own encode would; a
+    start that both searches want grows most of the way once.
+
+    The two differ in the gluings of a few facets, and the difference
+    slides away from any start.  For each tetrahedron t, ``slide(t)`` is
+    ``(gluings, tets)``: B_t, the copy of ``tri`` with the gluings
+    ``{(tet, face): (dest, perm)}`` in place of its own (facets glued
+    in ``tri`` too), is ``twin`` with the vertices of each tetrahedron
+    of ``tets`` relabelled by ``sigma``, and t is not one of ``tets``.
+    So start ``24t + p`` grows the same string on B_t as on ``twin``,
+    and the same as on ``tri`` up to its first read of a facet in
+    ``gluings``.
+
+    Such a start grows on ``tri``'s tables with those facets flagged,
+    against ``tri``'s bound.  At the first flagged read it hands a copy
+    of its state to B_t's tables, which finish it against ``twin``'s
+    bound once it has finished on ``tri``'s.  A start that one search
+    has marked done grows for the other alone.  The twin's search
+    records B_t's vertex maps; ``relabel`` turns them into ``twin``'s
+    only to make an automorphism.
+    """
+    n = tri.n
+    if n < _PAIR_MIN:
+        signatures = _canonical(tri)[0], _canonical(twin)[0]
+        return min(signatures), int(signatures[1] < signatures[0])
+    dest, partner, back, rows = flat = _flatten(tri)
+    starts = _least_starts(dest, partner, n)
+    twin_starts = _least_starts(*_flatten(twin)[:2], n)
+    slides = [slide(t) for t in range(n)]
+    sigma = S4_INDEX[sigma]
+
+    def relabel(t, vmap):
+        vmap = list(vmap)
+        for u in slides[t][1]:
+            vmap[u] = COMPOSE[vmap[u]][sigma]
+        return vmap
+
+    # tri's destinations with the facets B_t changes flagged, and B_t's
+    # tables, both patched for one start tetrahedron at a time.
+    flagged = dest[:]
+    twin_flat = dest[:], partner[:], back[:], rows[:]
+    twin_dest, twin_partner, twin_back, twin_rows = twin_flat
+    patched = []
+
+    def patch(t):
+        for x in patched:
+            flagged[x] = twin_dest[x] = dest[x]
+            twin_partner[x], twin_back[x], twin_rows[x] = (
+                partner[x], back[x], rows[x])
+        patched.clear()
+        for (u, face), (d, perm) in slides[t][0].items():
+            x = 4 * u + face
+            p = S4_INDEX[perm]
+            flagged[x] = -2 - dest[x]
+            twin_dest[x] = d
+            twin_partner[x] = 4 * d + perm[face]
+            twin_back[x] = INVERSE[p]
+            twin_rows[x] = COMPOSE[p]
+            patched.append(x)
+
+    side, twin_side = _Search(n), _Search(n, relabel)
+    done, twin_done = side.done, twin_side.done
+    if starts != twin_starts:
+        # A start only one search wants is one the other has done.
+        wanted, twin_wanted = set(starts), set(twin_starts)
+        for s in twin_wanted - wanted:
+            done[s] = 1
+        for s in wanted - twin_wanted:
+            twin_done[s] = 1
+        starts = sorted(wanted | twin_wanted)
+    current = -1
+    for s in starts:
+        grow, twin_grow = not done[s], not twin_done[s]
+        if not (grow or twin_grow):
+            continue
+        start, start_perm = divmod(s, 24)
+        if start != current:
+            current = start
+            patch(start)
+        fork = []
+        if grow:
+            bound = side.best_actions
+            side.visit(s)
+            side.offer(s, _grow(flagged if twin_grow else dest, partner, back,
+                                rows, start, start_perm, bound, None, fork))
+        if twin_grow:
+            twin_bound = twin_side.best_actions
+            twin_side.visit(s)
+            if fork:            # else tri's grow died first, or never ran
+                resume = _rebase(fork[0], bound, twin_bound)
+                grown = resume and _grow(*twin_flat, start, start_perm,
+                                         twin_bound, resume)
+            else:
+                grown = _grow(*twin_flat, start, start_perm, twin_bound)
+            twin_side.offer(s, grown)
+    signatures = side.signature(n), twin_side.signature(n)
+    return min(signatures), int(signatures[1] < signatures[0])
 
 
 # The three 2-bit facet actions of each character, the first lowest.

@@ -18,14 +18,30 @@ first in two ways, through A and through -A, which differ by the
 elliptic involution of the fibre; both are bundles, and the one with
 the least canonical signature is kept.  The quadrilateral separating
 {0,1} from {2,3} is the horizontal one.
+
+The twist slides.  The elliptic involution E = (1,0,3,2) conjugates
+the face-0 gluing of each layer into its face-1 gluing, for agreeing
+and for differing letters.  So relabelling the vertices of a run of
+consecutive tetrahedra by E leaves the gluings inside the run as they
+were, and turns the gluings into and out of it by E: the twist moves
+from the gluing into the run to the gluing out of it.  The closure
+with the twist on the gluing into any one tetrahedron is therefore the
+closure through -A, up to isomorphism.  ``build_bundle`` encodes both
+closures in one paired search, ``isosig.least_twin_signature``.  From
+a start in tetrahedron t the twist sits on the gluing out of
+tetrahedron t + n//2, across the bundle from t, and the run relabelled
+is the one that leaves t out.  A grow from t then reads the same
+gluings in both closures until it first reaches one of the four facets
+that twisted gluing joins, close to its end.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .cohomology import bound_certificate
-from .isosig import encode_canonical
+from .isosig import least_twin_signature
 from .perms import IDENTITY, compose, inverse
 from .triangulation import Triangulation, _from_table
 
@@ -112,32 +128,63 @@ _NEW_LETTER = ((3, 0, 2, 1), (1, 2, 0, 3))
 _ELLIPTIC = (1, 0, 3, 2)
 
 
-def _closure(word, twist):
-    """The layered table of ``word`` closed through ``twist`` on the
-    bottom fibre."""
+@lru_cache(maxsize=None)
+def _layer(same, twist):
+    """``(face, perm, inverse(perm))`` for top faces 0 and 1 of a layer,
+    glued to the next layer through ``twist``, when the two letters
+    agree (``same``) and when they differ."""
+    return tuple((face, q, inverse(q)) for face, perm in
+                 zip((0, 1), _SAME_LETTER if same else _NEW_LETTER)
+                 for q in [compose(twist, perm)])
+
+
+def _closure(word, twist, at=0):
+    """The layered table of ``word`` with ``twist`` on the gluing into
+    tetrahedron ``at``; at 0 it closes the bundle through ``twist`` on
+    the bottom fibre."""
     n = len(word)
     rows = [[None] * 4 for _ in range(n)]
     for i in range(n):
         j = (i + 1) % n
-        perms = _SAME_LETTER if word[i] == word[j] else _NEW_LETTER
-        for face, perm in zip((0, 1), perms):
-            if j == 0:
-                perm = compose(twist, perm)
+        for face, perm, back in _layer(word[i] == word[j],
+                                       twist if j == at else IDENTITY):
             rows[i][face] = (j, perm)
-            rows[j][perm[face]] = (i, inverse(perm))
+            rows[j][perm[face]] = (i, back)
     return _from_table(rows)
+
+
+def _slide(word):
+    """The slide of ``isosig.least_twin_signature`` from the closure
+    through A to that through -A: for a start in tetrahedron t, the
+    twisted gluing out of tetrahedron i = (t + n//2) % n, and the run of
+    tetrahedra relabelled by E to move the twist there from the gluing
+    into tetrahedron 0, the one of i+1..n-1 and 0..i that leaves t
+    out."""
+    n = len(word)
+
+    def slide(t):
+        i = (t + n // 2) % n
+        j = (i + 1) % n
+        gluings = {}
+        for face, perm, back in _layer(word[i] == word[j], _ELLIPTIC):
+            gluings[i, face] = (j, perm)
+            gluings[j, perm[face]] = (i, back)
+        return gluings, range(i + 1, n) if t <= i else range(i + 1)
+    return slide
 
 
 def build_bundle(word):
     """Layer one tetrahedron per letter and close up by the monodromy.
 
     The closures through A and -A are both bundles; keep the least
-    signature, and on a tie the closure through A."""
+    signature, and on a tie the closure through A.  Both are encoded in
+    one paired search, which slides the twist of -A across the bundle
+    from each start."""
     analysis = word_analysis(word)
     closures = [_closure(word, twist) for twist in (IDENTITY, _ELLIPTIC)]
-    signature, tri = min(((encode_canonical(t), t) for t in closures),
-                         key=lambda c: c[0])
-    return BundleTriangulation(tri=tri, analysis=analysis,
+    signature, which = least_twin_signature(*closures, _slide(word),
+                                            _ELLIPTIC)
+    return BundleTriangulation(tri=closures[which], analysis=analysis,
                                signature=signature)
 
 

@@ -9,14 +9,14 @@ from idealtri.isosig import (
 )
 from idealtri.lst import layer_tetrahedron
 from idealtri.monodromy import (
-    BundleTriangulation, IDENT, L_MAT, R_MAT, _mat_mul, build_bundle,
-    word_analysis,
+    BundleTriangulation, IDENT, L_MAT, R_MAT, _ELLIPTIC, _closure, _mat_mul,
+    build_bundle, word_analysis,
 )
 from idealtri.moves import (
     MoveError, _edge_cycle, apply_move, enumerate_moves,
 )
 from idealtri.perms import (
-    COMPOSE, INVERSE, S4, S4_INDEX, compose, inverse, sign,
+    COMPOSE, IDENTITY, INVERSE, S4, S4_INDEX, compose, inverse, sign,
 )
 from idealtri.search import (
     _PERMS_TAKING, SearchResult, closed_admissible, random_move_walk,
@@ -1286,6 +1286,22 @@ def _fibre_triples(word):
         m = _mat_mul(m, R_MAT if letter == "R" else L_MAT)
         triples.append(frozenset(_normalize(_mat_vec(m, v)) for v in triple))
     return triples
+
+
+# The two-encode closure: both closures of the layered table encoded
+# in full, one after the other.  The differential oracle for the paired
+# search of ``idealtri.monodromy.build_bundle``.
+
+def reference_least_closure(word):
+    """The closures of ``word`` through A and -A, each encoded by
+    ``encode_canonical``: keep the least signature, and on a tie the
+    closure through A."""
+    analysis = word_analysis(word)
+    closures = [_closure(word, twist) for twist in (IDENTITY, _ELLIPTIC)]
+    signature, tri = min(((encode_canonical(t), t) for t in closures),
+                         key=lambda c: c[0])
+    return BundleTriangulation(tri=tri, analysis=analysis,
+                               signature=signature)
 
 
 class _ReferenceFibre:

@@ -3,15 +3,19 @@
 import io
 import itertools
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealtri import cli, cohomology, search
 from idealtri.cli import (
-    EXIT_INAPPLICABLE, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, _SINGLE, run,
+    EXIT_INAPPLICABLE, EXIT_IO, EXIT_MALFORMED, EXIT_OK, EXIT_USAGE, _SINGLE,
+    run,
 )
 from idealtri.isosig import decode, encode_canonical, read_census
 from idealtri.monodromy import build_bundle
@@ -330,6 +334,43 @@ def test_monodromy_reports_are_frozen():
         assert code == EXIT_OK
         reports.append(out)
     assert "".join(reports) == golden.read_text(encoding="utf-8")
+
+
+# One word each of length 24 and mod-2 order 1, of length 24 and order
+# 3, and of length 40 and order 1: covers of 24, 72 and 40 tetrahedra.
+LONG_WORDS = ("RRRLLLLLRRRRLRLLLLLRRLRR", "LLLRLLLLRLRRLLRLRLLRRLLL",
+              "LLRRRLRRRLLLLLLLRRRLLRLRLRLRRLRRLLRRRRLL")
+
+
+def test_long_monodromy_reports_are_frozen():
+    # the reports as the encoder printed them when it encoded the two
+    # closures one after the other
+    golden = (pathlib.Path(__file__).parent / "golden"
+              / "monodromy_long_reports.txt")
+    reports = []
+    for word in LONG_WORDS:
+        code, out = invoke(["monodromy", "--word", word])
+        assert code == EXIT_OK
+        reports.append(out)
+    assert "".join(reports) == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["decode", "analyze", "certificate"])
+def test_closed_pipe_exits_quietly(command):
+    # the reader closes its end before the first line is written, so
+    # every write fails; the command must exit with EXIT_IO and print
+    # no traceback
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idealtri", command,
+         str(root / "demos" / "bound_attaining.census")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_IO
+    assert err == b""
 
 
 def test_minsearch_reports_are_frozen():

@@ -16,6 +16,7 @@ from idealtri import find_isomorphism, isosig
 from idealtri.isosig import SCHARS, _canonical, encode_with_automorphisms
 from idealtri.monodromy import _ELLIPTIC, _closure
 from idealtri.perms import IDENTITY, S4
+from idealtri.triangulation import _from_table
 
 from helpers import (
     assert_revalidates, random_admissible, random_complex,
@@ -316,7 +317,7 @@ def test_marked_orbits_prune_the_starts(word):
                                for _ in range(3)]:
         dest, partner = isosig._flatten(tri)[:2]
         firsts = [c for t in range(tri.n)
-                  for c in isosig._first_characters(dest, partner, t)]
+                  for c in isosig._first_row(dest, partner, t)[0]]
         grown = []
 
         def spy(*args):
@@ -346,7 +347,7 @@ def test_first_character_table_matches_grow(n, closed, seed):
     dest, partner = flat[:2]
     firsts = []
     for t in range(n):
-        chars = isosig._first_characters(dest, partner, t)
+        chars = isosig._first_row(dest, partner, t)[0]
         assert chars == tuple(isosig._grow(*flat, t, p, None)[0][0]
                               for p in range(24))
         firsts += chars
@@ -412,6 +413,131 @@ def test_automorphisms_of_bundle_closures_keep_the_gluings():
                 orders.append(assert_automorphism_law(_closure(word, twist),
                                                       rng))
     assert max(orders) >= 8
+
+
+class _RecordedSearch(isosig._Search):
+    """A ``_Search`` that keeps a list of every instance made."""
+
+    __slots__ = ()
+    made = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize("word", ["RRLRRL", "RLLRLLRLL", "RRRLRRRLRRRL",
+                                  "RLRRLRLLRRLRLRRL"])
+def test_paired_searches_grow_what_two_encodes_grow(word, monkeypatch):
+    # Each search of the pair grows the starts its own encode grows and
+    # finds the same group; the twin's grows all resume a fork, none
+    # starts afresh.
+    monkeypatch.setattr(isosig, "_PAIR_MIN", 0)
+    build_bundle(word)          # fills the first-character table first
+    monkeypatch.setattr(isosig, "_Search", _RecordedSearch)
+    grow = isosig._grow
+    fresh = []
+
+    def spy(*args):
+        fresh.append(len(args) < 8 or args[7] is None)
+        return grow(*args)
+
+    monkeypatch.setattr(isosig, "_grow", spy)
+    _RecordedSearch.made.clear()
+    build_bundle(word)
+    paired = list(_RecordedSearch.made)
+    during = fresh[:]
+    for search, twist in zip(paired, (IDENTITY, _ELLIPTIC)):
+        _RecordedSearch.made.clear()
+        _canonical(_closure(word, twist))
+        (alone,) = _RecordedSearch.made
+        assert search.grown_starts == alone.grown_starts
+        assert sorted(search.group) == sorted(alone.group)
+        assert search.best_tail == alone.best_tail
+    assert during.count(True) == len(paired[0].grown_starts)
+    assert during.count(False) == len(paired[1].grown_starts)
+
+
+@pytest.mark.parametrize("word", ["RL", "RRL", "RRLL", "RLRLRL", "RRRLLRL"])
+def test_least_twin_signature_breaks_a_tie_towards_tri(word, monkeypatch):
+    # A twin equal to tri, its slide flagging the gluing across the
+    # bundle from each start and putting back the same gluings: both
+    # searches fork and tie, and the tie goes to tri.
+    monkeypatch.setattr(isosig, "_PAIR_MIN", 0)
+    tri = _closure(word, IDENTITY)
+    twin = _closure(word, IDENTITY)
+    n = tri.n
+
+    def slide(t):
+        i = (t + n // 2) % n
+        gluings = {}
+        for face in (0, 1):
+            d, perm = tri.gluings[i][face]
+            gluings[i, face] = d, perm
+            gluings[d, perm[face]] = tri.gluings[d][perm[face]]
+        return gluings, ()
+
+    assert isosig.least_twin_signature(tri, twin, slide, IDENTITY) == (
+        encode_canonical(tri), 0)
+
+
+def _reglued(tri, rng):
+    """tri with one glued pair of facets glued by another permutation,
+    or two pairs swapping partners; the re-glued facets' new gluings,
+    or None when the result falls apart."""
+    glued = [(t, f) for t in range(tri.n) for f in range(4)
+             if tri.gluings[t][f] is not None]
+    if not glued:
+        return None
+    t, f = rng.choice(glued)
+    d, perm = tri.gluings[t][f]
+    pairs = [((t, f), (d, perm[f]))]
+    others = [(u, g) for u, g in glued if (u, g) not in pairs[0]]
+    if others and rng.random() < 0.5:
+        u, g = rng.choice(others)
+        w, q = tri.gluings[u][g]
+        pairs = [((t, f), (u, g)), ((d, perm[f]), (w, q[g]))]
+    gluings = {}
+    for (a, fa), (b, fb) in pairs:
+        p = rng.choice([p for p in S4 if p[fa] == fb])
+        gluings[a, fa] = (b, p)
+        gluings[b, fb] = (a, tuple(p.index(v) for v in range(4)))
+    rows = [list(row) for row in tri.gluings]
+    for (u, g), gluing in gluings.items():
+        rows[u][g] = gluing
+    twin = _from_table(rows)
+    if len(isosig._grow(*isosig._flatten(twin), 0, 0, None)[4]) < tri.n:
+        return None
+    return twin, gluings
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.booleans(), SEEDS)
+def test_least_twin_signature_of_a_regluing(n, closed, seed):
+    # The twin re-glues one or two glued pairs of facets.  B_t is the
+    # twin itself for every t, with nothing relabelled, so the pair may
+    # grow against different bounds, die on one side only or want
+    # different starts.  Each search still grows what its own encode
+    # grows.
+    rng = random.Random(seed)
+    tri = random_complex(rng, n, closed=closed)
+    reglued = _reglued(tri, rng)
+    if reglued is None:
+        return
+    twin, gluings = reglued
+    with mock.patch.object(isosig, "_PAIR_MIN", 0), \
+            mock.patch.object(isosig, "_Search", _RecordedSearch):
+        _RecordedSearch.made.clear()
+        got = isosig.least_twin_signature(tri, twin, lambda t: (gluings, ()),
+                                          IDENTITY)
+        paired = list(_RecordedSearch.made)
+        _RecordedSearch.made.clear()
+        sigs = _canonical(tri)[0], _canonical(twin)[0]
+        alone = list(_RecordedSearch.made)
+    assert got == (min(sigs), int(sigs[1] < sigs[0]))
+    for search, reference in zip(paired, alone):
+        assert search.grown_starts == reference.grown_starts
+        assert sorted(search.group) == sorted(reference.group)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,13 +11,16 @@ from idealtri import (
     canonical_surface, decode, encode_canonical, euler_characteristic,
     read_census, word_analysis,
 )
+from idealtri import isosig
 from idealtri.monodromy import (
-    _ELLIPTIC, _closure, _mat_mul, _mat_mod2, HORIZONTAL_QUAD, IDENT,
+    _ELLIPTIC, _closure, _mat_mul, _mat_mod2, _slide, HORIZONTAL_QUAD, IDENT,
 )
-from idealtri.perms import IDENTITY
-from idealtri.triangulation import _from_table
+from idealtri.perms import COMPOSE, IDENTITY, S4_INDEX
+from idealtri.triangulation import _from_table, relabelled
 
-from helpers import assert_revalidates, reference_build_bundle
+from helpers import (
+    assert_revalidates, reference_build_bundle, reference_least_closure,
+)
 
 
 def admissible_words(length):
@@ -51,6 +54,90 @@ def test_layer_gluings_match_slope_tracking():
 @given(long_words)
 def test_long_word_layer_gluings_match_slope_tracking(word):
     assert_matches_oracle(word)
+
+
+# Every admissible word of length 2 to 10, and the 2- and 3-fold covers
+# of those of length 2 to 6.
+CLOSURE_WORDS = list(dict.fromkeys(
+    [w for length in range(2, 11) for w in admissible_words(length)]
+    + [cover(w, k) for length in range(2, 7) for w in admissible_words(length)
+       for k in (2, 3)]))
+
+
+def assert_matches_two_encodes(word):
+    bundle, reference = build_bundle(word), reference_least_closure(word)
+    assert bundle.signature == reference.signature, word
+    assert bundle.tri == reference.tri, word
+
+
+def test_paired_search_matches_two_encodes():
+    assert len(CLOSURE_WORDS) == 2192
+    for w in CLOSURE_WORDS:
+        assert_matches_two_encodes(w)
+
+
+def test_paired_search_matches_two_encodes_below_its_threshold(monkeypatch):
+    # Below isosig._PAIR_MIN tetrahedra build_bundle encodes the two
+    # closures one after the other; pair them there too, down to the
+    # two-tetrahedron bundles, whose starts own the twisted facets.
+    monkeypatch.setattr(isosig, "_PAIR_MIN", 0)
+    for w in CLOSURE_WORDS:
+        if len(w) < 9:
+            assert_matches_two_encodes(w)
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_words)
+def test_long_word_paired_search_matches_two_encodes(word):
+    assert_matches_two_encodes(word)
+
+
+def test_the_twist_slides_to_any_layer():
+    # E conjugates each layer's face-0 gluing into its face-1 gluing, so
+    # relabelling a run of tetrahedra by E moves the twist from the
+    # gluing into the run to the gluing out of it: with the twist on the
+    # gluing into any tetrahedron j the closure is the same bundle.
+    for length in range(2, 9):
+        for w in admissible_words(length):
+            untwisted = _closure(w, IDENTITY)
+            sig = encode_canonical(_closure(w, _ELLIPTIC))
+            for j in range(length):
+                assert _closure(w, IDENTITY, at=j) == untwisted
+                assert encode_canonical(_closure(w, _ELLIPTIC, at=j)) == sig
+
+
+def test_slid_closure_grows_each_start_as_the_closure_through_minus_a():
+    # From a start in tetrahedron t, B_t has the twist on the gluing out
+    # of tetrahedron t + n//2.  It is the closure through A with the
+    # slide's gluings in place, and the closure through -A with the
+    # slide's run of tetrahedra relabelled by E, t left out; so every
+    # start 24t + p grows the same string on both, with vertex maps
+    # that differ by E on the run.
+    e = S4_INDEX[_ELLIPTIC]
+    for length in range(2, 8):
+        for w in admissible_words(length):
+            minus_a = _closure(w, _ELLIPTIC)
+            flat = isosig._flatten(minus_a)
+            slide = _slide(w)
+            for t in range(length):
+                b_t = _closure(w, _ELLIPTIC, at=(t + length // 2 + 1) % length)
+                gluings, run = slide(t)
+                assert t not in run
+                rows = [list(row) for row in _closure(w, IDENTITY).gluings]
+                for (u, face), gluing in gluings.items():
+                    rows[u][face] = gluing
+                assert _from_table(rows) == b_t
+                assert b_t == relabelled(
+                    minus_a, list(range(length)),
+                    [_ELLIPTIC if u in run else IDENTITY
+                     for u in range(length)])
+                b_flat = isosig._flatten(b_t)
+                for p in range(24):
+                    grown = isosig._grow(*flat, t, p, None)
+                    on_b = isosig._grow(*b_flat, t, p, None)
+                    assert on_b[:5] == grown[:5]
+                    assert [COMPOSE[v][e] if u in run else v
+                            for u, v in enumerate(on_b[5])] == grown[5]
 
 
 def test_both_closures_are_admissible():
