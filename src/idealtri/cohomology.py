@@ -48,6 +48,8 @@ class Cocycle(_CocycleFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, tri, mask):
+        if type(mask) is not int or not 0 <= mask < 1 << len(tri.edge_classes):
+            raise ParityError("mask is not a set of edge classes")
         for row in tri.parity_rows:
             if (mask & row).bit_count() % 2:
                 raise ParityError("face with odd edge-colour sum")

@@ -463,20 +463,13 @@ def _canonical(tri):
             search.grown_from[search.best_tail][1:])
 
 
-# Below this many tetrahedra the first flagged read comes too early in
-# a grow to pay for the copy at the fork: on the bundles of all RL-words
-# of length 2 to 6 and their covers (Python 3.11, one core of a shared
-# Xeon VM) the paired search was 4% slower than two encodes at 6
-# tetrahedra and 7% faster at 10.
-_PAIR_MIN = 8
-
-
 def least_twin_signature(tri, twin, slide, sigma):
     """``(signature, which)``: the lesser of the canonical signatures of
     ``tri`` and ``twin``, and 0 when it is ``tri``'s (a tie included) or
     1 when it is ``twin``'s.  Both are whole searches, each with its own
     bound and group, and each grows the starts its own encode would; a
-    start that both searches want grows most of the way once.
+    start that both searches want grows most of the way once.  This is
+    the only closure search, for every size: two tetrahedra and up.
 
     The two differ in the gluings of a few facets, and the difference
     slides away from any start.  For each tetrahedron t, ``slide(t)`` is
@@ -497,9 +490,6 @@ def least_twin_signature(tri, twin, slide, sigma):
     only to make an automorphism.
     """
     n = tri.n
-    if n < _PAIR_MIN:
-        signatures = _canonical(tri)[0], _canonical(twin)[0]
-        return min(signatures), int(signatures[1] < signatures[0])
     dest, partner, back, rows = flat = _flatten(tri)
     starts = _least_starts(dest, partner, n)
     twin_starts = _least_starts(*_flatten(twin)[:2], n)

@@ -11,8 +11,9 @@ an edge, one 1-cell per matched arc in a face, and the discs as
 connected component is itself a normal surface, so ``components``
 reads each component's chi with ``euler_characteristic`` as well.
 
-``from_coordinates`` checks a vector from outside: its length, signs,
-one quad type per tetrahedron and the matching equations.  Canonical
+``from_coordinates`` checks a vector from outside: its length, that
+each coordinate is a non-negative ``int`` (not a ``bool``), one quad
+type per tetrahedron and the matching equations.  Canonical
 and vertex-linking surfaces meet these by construction, so a
 ``NormalSurface`` itself only checks that its triangulation is closed.
 """
@@ -103,7 +104,8 @@ class NormalSurface(_NormalSurfaceFields):
 
 def from_coordinates(tri, vector):
     """Build a surface from a length-7n coordinate vector, checking it:
-    non-negative, one quad type per tetrahedron, matching equations."""
+    non-negative integers, one quad type per tetrahedron, matching
+    equations."""
     if len(vector) != 7 * tri.n:
         raise SurfaceError("coordinate vector must have length 7n")
     surface = NormalSurface(
@@ -111,8 +113,9 @@ def from_coordinates(tri, vector):
         triangles=tuple(tuple(vector[7 * t: 7 * t + 4]) for t in range(tri.n)),
         quads=tuple(tuple(vector[7 * t + 4: 7 * t + 7]) for t in range(tri.n)))
     for t in range(tri.n):
-        if any(c < 0 for c in surface.triangles[t] + surface.quads[t]):
-            raise SurfaceError("negative coordinate")
+        if any(type(c) is not int or c < 0
+               for c in surface.triangles[t] + surface.quads[t]):
+            raise SurfaceError("coordinate is not a non-negative integer")
         if sum(1 for c in surface.quads[t] if c) > 1:
             raise SurfaceError(
                 f"two quad types in tetrahedron {t}: not embeddable")

@@ -426,13 +426,13 @@ class _RecordedSearch(isosig._Search):
         self.made.append(self)
 
 
-@pytest.mark.parametrize("word", ["RRLRRL", "RLLRLLRLL", "RRRLRRRLRRRL",
+@pytest.mark.parametrize("word", ["RL", "RRL", "RRLL", "RLRLRL", "RRLRRL",
+                                  "RLLRLLRLL", "RRRLRRRLRRRL",
                                   "RLRRLRLLRRLRLRRL"])
 def test_paired_searches_grow_what_two_encodes_grow(word, monkeypatch):
     # Each search of the pair grows the starts its own encode grows and
     # finds the same group; the twin's grows all resume a fork, none
     # starts afresh.
-    monkeypatch.setattr(isosig, "_PAIR_MIN", 0)
     build_bundle(word)          # fills the first-character table first
     monkeypatch.setattr(isosig, "_Search", _RecordedSearch)
     grow = isosig._grow
@@ -459,11 +459,10 @@ def test_paired_searches_grow_what_two_encodes_grow(word, monkeypatch):
 
 
 @pytest.mark.parametrize("word", ["RL", "RRL", "RRLL", "RLRLRL", "RRRLLRL"])
-def test_least_twin_signature_breaks_a_tie_towards_tri(word, monkeypatch):
+def test_least_twin_signature_breaks_a_tie_towards_tri(word):
     # A twin equal to tri, its slide flagging the gluing across the
     # bundle from each start and putting back the same gluings: both
     # searches fork and tie, and the tie goes to tri.
-    monkeypatch.setattr(isosig, "_PAIR_MIN", 0)
     tri = _closure(word, IDENTITY)
     twin = _closure(word, IDENTITY)
     n = tri.n
@@ -525,8 +524,7 @@ def test_least_twin_signature_of_a_regluing(n, closed, seed):
     if reglued is None:
         return
     twin, gluings = reglued
-    with mock.patch.object(isosig, "_PAIR_MIN", 0), \
-            mock.patch.object(isosig, "_Search", _RecordedSearch):
+    with mock.patch.object(isosig, "_Search", _RecordedSearch):
         _RecordedSearch.made.clear()
         got = isosig.least_twin_signature(tri, twin, lambda t: (gluings, ()),
                                           IDENTITY)

@@ -76,16 +76,6 @@ def test_paired_search_matches_two_encodes():
         assert_matches_two_encodes(w)
 
 
-def test_paired_search_matches_two_encodes_below_its_threshold(monkeypatch):
-    # Below isosig._PAIR_MIN tetrahedra build_bundle encodes the two
-    # closures one after the other; pair them there too, down to the
-    # two-tetrahedron bundles, whose starts own the twisted facets.
-    monkeypatch.setattr(isosig, "_PAIR_MIN", 0)
-    for w in CLOSURE_WORDS:
-        if len(w) < 9:
-            assert_matches_two_encodes(w)
-
-
 @settings(max_examples=30, deadline=None)
 @given(long_words)
 def test_long_word_paired_search_matches_two_encodes(word):

@@ -57,6 +57,20 @@ def test_cocycle_rejects_odd_faces():
         cohomology.Cocycle(tri, 1)
     with pytest.raises(cohomology.ParityError):
         cohomology.Cocycle(tri, 0)._replace(mask=1)
+    # a mask must be a set of the edge classes: an int below 1 << 6 here
+    tri = decode("gLLMQbeefffehhqxhqq")
+    assert len(tri.edge_classes) == 6
+    for mask in (1 << 6, -1, 1.5, "1", None, True):
+        with pytest.raises(cohomology.ParityError):
+            cohomology.Cocycle(tri, mask)
+    with pytest.raises(cohomology.ParityError):
+        cohomology.Cocycle(tri, 0)._replace(mask=1 << 6)
+    # phi with a bit past the edge classes agrees with phi on every edge:
+    # it is no second colouring for the rank-2 sweep
+    phi = cohomology.cocycle_space(tri).vectors[0]
+    with pytest.raises(cohomology.ParityError):
+        cohomology.classify_rank2(
+            tri, phi, cohomology.Cocycle(tri, phi.mask | 1 << 6))
 
 
 def test_normal_surface_rejects_bounded_triangulations():

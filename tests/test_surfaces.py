@@ -124,10 +124,15 @@ def test_matching_equations_hold_for_canonical_surfaces():
 
 def test_from_coordinates_rejects_bad_vectors():
     tri = decode("cPcbbbiht")
+    link = vertex_link_surface(tri).coordinate_vector()
     for vector in [[0] * 13,                         # wrong length
                    [-1] + [0] * 13,                  # negative
                    [0, 0, 0, 0, 1, 1, 0] + [0] * 7,  # two quad types
-                   [1] + [0] * 13]:                  # matching fails
+                   [1] + [0] * 13,                   # matching fails
+                   [c / 2 for c in link],            # half a surface
+                   [float(c) for c in link],         # floats
+                   [str(c) for c in link],           # strings
+                   [c == 1 for c in link]]:          # bools
         with pytest.raises(SurfaceError):
             from_coordinates(tri, vector)
     with pytest.raises(SurfaceError):
