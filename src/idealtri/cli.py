@@ -57,7 +57,7 @@ def _inputs(value):
     """A literal signature, or a census file of signatures."""
     if os.path.exists(value):
         try:
-            with open(value, "r", encoding="utf-8") as fh:
+            with open(value, "r", encoding="utf-8-sig") as fh:
                 return read_census(fh.read())
         except OSError as exc:
             raise CliError(EXIT_IO, "io", str(exc))

@@ -102,7 +102,7 @@ def word_analysis(word):
 
 def cover(word, k):
     """The monodromy word of the k-fold cyclic cover of the bundle."""
-    if k not in (1, 2, 3):
+    if type(k) is not int or k not in (1, 2, 3):
         raise MonodromyError("covering degree must be 1, 2 or 3")
     return word * k
 

@@ -6,20 +6,17 @@ predicate and deduplicates by canonical signature, so the result is
 complete up to isomorphism.  The walk is its own validator (after
 Burton, "Enumeration of non-orientable 3-manifolds using face-pairing
 graphs and union-find", 2007): an undoable signed union-find over edge
-slots, tetrahedra and corners cuts every partial gluing that reverses an
-edge, or breaks the orientation when only ``orientable`` complexes are
-asked for, and tells which leaves are connected; those are adopted
-unchecked.
-The same union-find answers ``closed_admissible`` and
-``torus_links_only`` from its roots, and cuts a partial gluing as soon
-as its closed edge classes rule them out (after Burton, "Detecting
-genus in vertex links for the fast enumeration of 3-manifold
-triangulations", 2011), so those walks build only the complexes that
-pass.
-Every cut and leaf test is an isomorphism invariant and every table is
-visited once, so the first leaf reached of each isomorphism class marks
-all its relabellings, and only it is checked and encoded (the isomorph
-rejection of McKay, "Isomorph-free exhaustive generation", 1998).
+slots and tetrahedra cuts every partial gluing that reverses an edge,
+or breaks the orientation when only orientable complexes are asked
+for, and tells which leaves are connected; those are adopted unchecked.
+For ``closed_admissible`` and ``torus_links_only`` the same union-find
+counts the edge classes, and cuts a partial gluing as soon as they rule
+out a torus link at every vertex, or an edge of degree below 3.
+Every cut is an isomorphism invariant and every table is visited once,
+so the first leaf reached of each isomorphism class marks all its
+relabellings, and only it is asked the predicate and encoded (the
+isomorph rejection of McKay, "Isomorph-free exhaustive generation",
+1998).
 
 The bounded move search rejects isomorphs at its last level by the
 same pattern, an invariant before the certificate.  The classes of that
@@ -49,8 +46,8 @@ from . import moves
 from .isosig import decode, encode_canonical, encode_with_automorphisms
 from .perms import S4, inverse
 from .triangulation import (
-    _CORNER_MOVES, _EDGE_MOVES, _PAIRS, _SLOT, _TET_MOVES, _from_table,
-    _relabel_rows, _union_find, boundary_surface,
+    _EDGE_MOVES, _SLOT, _TET_MOVES, _from_table, _relabel_rows,
+    _union_find, boundary_surface,
 )
 
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
@@ -71,17 +68,13 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
 
     The walk pairs faces one gluing at a time, writing both sides into
     one table, and keeps a ``triangulation._union_find`` over edge
-    slots ``6t + k``, tetrahedra ``6n + t`` and corners ``7n + 4t + v``,
-    merged by the moves of ``triangulation._EDGE_MOVES``, ``_TET_MOVES``
-    and ``_CORNER_MOVES``, every item signed.  A reversed edge cuts the
-    whole subtree; ``orientable`` only decides whether a contradiction
-    on the tetrahedra cuts too.  Corners are merged only for the leaf
-    tests below, their one reader, and never cut: those walks are
-    orientable and merge the tetrahedra first, so the corner signs of
-    their complexes cannot contradict.  A leaf is connected when
-    tetrahedron 0's root holds all n tetrahedra, and is then adopted
-    through ``triangulation._from_table``.  The visit order is that of
-    the unpruned walk, so the result is the unpruned walk's.
+    slots ``6t + k`` and tetrahedra ``6n + t``, merged by the moves of
+    ``triangulation._EDGE_MOVES`` and ``_TET_MOVES``, every item signed.
+    A reversed edge cuts the whole subtree; ``orientable`` only decides
+    whether a contradiction on the tetrahedra cuts too.  A leaf is
+    connected when tetrahedron 0's root holds all n tetrahedra, and is
+    then adopted through ``triangulation._from_table``.  The visit order
+    is that of the unpruned walk, so the result is the unpruned walk's.
 
     Each edge move pairs one unglued face side of each slot, and a
     class's unglued sides are the two ends of a chain of face sides, so
@@ -89,30 +82,26 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     it: the class is then closed, for good, and its size is its degree.
     The walk counts the closed classes and the edge roots on its path.
 
-    ``closed_admissible`` and ``torus_links_only`` are answered from the
-    roots before any leaf is adopted, and force ``orientable``, since
-    both reject every non-orientable complex.  A closed orientable
-    complex has χ = V - E + n = Σ_v (1 - χ(link v)/2), so its links are
-    all tori only when E = n.  Both walks therefore cut a gluing that
-    closes more than n classes or leaves fewer than n edge roots, and
-    ``closed_admissible`` also one that closes a class of degree below
-    3; each cut is exact, since roots only merge and a closed class
-    never changes.  A leaf has no free face exactly when all its classes
-    have closed, n of them after these cuts.  Such a leaf passes
-    ``closed_admissible`` with one corner root, whose link is then a
-    torus, and ``torus_links_only`` when every corner root has twice as
-    many edge-class ends as corners: its link's χ is ends - corners/2,
-    and the links of an orientable complex are orientable.
+    ``closed_admissible`` and ``torus_links_only`` reject every complex
+    that is not closed and orientable, so they force ``orientable``.  A
+    closed orientable complex has χ = V - E + n = Σ_v (1 - χ(link v)/2),
+    so its links are all tori only when E = n.  Both walks therefore cut
+    a gluing that closes more than n classes or leaves fewer than n edge
+    roots, and ``closed_admissible`` also one that closes a class of
+    degree below 3; each cut is exact, since roots only merge and a
+    closed class never changes.  A leaf has no free face exactly when
+    all its classes have closed; the other leaves of these walks are
+    cut.
 
-    A leaf that passes these tests is keyed by its table.  The walk
-    reaches every table once, and its cuts and tests are isomorphism
-    invariants, so the leaves of one class are exactly the n!·24ⁿ
-    relabellings of any one of them.  The first reached is the one
-    kept: it marks all its relabellings (``triangulation._relabel_rows``)
-    and alone runs ``predicate`` and ``encode_canonical``; each later
-    leaf of its class finds its mark, takes it out and is skipped.  So
-    the result is the unpruned walk's, the marks drain by the end of
-    the walk, and they hold at most n!·24ⁿ tables per class met.
+    A leaf that survives the cuts is keyed by its table.  The walk
+    reaches every table once, and its cuts are isomorphism invariants,
+    so the leaves of one class are exactly the n!·24ⁿ relabellings of
+    any one of them.  The first reached is the one kept: it marks all
+    its relabellings (``triangulation._relabel_rows``) and alone runs
+    ``predicate`` and ``encode_canonical``; each later leaf of its class
+    finds its mark, takes it out and is skipped.  So the result is the
+    unpruned walk's, the marks drain by the end of the walk, and they
+    hold at most n!·24ⁿ tables per class met.
     """
     if n < 1:
         raise ValueError("need at least one tetrahedron")
@@ -123,40 +112,11 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     # Both sides of every gluing on the current path; each face is
     # written before any leaf below it, so nothing is undone.
     rows = [[None] * 4 for _ in range(n)]
-    parent, size, attached, find, link = _union_find(11 * n)
-
-    def merge(moves, base, base2):
-        """Apply the moves ``(i, j, flip)`` from items ``base + i`` to
-        ``base2 + j``; False at the first one that contradicts a sign."""
-        for i, j, flip in moves:
-            (a, sa), (b, sb) = find(base + i), find(base2 + j)
-            if a != b:
-                link(a, b, sa ^ sb ^ flip)
-            elif sa ^ sb != flip:
-                return False
-        return True
-
-    def one_vertex():
-        return size[find(7 * n)[0]] == 4 * n
-
-    def torus_links():
-        ends = [0] * (11 * n)       # edge-class ends per corner root
-        for e in range(6 * n):
-            if parent[e] == e:
-                t, k = divmod(e, 6)
-                for v in _PAIRS[k]:
-                    ends[find(7 * n + 4 * t + v)[0]] += 1
-        return all(2 * ends[c] == size[c]
-                   for c in range(7 * n, 11 * n) if parent[c] == c)
-
-    # closed_admissible and torus_links_only are answered from the roots
-    # by a test of the vertex links; any other predicate is asked of the
-    # adopted leaf.
-    link_test = {closed_admissible: one_vertex,
-                 torus_links_only: torus_links}.get(predicate)
-    counted = link_test is not None
+    parent, size, attached, find, link = _union_find(7 * n)
+    # Only the cut flags read the predicate's identity; every predicate
+    # is asked of the adopted leaf.
+    counted = predicate in (closed_admissible, torus_links_only)
     orientable = orientable or counted
-    check = None if counted else predicate
     low = 3 if predicate is closed_admissible else 0
 
     def glue(t1, f1, t2, perm, closed, roots):
@@ -177,11 +137,12 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
         if counted and (closed > n or roots < n):
             return None
         # Always merged, for connectivity; a contradiction merges nothing.
-        if (not merge(_TET_MOVES[perm][f1], 6 * n + t1, 6 * n + t2)
-                and orientable):
+        ((_, _, flip),) = _TET_MOVES[perm][f1]
+        (a, sa), (b, sb) = find(6 * n + t1), find(6 * n + t2)
+        if a != b:
+            link(a, b, sa ^ sb ^ flip)
+        elif sa ^ sb != flip and orientable:
             return None
-        if counted:     # only the leaf tests read the corners
-            merge(_CORNER_MOVES[perm][f1], 7 * n + 4 * t1, 7 * n + 4 * t2)
         return closed, roots
 
     # The tables the walk has still to reach of the classes it has met.
@@ -192,7 +153,7 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     def leaf(closed, roots):
         if size[find(6 * n)[0]] != n:
             return
-        if counted and (closed < roots or not link_test()):
+        if counted and closed < roots:      # a free face
             return
         key = tuple(map(tuple, rows))
         if key in marked:
@@ -201,7 +162,7 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
         marked.update(_relabel_rows(key, *r) for r in relabellings)
         marked.remove(key)
         tri = _from_table(rows)
-        if check is None or check(tri):
+        if predicate is None or predicate(tri):
             results[encode_canonical(tri)] = tri
 
     def recurse(unmatched, free_left, closed, roots):

@@ -158,8 +158,10 @@ def _surface_of_types(tri, types):
 
 def vertex_link_surface(tri, vertex_index=0):
     """The vertex-linking surface: one triangle per corner of the class.
-    Raises ``SurfaceError`` unless ``vertex_index`` numbers a class."""
-    if vertex_index not in range(len(tri.vertex_classes)):
+    Raises ``SurfaceError`` unless ``vertex_index`` is an ``int`` (not a
+    ``bool``) that numbers a class."""
+    if (type(vertex_index) is not int
+            or vertex_index not in range(len(tri.vertex_classes))):
         raise SurfaceError(f"no vertex class {vertex_index}")
     triangles = [[0, 0, 0, 0] for _ in range(tri.n)]
     for (t, v) in tri.vertex_classes[vertex_index].corners:

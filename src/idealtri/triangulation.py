@@ -12,12 +12,12 @@ edge identified with itself in reverse raises ``InvalidEdge`` when the
 edge classes, or the vertex classes that read them, are computed.
 
 Gluing data is checked where it enters: ``Triangulation(n, gluings,
-closed)``, ``build`` and ``subcomplex`` validate it, shapes and integer
-types included, ``relabelled`` checks that its maps are bijections, and
-``isosig.decode`` checks its action stream as it replays it.  The
-decoder, layering, bistellar moves, the bundle closure, the enumerator
-and ``relabelled`` build valid tables and adopt them through
-``_from_table``.
+closed)``, ``build`` and ``subcomplex`` validate it, shapes and ``int``
+types included (a ``bool`` is no index), ``relabelled`` checks that its
+maps are bijections, and ``isosig.decode`` checks its action stream as
+it replays it.  The decoder, layering, bistellar moves, the bundle
+closure, the enumerator and ``relabelled`` build valid tables and adopt
+them through ``_from_table``.
 
 Derived classes are signed orbits of dense integer items under gluings:
 
@@ -31,14 +31,15 @@ Derived classes are signed orbits of dense integer items under gluings:
   its corner signs are consistent.
 
 The moves a gluing makes on one tetrahedron's items (``_EDGE_MOVES``,
-``_CORNER_MOVES``, ``_TET_MOVES``, which the enumerator merges by) are
-turned at import into step tables: the faces each item lies on, and its
-image and flip across each face under each permutation.  The
-depth-first walk ``_walk`` reads ``gluings`` through them for corners
-and tetrahedra, and ``_edge_walk`` rotates around each edge, whose
-slots lie on two faces each.  The derived classes read their flat
-arrays into named-tuple records; ``classify_face`` reads them through
-``_FACE_CYCLES``, the slots of each face's directed boundary cycle.
+``_CORNER_MOVES``, ``_TET_MOVES``; the enumerator merges by the first
+and the last) are turned at import into step tables: the faces each
+item lies on, and its image and flip across each face under each
+permutation.  The depth-first walk ``_walk`` reads ``gluings`` through
+them for corners and tetrahedra, and ``_edge_walk`` rotates around each
+edge, whose slots lie on two faces each.  The derived classes read
+their flat arrays into named-tuple records; ``classify_face`` reads them
+through ``_FACE_CYCLES``, the slots of each face's directed boundary
+cycle.
 The enumerator's undoable signed union-find, ``_union_find``, also
 links the disc sheets of ``surfaces.components`` and the free-face
 corners ``16t + 4f + v`` of ``boundary_surface``; neither is a step
@@ -278,7 +279,7 @@ class Triangulation:
     """
 
     def __init__(self, n, gluings, closed=True):
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise InvalidTriangulation(f"tetrahedron count {n!r} is not an integer")
         if n < 1:
             raise InvalidTriangulation("need at least one tetrahedron")
@@ -290,14 +291,14 @@ class Triangulation:
                 raise InvalidTriangulation(
                     f"gluing {item!r} is not a (face, target) pair")
             t, f = _pair(key)
-            if not (isinstance(t, int) and isinstance(f, int)):
+            if not (type(t) is int and type(f) is int):
                 raise InvalidTriangulation(f"face {key!r} is not a pair of integers")
             if not (0 <= t < n and 0 <= f < 4):
                 raise InvalidTriangulation(f"face ({t},{f}) out of range")
             if target is None:
                 continue
             t2, perm = _pair(target)
-            if not isinstance(t2, int):
+            if type(t2) is not int:
                 raise InvalidTriangulation(
                     f"gluing of ({t},{f}) is not a (tetrahedron, permutation) pair")
             if not (0 <= t2 < n):
@@ -641,12 +642,12 @@ def subcomplex(tri, tets):
     them are kept, all other faces become free.
 
     Returns (sub, index_of) where index_of maps old to new indices.
-    Vertex labels are unchanged.  A tetrahedron that is not an integer
-    in ``range(tri.n)`` raises InvalidTriangulation.
+    Vertex labels are unchanged.  A tetrahedron that is not an ``int``
+    (a ``bool`` is not) in ``range(tri.n)`` raises InvalidTriangulation.
     """
     tets = list(tets)
     for t in tets:
-        if not (isinstance(t, int) and 0 <= t < tri.n):
+        if not (type(t) is int and 0 <= t < tri.n):
             raise InvalidTriangulation(f"tetrahedron {t!r} out of range")
     tets = sorted(set(tets))
     index_of = {t: i for i, t in enumerate(tets)}
@@ -683,7 +684,7 @@ def relabelled(tri, tet_map, vertex_maps):
     try:
         vertex_maps = [S4_INDEX[tuple(p)] for p in vertex_maps]
         bijective = (sorted(tet_map) == list(range(tri.n))
-                     and all(isinstance(t, int) for t in tet_map))
+                     and all(type(t) is int for t in tet_map))
     except (KeyError, TypeError):
         bijective = False
     if not bijective or len(vertex_maps) != tri.n:

@@ -171,6 +171,9 @@ def test_single_letter_words_rejected():
 def test_cover_laws():
     assert cover("RL", 3) == "RLRLRL"
     assert cover("RLL", 1) == "RLL"
+    for k in (0, 4, True, 2.0):
+        with pytest.raises(MonodromyError):
+            cover("RL", k)
     for w in ["RL", "RLL", "RRLL"]:
         base = word_analysis(w)
         for k in (1, 2, 3):

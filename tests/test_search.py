@@ -172,9 +172,10 @@ def test_two_tet_bounded_walk_matches_unpruned_walk(orientable):
 @example(3, 4)      # one vertex, a genus-2 link, 2 edge classes
 @example(3, 25)     # one vertex, a torus link, 3 edge classes
 def test_one_vertex_torus_link_iff_n_edge_classes(n, seed):
-    # The identity the enumerator's closed_admissible leaf test rests on:
-    # a closed complex has chi = V - E + n = sum over its vertices of
-    # 1 - chi(link)/2, and orientable links when it is orientable.
+    # The identity behind the enumerator's E = n cut for
+    # closed_admissible: a closed complex has chi = V - E + n = sum over
+    # its vertices of 1 - chi(link)/2, and orientable links when it is
+    # orientable.
     tri = random_complex(random.Random(seed), n, closed=True)
     try:
         vertices, edges = tri.vertex_classes, tri.edge_classes
@@ -257,8 +258,8 @@ def test_a_gluing_within_one_edge_class_closes_it(n, closed, seed):
 @pytest.mark.parametrize("orientable", [False, True])
 def test_admissible_walk_adopts_exactly_the_admissible_leaves(
         monkeypatch, orientable):
-    # closed_admissible and torus_links_only are answered from the walk's
-    # roots: every leaf adopted or marked passes the predicate, and no
+    # closed_admissible and torus_links_only cut by their edge counts:
+    # every leaf adopted or marked passes the predicate, and no
     # connected leaf that passes it is missed.  The unfiltered walk
     # marks every connected leaf; a predicate that rejects them all
     # saves encoding each class.
@@ -280,35 +281,11 @@ def test_admissible_walk_adopts_exactly_the_admissible_leaves(
             assert bool(kept) == (n == 2)
 
 
-def test_admissible_walk_builds_no_derived_classes(monkeypatch):
-    calls = []
-    union_find = triangulation._union_find
-
-    def spy(items):
-        calls.append(items)
-        return union_find(items)
-
-    # the enumerator holds its own reference to _union_find, so only
-    # boundary_surface reaches this spy
-    monkeypatch.setattr(triangulation, "_union_find", spy)
-    # derived classes walk their step tables
-    walk = triangulation._walk
-
-    def walk_spy(gluings, table):
-        calls.append(len(gluings))
-        return walk(gluings, table)
-
-    monkeypatch.setattr(triangulation, "_walk", walk_spy)
-    assert len(enumerate_complexes(2, closed_admissible, 0)) == 3
-    assert len(enumerate_complexes(2, torus_links_only, 0)) == 10
-    assert calls == []
-
-
 @pytest.mark.parametrize("predicate, boundary", [
     (closed_admissible, 0), (torus_links_only, 0),
     (closed_admissible, 2), (torus_links_only, 2)])
 def test_two_tet_counted_walks_match_unpruned_walk(predicate, boundary):
-    # the walks answered from the roots; both predicates reject
+    # the walks cut by their edge counts; both predicates reject
     # non-orientable complexes, so one reference run serves both settings
     ref = list(reference_results(2, predicate, boundary).items())
     for orientable in (False, True):
@@ -332,17 +309,28 @@ def test_two_tet_walk_encodes_one_leaf_per_class(
     assert len(encodes) == classes
 
 
-def test_degree3_walk_asks_its_predicate_once_per_class(monkeypatch):
-    # 60,768 valid leaves, one predicate call for each of their classes
-    classes = len(enumerate_complexes(2, None, 2))
+@pytest.mark.parametrize("name, boundary, classes, kept", [
+    ("degree3-lst-context", 2, 77, 1), ("closed-admissible", 0, 3, 3),
+    ("torus-links", 0, 10, 10)], ids=["degree3-lst-context",
+                                      "closed-admissible", "torus-links"])
+def test_walk_asks_its_predicate_once_per_class(
+        monkeypatch, name, boundary, classes, kept):
+    # one predicate call per class reached: the degree-3 walk reaches
+    # all 77 classes of its 60,768 valid leaves, and the counted walks
+    # only the classes their cuts leave.  The spy replaces the module
+    # attribute, so the walk still knows a counted predicate and cuts.
+    original = PREDICATES[name]
     asked = []
 
     def predicate(tri):
         asked.append(tri)
-        return has_interior_degree3_and_torus_boundary(tri)
+        return original(tri)
 
-    assert len(enumerate_complexes(2, predicate, 2)) == 1
-    assert len(asked) == classes == 77
+    monkeypatch.setattr(search, original.__name__, predicate)
+    assert len(enumerate_complexes(2, predicate, boundary)) == kept
+    assert len(asked) == classes
+    if boundary:
+        assert len(enumerate_complexes(2, None, boundary)) == classes
 
 
 @pytest.mark.parametrize("n, boundary", [(1, 0), (1, None), (2, 0), (2, 4)])

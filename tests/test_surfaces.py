@@ -273,9 +273,9 @@ def test_components_match_reference(n, seed):
 
 
 def test_vertex_link_of_missing_class_is_rejected():
-    # -1 does not wrap round to the last class
+    # -1 does not wrap round to the last class, and a bool is no index
     tri = decode("cPcbbbiht")
-    for index in (-1, len(tri.vertex_classes)):
+    for index in (-1, len(tri.vertex_classes), True, False, 0.0):
         with pytest.raises(SurfaceError):
             vertex_link_surface(tri, index)
 

@@ -122,6 +122,13 @@ MALFORMED_CALLS = {
     "build-item-int": lambda tri: build(1, [5]),
     "build-item-triple":
         lambda tri: build(1, [((0, 0), (0, (1, 0, 3, 2)), 1)]),
+    # a bool is no index, though it is an int
+    "subcomplex-bool": lambda tri: subcomplex(tri, [True]),
+    "build-count-bool": lambda tri: build(True, {}, closed=False),
+    "build-face-bool":
+        lambda tri: build(1, {(0, True): (0, (1, 2, 3, 0))}, closed=False),
+    "build-target-bool":
+        lambda tri: build(1, {(0, 0): (False, (1, 2, 3, 0))}, closed=False),
 }
 
 
@@ -352,7 +359,8 @@ def test_relabelled_rejects_bad_maps():
     vmaps = [S4[0], S4[5]]
     for tet_map, maps in [([0, 0], vmaps), ([0], vmaps), ([0, 2], vmaps),
                           ([1, 0], [S4[0]]), ([1, 0], [S4[0], (0, 0, 1, 2)]),
-                          ([1, 0], [S4[0], (0, 1, 2, 4)])]:
+                          ([1, 0], [S4[0], (0, 1, 2, 4)]),
+                          ([True, False], vmaps)]:
         with pytest.raises(InvalidTriangulation):
             relabelled(tri, tet_map, maps)
 
