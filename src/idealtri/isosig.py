@@ -55,9 +55,8 @@ at a time, so two searches can run side by side.
 ``least_twin_signature`` does that for two triangulations that differ
 in a few gluings which can be moved away from any start, such as the
 two closures of a bundle (``monodromy``).  A start both searches want
-grows on the first one's tables with those facets flagged by a
-destination below -1, a test the hot loop already makes for free
-facets.  At the first flagged read the grow copies its state, then
+grows on the first one's tables.  Just before it reaches a tetrahedron
+whose gluings the second re-glues, the grow copies its state, then
 finishes; the copy finishes on the second triangulation's tables.
 
 Two triangulations have the same canonical signature exactly when they
@@ -138,7 +137,7 @@ _CHAR = (0,) + tuple(map(_action_char, range(1, 128)))
 
 
 def _grow(dest, partner, back, rows, start, start_perm, bound, resume=None,
-          fork=None):
+          split=(), fork=None):
     """Grow the labelling from one start choice.
 
     Returns ``(actions, dests, gluings, tied, order, vmap)``: the code
@@ -150,13 +149,12 @@ def _grow(dest, partner, back, rows, start, start_perm, bound, resume=None,
     ``bound`` returns it as its actions, and one that beats it copies
     the tied prefix only then.
 
-    A destination d below -1 flags a facet glued to tetrahedron -2 - d,
-    whose gluing a twin triangulation replaces.  Its first read appends
-    to the list ``fork`` a copy of the state before it, with the facets
-    of the current tetrahedron already read marked used.  ``resume``
-    takes such a state, its ``actions`` and ``k`` made relative to
-    ``bound`` by ``_rebase``, and finishes the grow on the twin's
-    tables; ``start`` and ``start_perm`` are then ignored."""
+    Just before it reads the facets of the first tetrahedron of
+    ``split`` it reaches, the grow appends a copy of its state to the
+    list ``fork``.  ``resume`` takes such a state, its ``actions`` and
+    ``k`` made relative to ``bound`` by ``_rebase``, and finishes the
+    grow from that tetrahedron on other tables; ``start`` and
+    ``start_perm`` are then ignored."""
     if resume is None:
         n = len(dest) // 4
         image = [-1] * n            # tet -> its new label
@@ -175,6 +173,10 @@ def _grow(dest, partner, back, rows, start, start_perm, bound, resume=None,
         image, order, vmap, used, dests, gluings, chunk, i, actions, k = resume
         tets = islice(order, i, None)
     for t in tets:
+        if t in split and not fork:
+            fork.append([image[:], order[:], vmap[:], used[:], dests[:],
+                         gluings[:], chunk, image[t],
+                         actions if actions is None else actions[:], k])
         vt = vmap[t]
         base = 4 * t
         for f in _FACET_ORDER[vt]:
@@ -193,27 +195,8 @@ def _grow(dest, partner, back, rows, start, start_perm, bound, resume=None,
                     chunk = chunk << 2 | 2
                     dests.append(image[d])
                     gluings.append(COMPOSE[vmap[d]][rows[s][INVERSE[vt]]])
-            elif d == -1:
-                chunk <<= 2
             else:
-                # A flagged facet.  Its first read hands the twin the
-                # state so far; then it is the join above, to -2 - d,
-                # repeated rather than shared: a test per facet or a
-                # return-and-resume made plain grows 1-3% slower.
-                if not fork:
-                    fork.append(_snapshot(image, order, vmap, used, dests,
-                                          gluings, chunk, actions, k, t, f))
-                d = -2 - d
-                used[partner[s]] = True
-                if image[d] < 0:
-                    chunk = chunk << 2 | 1
-                    image[d] = len(order)
-                    order.append(d)
-                    vmap[d] = COMPOSE[vt][back[s]]
-                else:
-                    chunk = chunk << 2 | 2
-                    dests.append(image[d])
-                    gluings.append(COMPOSE[vmap[d]][rows[s][INVERSE[vt]]])
+                chunk <<= 2
             if chunk >= 64:
                 c = _CHAR[chunk]
                 chunk = 1
@@ -236,20 +219,6 @@ def _grow(dest, partner, back, rows, start, start_perm, bound, resume=None,
     if actions is None:
         return bound, dests, gluings, True, order, vmap
     return actions, dests, gluings, False, order, vmap
-
-
-def _snapshot(image, order, vmap, used, dests, gluings, chunk, actions, k,
-              t, f):
-    """A copy of a grow's state before it reads facet f of tetrahedron
-    t, the facets of t read before f marked used: the ``resume`` of a
-    grow that finishes it on other tables."""
-    used = used[:]
-    for g in _FACET_ORDER[vmap[t]]:
-        if g == f:
-            break
-        used[4 * t + g] = True
-    return [image[:], order[:], vmap[:], used, dests[:], gluings[:], chunk,
-            image[t], actions if actions is None else actions[:], k]
 
 
 def _rebase(state, bound, new_bound):
@@ -463,36 +432,36 @@ def _canonical(tri):
             search.grown_from[search.best_tail][1:])
 
 
-def least_twin_signature(tri, twin, slide, sigma):
+def least_twin_signature(tri, slide, sigma):
     """``(signature, which)``: the lesser of the canonical signatures of
-    ``tri`` and ``twin``, and 0 when it is ``tri``'s (a tie included) or
-    1 when it is ``twin``'s.  Both are whole searches, each with its own
+    ``tri`` and its twin, and 0 when it is ``tri``'s (a tie included) or
+    1 when it is the twin's.  Both are whole searches, each with its own
     bound and group, and each grows the starts its own encode would; a
     start that both searches want grows most of the way once.  This is
     the only closure search, for every size: two tetrahedra and up.
 
-    The two differ in the gluings of a few facets, and the difference
-    slides away from any start.  For each tetrahedron t, ``slide(t)`` is
-    ``(gluings, tets)``: B_t, the copy of ``tri`` with the gluings
-    ``{(tet, face): (dest, perm)}`` in place of its own (facets glued
-    in ``tri`` too), is ``twin`` with the vertices of each tetrahedron
-    of ``tets`` relabelled by ``sigma``, and t is not one of ``tets``.
-    So start ``24t + p`` grows the same string on B_t as on ``twin``,
-    and the same as on ``tri`` up to its first read of a facet in
-    ``gluings``.
+    For each tetrahedron t, ``slide(t)`` is ``(gluings, tets)``: B_t,
+    the copy of ``tri`` with the gluings ``{(tet, face): (dest, perm)}``
+    in place of its own, is the twin with the vertices of each
+    tetrahedron of ``tets`` relabelled by ``sigma``, and t is not one of
+    ``tets``.  So start ``24t + p`` grows the same string on B_t as on
+    the twin.  The precondition: each re-glued facet keeps its
+    destination, which is not its own tetrahedron, and ``gluings``
+    lists both sides of each gluing.  Then every row keeps its shape, so
+    the twin's least starts are ``tri``'s; and the partners of re-glued
+    facets, old and new, are re-glued facets, so a grow that has not
+    reached a tetrahedron of ``gluings`` has the same state on both.
 
-    Such a start grows on ``tri``'s tables with those facets flagged,
-    against ``tri``'s bound.  At the first flagged read it hands a copy
-    of its state to B_t's tables, which finish it against ``twin``'s
-    bound once it has finished on ``tri``'s.  A start that one search
-    has marked done grows for the other alone.  The twin's search
-    records B_t's vertex maps; ``relabel`` turns them into ``twin``'s
-    only to make an automorphism.
+    A start both searches want grows on ``tri``'s tables against its
+    bound, and copies its state just before it reads the first
+    tetrahedron of ``gluings`` it reaches; the copy finishes on B_t's
+    tables against the twin's bound.  A start that one search has
+    marked done grows for the other alone.  The twin's search records
+    B_t's vertex maps; ``relabel`` turns them into the twin's only to
+    make an automorphism.
     """
     n = tri.n
     dest, partner, back, rows = flat = _flatten(tri)
-    starts = _least_starts(dest, partner, n)
-    twin_starts = _least_starts(*_flatten(twin)[:2], n)
     slides = [slide(t) for t in range(n)]
     sigma = S4_INDEX[sigma]
 
@@ -502,54 +471,43 @@ def least_twin_signature(tri, twin, slide, sigma):
             vmap[u] = COMPOSE[vmap[u]][sigma]
         return vmap
 
-    # tri's destinations with the facets B_t changes flagged, and B_t's
-    # tables, both patched for one start tetrahedron at a time.
-    flagged = dest[:]
+    # B_t's tables, patched for one start tetrahedron at a time.
     twin_flat = dest[:], partner[:], back[:], rows[:]
     twin_dest, twin_partner, twin_back, twin_rows = twin_flat
     patched = []
 
     def patch(t):
         for x in patched:
-            flagged[x] = twin_dest[x] = dest[x]
-            twin_partner[x], twin_back[x], twin_rows[x] = (
-                partner[x], back[x], rows[x])
+            twin_dest[x], twin_partner[x], twin_back[x], twin_rows[x] = (
+                dest[x], partner[x], back[x], rows[x])
         patched.clear()
         for (u, face), (d, perm) in slides[t][0].items():
             x = 4 * u + face
             p = S4_INDEX[perm]
-            flagged[x] = -2 - dest[x]
             twin_dest[x] = d
             twin_partner[x] = 4 * d + perm[face]
             twin_back[x] = INVERSE[p]
             twin_rows[x] = COMPOSE[p]
             patched.append(x)
+        return {u for u, _ in slides[t][0]}
 
     side, twin_side = _Search(n), _Search(n, relabel)
     done, twin_done = side.done, twin_side.done
-    if starts != twin_starts:
-        # A start only one search wants is one the other has done.
-        wanted, twin_wanted = set(starts), set(twin_starts)
-        for s in twin_wanted - wanted:
-            done[s] = 1
-        for s in wanted - twin_wanted:
-            twin_done[s] = 1
-        starts = sorted(wanted | twin_wanted)
     current = -1
-    for s in starts:
+    for s in _least_starts(dest, partner, n):
         grow, twin_grow = not done[s], not twin_done[s]
         if not (grow or twin_grow):
             continue
         start, start_perm = divmod(s, 24)
         if start != current:
             current = start
-            patch(start)
+            split = patch(start)
         fork = []
         if grow:
             bound = side.best_actions
             side.visit(s)
-            side.offer(s, _grow(flagged if twin_grow else dest, partner, back,
-                                rows, start, start_perm, bound, None, fork))
+            side.offer(s, _grow(*flat, start, start_perm, bound, None,
+                                split if twin_grow else (), fork))
         if twin_grow:
             twin_bound = twin_side.best_actions
             twin_side.visit(s)

@@ -31,8 +31,8 @@ closures in one paired search, ``isosig.least_twin_signature``.  From
 a start in tetrahedron t the twist sits on the gluing out of
 tetrahedron t + n//2, across the bundle from t, and the run relabelled
 is the one that leaves t out.  A grow from t then reads the same
-gluings in both closures until it first reaches one of the four facets
-that twisted gluing joins, close to its end.
+gluings in both closures until it first reaches one of the two
+tetrahedra that twisted gluing joins, close to its end.
 """
 
 from __future__ import annotations
@@ -78,10 +78,9 @@ class MonodromyWord(NamedTuple):
 
 def word_analysis(word):
     """Validate a positive RL-word and compute its trace and mod-2 data."""
-    if not word:
-        raise MonodromyError("empty monodromy word")
-    if any(c not in "RL" for c in word):
-        raise MonodromyError(f"monodromy word must be over R, L: {word!r}")
+    if not (isinstance(word, str) and word and set(word) <= {"R", "L"}):
+        raise MonodromyError(
+            f"monodromy word must be a nonempty str over R, L: {word!r}")
     m = IDENT
     for letter in word:
         m = _mat_mul(m, R_MAT if letter == "R" else L_MAT)
@@ -102,6 +101,7 @@ def word_analysis(word):
 
 def cover(word, k):
     """The monodromy word of the k-fold cyclic cover of the bundle."""
+    word_analysis(word)
     if type(k) is not int or k not in (1, 2, 3):
         raise MonodromyError("covering degree must be 1, 2 or 3")
     return word * k
@@ -179,12 +179,13 @@ def build_bundle(word):
     The closures through A and -A are both bundles; keep the least
     signature, and on a tie the closure through A.  Both are encoded in
     one paired search, which slides the twist of -A across the bundle
-    from each start."""
+    from each start; the closure through -A is built only if it wins."""
     analysis = word_analysis(word)
-    closures = [_closure(word, twist) for twist in (IDENTITY, _ELLIPTIC)]
-    signature, which = least_twin_signature(*closures, _slide(word),
-                                            _ELLIPTIC)
-    return BundleTriangulation(tri=closures[which], analysis=analysis,
+    tri = _closure(word, IDENTITY)
+    signature, which = least_twin_signature(tri, _slide(word), _ELLIPTIC)
+    if which:
+        tri = _closure(word, _ELLIPTIC)
+    return BundleTriangulation(tri=tri, analysis=analysis,
                                signature=signature)
 
 

@@ -118,10 +118,12 @@ def _ball(tri, site):
         classes = edges
     else:
         raise MoveError(f"unknown move kind {site.kind!r}")
-    if not 0 <= site.index < len(classes):
+    if type(site.index) is not int or not 0 <= site.index < len(classes):
         raise MoveError(
-            f"{site.kind} move index {site.index} is not in "
+            f"{site.kind} move index {site.index!r} is not in "
             f"range(0, {len(classes)})")
+    if type(site.axis) is not int:
+        raise MoveError(f"axis choice must be an int, not {site.axis!r}")
     if site.kind == "2-3":
         return _two_three(tri, site.index)
     if site.kind == "3-2":

@@ -103,10 +103,14 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     unpruned walk's, the marks drain by the end of the walk, and they
     hold at most n!·24ⁿ tables per class met.
     """
-    if n < 1:
-        raise ValueError("need at least one tetrahedron")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"need an int count of tetrahedra, at least 1: {n!r}")
     if n > 2:
         raise ValueError("exhaustive enumeration is desk-scale: n <= 2")
+    if boundary_faces is not None and (type(boundary_faces) is not int
+                                       or not 0 <= boundary_faces <= 4 * n):
+        raise ValueError(f"boundary_faces must be None or in "
+                         f"range(0, {4 * n + 1}), not {boundary_faces!r}")
     faces = [(t, f) for t in range(n) for f in range(4)]
     results = {}
     # Both sides of every gluing on the current path; each face is

@@ -460,11 +460,10 @@ def test_paired_searches_grow_what_two_encodes_grow(word, monkeypatch):
 
 @pytest.mark.parametrize("word", ["RL", "RRL", "RRLL", "RLRLRL", "RRRLLRL"])
 def test_least_twin_signature_breaks_a_tie_towards_tri(word):
-    # A twin equal to tri, its slide flagging the gluing across the
-    # bundle from each start and putting back the same gluings: both
-    # searches fork and tie, and the tie goes to tri.
+    # A twin equal to tri, its slide re-gluing the gluing across the
+    # bundle from each start with the same gluings: both searches fork
+    # and tie, and the tie goes to tri.
     tri = _closure(word, IDENTITY)
-    twin = _closure(word, IDENTITY)
     n = tri.n
 
     def slide(t):
@@ -476,7 +475,7 @@ def test_least_twin_signature_breaks_a_tie_towards_tri(word):
             gluings[d, perm[face]] = tri.gluings[d][perm[face]]
         return gluings, ()
 
-    assert isosig.least_twin_signature(tri, twin, slide, IDENTITY) == (
+    assert isosig.least_twin_signature(tri, slide, IDENTITY) == (
         encode_canonical(tri), 0)
 
 
@@ -515,18 +514,22 @@ def _reglued(tri, rng):
 def test_least_twin_signature_of_a_regluing(n, closed, seed):
     # The twin re-glues one or two glued pairs of facets.  B_t is the
     # twin itself for every t, with nothing relabelled, so the pair may
-    # grow against different bounds, die on one side only or want
-    # different starts.  Each search still grows what its own encode
-    # grows.
+    # grow against different bounds or die on one side only.  Each
+    # search still grows what its own encode grows.  The paired search
+    # takes the twin's least starts to be tri's, so a regluing that
+    # changes them is left out.
     rng = random.Random(seed)
     tri = random_complex(rng, n, closed=closed)
     reglued = _reglued(tri, rng)
     if reglued is None:
         return
     twin, gluings = reglued
+    if (isosig._least_starts(*isosig._flatten(twin)[:2], tri.n)
+            != isosig._least_starts(*isosig._flatten(tri)[:2], tri.n)):
+        return
     with mock.patch.object(isosig, "_Search", _RecordedSearch):
         _RecordedSearch.made.clear()
-        got = isosig.least_twin_signature(tri, twin, lambda t: (gluings, ()),
+        got = isosig.least_twin_signature(tri, lambda t: (gluings, ()),
                                           IDENTITY)
         paired = list(_RecordedSearch.made)
         _RecordedSearch.made.clear()

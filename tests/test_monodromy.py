@@ -130,6 +130,26 @@ def test_slid_closure_grows_each_start_as_the_closure_through_minus_a():
                             for u, v in enumerate(on_b[5])] == grown[5]
 
 
+def test_slides_keep_destinations_and_least_starts():
+    # The law the paired search rests on: each slide re-glues facets of
+    # two tetrahedra to the destinations they had, lists both sides and
+    # glues no tetrahedron to itself, so every row keeps its shape and
+    # both closures have the same least starts.
+    for w in CLOSURE_WORDS:
+        n = len(w)
+        tri, twin = (_closure(w, twist) for twist in (IDENTITY, _ELLIPTIC))
+        assert (isosig._least_starts(*isosig._flatten(tri)[:2], n)
+                == isosig._least_starts(*isosig._flatten(twin)[:2], n)), w
+        slide = _slide(w)
+        for t in range(n):
+            gluings, _ = slide(t)
+            assert len({u for u, _ in gluings}) == 2
+            for (u, face), (d, perm) in gluings.items():
+                assert d != u and tri.gluings[u][face][0] == d, (w, t)
+                assert gluings[d, perm[face]] == (
+                    u, tuple(perm.index(v) for v in range(4))), (w, t)
+
+
 def test_both_closures_are_admissible():
     # build_bundle encodes both closures without a filter; each must be
     # a valid one-cusp orientable triangulation with even edge degrees.
@@ -166,6 +186,12 @@ def test_single_letter_words_rejected():
             word_analysis(w)
     with pytest.raises(MonodromyError):
         word_analysis("")
+    # a word that is not a str is not read letter by letter
+    for w in [5, b"RL", ["R", "L"], ("R", "L"), None]:
+        with pytest.raises(MonodromyError, match="must be a nonempty str"):
+            word_analysis(w)
+        with pytest.raises(MonodromyError):
+            build_bundle(w)
 
 
 def test_cover_laws():
@@ -174,6 +200,10 @@ def test_cover_laws():
     for k in (0, 4, True, 2.0):
         with pytest.raises(MonodromyError):
             cover("RL", k)
+    # the word goes through word_analysis's check
+    for w in ["xyz", 5, "", "RRR", b"RL", ["R", "L"]]:
+        with pytest.raises(MonodromyError):
+            cover(w, 2)
     for w in ["RL", "RLL", "RRLL"]:
         base = word_analysis(w)
         for k in (1, 2, 3):

@@ -142,9 +142,13 @@ def test_site_index_out_of_range_raises(kind):
     # a negative index must not wrap round to a site counted from the end
     tri = decode("gLLMQbeefffehhqxhqq")
     count = len(tri.face_classes if kind == "2-3" else tri.edge_classes)
-    for index in (-1, count):
+    for index in (-1, count, True, "0", 0.0):
         with pytest.raises(MoveError, match="not in range"):
             apply_move(tri, MoveSite(kind, index))
+    # nor is an axis anything but an int
+    for axis in (True, "0", None):
+        with pytest.raises(MoveError, match="axis"):
+            apply_move(tri, MoveSite(kind, 0, axis))
 
 
 def test_image_degrees_refuses_what_apply_move_refuses():

@@ -69,6 +69,13 @@ def test_one_tet_witnesses():
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         enumerate_complexes(3, None)
+    # a bool is not a count, and the free faces number 0 to 4n
+    for args in [(True,), ("2",), (1.0,), (0,), (1, None, -1),
+                 (1, None, 1.5), (1, None, True), (1, None, 5),
+                 (2, None, 9)]:
+        with pytest.raises(ValueError):
+            enumerate_complexes(*args)
+    assert len(enumerate_complexes(1, None, 4)) == 1     # one free tetrahedron
 
 
 def test_enumeration_order_independent():
