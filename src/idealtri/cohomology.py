@@ -249,11 +249,8 @@ def classify_rank2(tri, phi1, phi2):
         if None in types:
             raise ParityError(f"tetrahedron {t} matches no rank-1 type")
         by_tet.append(types)
-        kinds = tuple(kind for kind, _ in types)
-        tet_type = _RANK2[kinds]
-        if tet_type is None:
-            raise ParityError(
-                f"tetrahedron {t} has impossible rank-2 pattern {kinds}")
+        # Three rank-1 types of phi1, phi2 and their sum always make one.
+        tet_type = _RANK2[tuple(kind for kind, _ in types)]
         tet_types.append(tet_type)
         counts[tet_type[0]] += 1
 

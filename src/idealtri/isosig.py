@@ -414,20 +414,11 @@ def _canonical(tri):
     """
     dest, partner, _, _ = flat = _flatten(tri)
     search = _Search(tri.n)
-    done, grown_starts = search.done, search.grown_starts
-    generators = search.generators
+    done = search.done
     for s in _least_starts(dest, partner, tri.n):
-        if done[s]:
-            continue
-        # search.visit(s), inline: most grows die early, and a call per
-        # grow costs a general encode about 1%.
-        grown_starts.append(s)
-        if generators:
-            search.mark((s,))
-        start, start_perm = divmod(s, 24)
-        grown = _grow(*flat, start, start_perm, search.best_actions)
-        if grown is not None:
-            search.offer(s, grown)
+        if not done[s]:
+            search.visit(s)
+            search.offer(s, _grow(*flat, *divmod(s, 24), search.best_actions))
     return (search.signature(tri.n), len(search.group), search.group.values(),
             search.grown_from[search.best_tail][1:])
 

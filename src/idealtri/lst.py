@@ -42,6 +42,8 @@ class LstParams(_LstParamsFields):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, a, b, c):
+        if not all(type(x) is int for x in (a, b, c)):
+            raise LstError(f"meridian numbers must be ints: {(a, b, c)}")
         if not (0 <= a <= b <= c and a + b == c):
             raise LstError(f"not a meridian triple: {(a, b, c)}")
         if math.gcd(a, b) != 1:
@@ -66,6 +68,18 @@ class LstComplex(NamedTuple):
     free_faces: tuple
 
 
+def _slot(slot):
+    """A layering slot as ``(tet, face, (p, q))``, four ints; LstError
+    for anything else."""
+    try:
+        t, f, (p, q) = slot
+        if all(type(x) is int for x in (t, f, p, q)):
+            return t, f, (p, q)
+    except (TypeError, ValueError):
+        pass
+    raise LstError(f"a layering slot is (tet, face, (p, q)) of ints: {slot!r}")
+
+
 def layer_tetrahedron(tri, slot_a, slot_b):
     """Glue a fresh tetrahedron over two free faces sharing an edge.
 
@@ -74,8 +88,8 @@ def layer_tetrahedron(tri, slot_a, slot_b):
     two slots with edge {0,1} landing on (p,q); faces 0 and 1 of the new
     tetrahedron are the fresh boundary, with {2,3} the fresh edge.
     """
-    (ta, fa, (p, q)) = slot_a
-    (tb, fb, (p2, q2)) = slot_b
+    slot_a, slot_b = _slot(slot_a), _slot(slot_b)
+    (ta, fa, (p, q)), (tb, fb, (p2, q2)) = slot_a, slot_b
     for t, f, edge in (slot_a, slot_b):
         if not (0 <= t < tri.n and 0 <= f < 4) or tri.gluings[t][f] is not None:
             raise LstError("layering target face is not free")
@@ -117,6 +131,8 @@ def lst_build(word="", minimal_context=False):
     on the c edge (the unital boundary edge) is rejected, since it
     creates an edge of degree two.
     """
+    if type(word) is not str:
+        raise LstError(f"a layering word is a str, not {word!r}")
     tri = _from_table(_SEED_ROWS)
     params = LstParams(1, 2, 3)
     boundary = dict(_SEED_BOUNDARY)  # role 'a'|'b'|'c' -> slot

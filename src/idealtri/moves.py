@@ -42,7 +42,7 @@ class MoveError(ValueError):
 class MoveSite(NamedTuple):
     kind: str            # "2-3" | "3-2" | "4-4"
     index: int           # face class (2-3) or edge class (3-2, 4-4)
-    axis: int = 0        # diagonal choice for 4-4
+    axis: int = 0        # diagonal choice for 4-4; 0 for the others
     tets: tuple = ()     # evidence: the distinct tetrahedra involved
 
 
@@ -124,6 +124,8 @@ def _ball(tri, site):
             f"range(0, {len(classes)})")
     if type(site.axis) is not int:
         raise MoveError(f"axis choice must be an int, not {site.axis!r}")
+    if site.axis != 0 and site.kind != "4-4":
+        raise MoveError(f"a {site.kind} move takes axis 0, not {site.axis}")
     if site.kind == "2-3":
         return _two_three(tri, site.index)
     if site.kind == "3-2":
@@ -227,7 +229,10 @@ def _two_three(tri, face_class):
 def _edge_cycle(tri, edge_class):
     """Wedges (t, u, v, p, q) around the edge in cyclic order: the edge
     runs u -> v, the wedge is entered across the face opposite q and
-    left across the face opposite p; q of one wedge meets p of the next."""
+    left across the face opposite p; q of one wedge meets p of the next.
+    The callers have checked that the edge's degree is its number of
+    distinct tetrahedra, so its wedges close up after ``e.degree`` of
+    them unless they meet a free face."""
     e = tri.edge_classes[edge_class]
     t0, (a0, b0), s0 = e.occurrences[0]
     u0, v0 = (a0, b0) if s0 == 1 else (b0, a0)
@@ -235,19 +240,13 @@ def _edge_cycle(tri, edge_class):
     q0, p0 = rest
     cycle = []
     t, u, v, p, q = t0, u0, v0, p0, q0
-    while True:
+    for _ in range(e.degree):
         cycle.append((t, u, v, p, q))
         g = tri.gluings[t][p]
         if g is None:
             raise MoveError("edge cycle crosses a boundary face")
         t2, perm = g
         t, u, v, p, q = t2, perm[u], perm[v], perm[q], perm[p]
-        if (t, u, v, p, q) == cycle[0]:
-            break
-        if len(cycle) > e.degree:
-            raise MoveError("edge cycle does not close up")
-    if len(cycle) != e.degree:
-        raise MoveError("edge cycle misses occurrences")
     return cycle
 
 

@@ -331,6 +331,9 @@ def bounded_move_search(tri, max_tets, max_depth, max_nodes=200_000,
     to that site's, so the search would have found it reached, and every
     field, ``truncation_reason`` included, is unchanged.
     """
+    if not all(type(x) is int for x in (max_tets, max_depth, max_nodes)):
+        raise ValueError(f"max_tets, max_depth and max_nodes must be ints, "
+                         f"not {max_tets!r}, {max_depth!r}, {max_nodes!r}")
     if max_depth < 0:
         raise ValueError("search depth must be at least 0")
     start, automorphisms = encode_with_automorphisms(tri)

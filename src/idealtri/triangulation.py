@@ -517,11 +517,8 @@ def classify_face(tri, t, f):
     # Exactly one pair of edges identified.  For consecutive directed
     # boundary edges in one class, equal signs slide the shared vertex
     # along (Moebius); opposite signs pin it (cone).
-    for i in range(3):
-        j = (i + 1) % 3
-        if cls[i] == cls[j]:
-            return FaceType.MOEBIUS if sgn[i] == sgn[j] else FaceType.CONE
-    raise AssertionError("unreachable")
+    i = 0 if cls[0] == cls[1] else 1 if cls[1] == cls[2] else 2
+    return FaceType.MOEBIUS if sgn[i] == sgn[(i + 1) % 3] else FaceType.CONE
 
 
 def classify_faces(tri):
@@ -616,8 +613,7 @@ def find_isomorphism(t1, t2):
     """
     from .isosig import _flatten, _grow
     flat1, flat2 = _flatten(t1), _flatten(t2)
-    # A different number of free facets rules an isomorphism out at once.
-    if t1.n != t2.n or flat1[0].count(-1) != flat2[0].count(-1):
+    if t1.n != t2.n:
         return None
     actions, dests, gluings, _, order1, vmap1 = _grow(*flat1, 0, 0, None)
     for t0 in range(t2.n):

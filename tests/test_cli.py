@@ -443,6 +443,30 @@ def test_census_reports_are_frozen(tmp_path):
     assert census_report_text(path) == golden.read_text(encoding="utf-8")
 
 
+def test_lst_reports_are_frozen(tmp_path):
+    # certificates of words b, bb and bbb, a maximal extension that
+    # stops when no letter matches, an OTHER intersection with shared
+    # faces and two 3-2 failures
+    golden = pathlib.Path(__file__).parent / "golden" / "lst_reports.txt"
+    path = tmp_path / "lst.census"
+    path.write_text("dLQbcbcdxjj\nfLAMcbcbdeehhjdxr\ngLAMPbcbdeffhhjhihj\n"
+                    "gLLQPccddefftnnruhj\n", encoding="utf-8")
+    assert invoke(["lst", str(path)]) == (
+        EXIT_OK, golden.read_text(encoding="utf-8"))
+
+
+def test_no_subcommand_prints_usage():
+    code, out = invoke([])
+    assert code == EXIT_USAGE == 1
+    assert out.startswith("usage: idealtri")
+
+
+def test_census_path_that_is_a_directory_is_an_io_error(tmp_path):
+    code, out = invoke(["decode", str(tmp_path)])
+    assert code == EXIT_IO == 3
+    assert json.loads(out)["error"]["kind"] == "io"
+
+
 def test_enumerate_passes_only_predicate_and_boundary(monkeypatch):
     # enumerate_complexes decides itself whether a filter's walk may cut
     # non-orientable gluings; the CLI hands it the predicate and the

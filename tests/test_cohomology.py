@@ -8,7 +8,10 @@ from idealtri import (
     Cocycle, IdentityError, ParityError, bound_certificate, check_identities,
     classify_rank1, classify_rank2, cocycle_space, decode, rank2_subgroups,
 )
-from idealtri.cohomology import classify_tet_rank1, even_subcomplex_euler
+from idealtri.cohomology import (
+    classify_tet_rank1, even_subcomplex_euler, qqq_orientation_types,
+    rank2_colourings,
+)
 from idealtri.monodromy import build_bundle
 from idealtri.triangulation import InvalidEdge
 from idealtri.surfaces import canonical_surface, euler_characteristic
@@ -278,3 +281,18 @@ def test_certificate_independent_of_basis_choice():
         assert cert is not None
         assert cert.sum_neg_chi == base.sum_neg_chi
         assert sorted(cert.chi) == sorted(base.chi)
+
+
+def test_cocycles_of_different_triangulations_do_not_add():
+    phi = cocycle_space(decode(CENSUS_FIXTURES[0])).vectors[0]
+    psi = cocycle_space(decode(CENSUS_FIXTURES[0])).vectors[0]
+    with pytest.raises(ValueError, match="different triangulations"):
+        phi + psi
+
+
+def test_orientation_types_need_an_orientable_triangulation():
+    tri = decode("cPcbbbabb")       # closed and non-orientable, rank 2
+    assert not tri.is_orientable
+    rc = next(iter(rank2_colourings(cocycle_space(tri))))
+    with pytest.raises(ParityError, match="orientable"):
+        qqq_orientation_types(tri, rc)

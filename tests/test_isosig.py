@@ -611,3 +611,25 @@ def test_find_isomorphism_matches_reference_kernel(n, closed, seed):
     for a, b in [(tri, other), (other, tri), (tri, stranger)]:
         assert find_isomorphism(a, b) == reference_grow_isomorphism(a, b)
     assert find_isomorphism(tri, other) is not None
+
+
+def test_find_isomorphism_of_different_free_face_counts_is_none():
+    # one tetrahedron with 4, 2 and 0 free faces: no start of one ties
+    # the other's action stream, whichever is longer
+    tris = [_from_table([[None] * 4]), lst_build("").tri, decode("bkaagj")]
+    for a, b in itertools.permutations(tris, 2):
+        assert find_isomorphism(a, b) is None
+
+
+def test_rebase_drops_a_fork_past_the_new_bound():
+    # No closure word has a twin bound below a fork's prefix, so the
+    # forked states are made by hand: only their last two fields, the
+    # actions and the count of characters tied, are read.
+    bound, new_bound = [5, 6, 7], [5, 4, 9]
+    assert isosig._rebase([None] * 8 + [None, 2], bound, new_bound) is None
+    assert isosig._rebase([None] * 8 + [[5, 6, 3], 0], bound,
+                          new_bound) is None
+    assert isosig._rebase([None] * 8 + [None, 1], bound, new_bound) \
+        == [None] * 8 + [None, 1]
+    assert isosig._rebase([None] * 8 + [[5, 3], 0], bound, new_bound) \
+        == [None] * 8 + [[5, 3], 0]

@@ -56,6 +56,14 @@ def test_minimal_context_rejects_unital_layering():
         lst_build("bc", minimal_context=True)
 
 
+def test_lst_build_rejects_what_is_not_a_word():
+    with pytest.raises(LstError, match="bad layering letter 'x'"):
+        lst_build("x")
+    for word in (["a"], 5, None, b"b"):
+        with pytest.raises(LstError, match="is a str"):
+            lst_build(word)
+
+
 def test_lst_build_output_revalidates():
     # layer_tetrahedron adopts its table without checks; the validating
     # constructor must accept it and rebuild the same triangulation.
@@ -75,7 +83,10 @@ def test_layering_rejects_bad_slots():
                  (0, 0, (2, 2)),     # not an edge
                  (0, 0, (1, 4)),     # vertex label out of range
                  (0, 2, (0, 1)),     # a glued face
-                 (1, 0, (1, 2))]:    # no such tetrahedron
+                 (1, 0, (1, 2)),     # no such tetrahedron
+                 (0, 0),             # not (tet, face, (p, q))
+                 (True, 0, (1, 2)),  # a bool is no index
+                 (0, 0, (1.0, 2))]:
         bad_pairs += [(slot, face1), (face1, slot)]
     for slot_a, slot_b in bad_pairs:
         with pytest.raises(LstError):

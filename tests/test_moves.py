@@ -149,6 +149,20 @@ def test_site_index_out_of_range_raises(kind):
     for axis in (True, "0", None):
         with pytest.raises(MoveError, match="axis"):
             apply_move(tri, MoveSite(kind, 0, axis))
+    # at a site the move applies to, 2-3 and 3-2 take axis 0 alone and
+    # 4-4 takes 0 or 1
+    if kind == "3-2":
+        tri = apply_move(tri, MoveSite("2-3", 0))
+    elif kind == "4-4":
+        tri = octahedron_model()
+    site = next(s for s in enumerate_moves(tri) if s.kind == kind)
+    apply_move(tri, site)
+    for axis in ((2, -1) if kind == "4-4" else (1, 5, -7)):
+        with pytest.raises(MoveError, match="axis"):
+            apply_move(tri, site._replace(axis=axis))
+        with pytest.raises(MoveError, match="axis"):
+            image_degrees(tri, site._replace(axis=axis),
+                          [e.degree for e in tri.edge_classes])
 
 
 def test_image_degrees_refuses_what_apply_move_refuses():

@@ -87,3 +87,7 @@ def test_lst_params_rejects_non_meridian_triples():
         lst.LstParams(2, 2, 4)
     with pytest.raises(lst.LstError):
         lst.LstParams(1, 2, 3)._replace(a=2)
+    # a, b and c are ints, and a bool is none
+    for triple in ((False, True, True), (1.0, 2.0, 3.0), ("1", "2", "3")):
+        with pytest.raises(lst.LstError, match="must be ints"):
+            lst.LstParams(*triple)

@@ -424,6 +424,17 @@ def test_bounded_search_node_cap_reason():
     assert result.depth_reached < 3    # cut before the depth cap
 
 
+def test_bounded_search_caps_are_ints():
+    # a bool is no cap: max_depth=True would run depth 1
+    tri = decode("gLLMQbeefffehhqxhqq")
+    for caps in [(7, True), (7, 1.5), (7, "1"), ("3", 1), (7, 1, "5"),
+                 (7, 1, 5.0), (True, 1)]:
+        with pytest.raises(ValueError, match="must be ints"):
+            bounded_move_search(tri, *caps)
+    with pytest.raises(ValueError, match="at least 0"):
+        bounded_move_search(tri, 7, -1)
+
+
 def test_random_move_walk_respects_filter():
     rng = random.Random(7)
     tri = build_bundle("RRLL").tri

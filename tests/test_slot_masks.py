@@ -16,8 +16,8 @@ from idealtri import (
     euler_characteristic, vertex_link_surface,
 )
 from idealtri.cohomology import (
-    _RANK1, classify_tet_rank1, even_subcomplex_euler, qqq_orientation_types,
-    rank2_colourings,
+    _RANK1, _RANK2, classify_tet_rank1, even_subcomplex_euler,
+    qqq_orientation_types, rank2_colourings,
 )
 from idealtri.monodromy import build_bundle
 from idealtri.surfaces import NormalSurface, SurfaceError, _surface_of_types
@@ -139,6 +139,17 @@ def test_rank1_table_is_the_reference_rule():
             assert _RANK1[mask] == expected
             kinds.append(expected[0])
     assert sorted(kinds) == ["e"] + ["q"] * 3 + ["t"] * 4
+
+
+def test_rank2_table_types_every_pair_of_rank1_masks():
+    # classify_rank2 reads _RANK2 without a check: the 8 masks with a
+    # rank-1 type are closed under sums, and any two of them and their
+    # sum have a rank-2 type
+    typed = [mask for mask in range(64) if _RANK1[mask] is not None]
+    assert len(typed) == 8
+    for m1, m2 in itertools.product(typed, repeat=2):
+        assert m1 ^ m2 in typed
+        assert _RANK2[tuple(_RANK1[m][0] for m in (m1, m2, m1 ^ m2))]
 
 
 def test_readers_raise_the_reference_parity_error():

@@ -14,6 +14,7 @@ from idealtri import (
 )
 from idealtri.cohomology import classify_rank2
 from idealtri.monodromy import build_bundle
+from idealtri.surfaces import NormalSurface
 
 from helpers import (
     random_admissible, random_closed_complex, reference_components,
@@ -301,3 +302,13 @@ def test_coordinate_vector_round_trip():
     again = from_coordinates(tri, vec)
     assert again.triangles == surface.triangles
     assert again.quads == surface.quads
+
+
+def test_components_reject_unmatched_coordinates():
+    # NormalSurface takes its coordinates as given: a lone triangle has
+    # no partner across the faces its arcs cut
+    tri = decode("cPcbbbiht")
+    surface = NormalSurface(tri, ((1, 0, 0, 0), (0, 0, 0, 0)),
+                            ((0, 0, 0), (0, 0, 0)))
+    with pytest.raises(SurfaceError, match="mismatch"):
+        components(surface)

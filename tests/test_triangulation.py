@@ -129,6 +129,13 @@ MALFORMED_CALLS = {
         lambda tri: build(1, {(0, True): (0, (1, 2, 3, 0))}, closed=False),
     "build-target-bool":
         lambda tri: build(1, {(0, 0): (False, (1, 2, 3, 0))}, closed=False),
+    "build-count-zero": lambda tri: build(0, {}, closed=False),
+    "build-face-out-of-range": lambda tri: build(1, {(0, 4): None}, closed=False),
+    "build-target-out-of-range":
+        lambda tri: build(1, {(0, 0): (1, (1, 0, 2, 3))}, closed=False),
+    "build-conflicting-gluings":
+        lambda tri: build(1, [((0, 0), (0, (1, 0, 2, 3))),
+                              ((0, 0), (0, (1, 0, 3, 2)))], closed=False),
 }
 
 
