@@ -9,6 +9,11 @@ first failing line.  A reader that closes standard output early is an
 I/O failure: ``main`` points standard output at the null device, so
 nothing more is written and no traceback is printed, and exits with 3.
 
+A signature of 63 or more tetrahedra starts with ``-``.  Every
+subcommand that takes a signature or census file reads an argument
+that starts with ``-`` and a letter, other than ``-h``, as that input,
+so such a signature needs no ``--`` before it.
+
 The analysis modules are called through their module objects, which
 the package registers without executing them, so a subcommand executes
 only the modules it calls: ``enumerate`` and ``minsearch`` never
@@ -298,6 +303,21 @@ _SINGLE = {
 }
 
 _PARSER = build_parser()
+_TAKES_INPUT = {*_SINGLE, "minsearch"}
+
+
+def _dashed_inputs_last(argv):
+    """``argv`` with each argument that starts with ``-`` and a letter,
+    other than ``-h``, moved behind a ``--`` when the subcommand takes
+    an input and ``argv`` has no ``--`` yet: argparse would read such a
+    signature as an unknown option."""
+    if not argv or argv[0] not in _TAKES_INPUT or "--" in argv:
+        return argv
+    dashed = [arg for arg in argv[1:]
+              if arg[:1] == "-" and arg[1:2].isalpha() and arg != "-h"]
+    if not dashed:
+        return argv
+    return [arg for arg in argv if arg not in dashed] + ["--", *dashed]
 
 
 def _outcome(report, *args):
@@ -315,7 +335,7 @@ def run(argv, out=None):
     """Entry point; returns the exit code."""
     out = out or sys.stdout
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_dashed_inputs_last(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     if args.version:

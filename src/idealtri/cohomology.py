@@ -65,8 +65,9 @@ class Cocycle(_CocycleFields):
         return self.mask == 0
 
     def __add__(self, other):
-        if other.tri is not self.tri:
-            raise ValueError("cocycles on different triangulations")
+        if (other.tri is not self.tri
+                and other.tri.gluings != self.tri.gluings):
+            raise ParityError("cocycles on different triangulations")
         return Cocycle(self.tri, self.mask ^ other.mask)
 
 

@@ -7,8 +7,10 @@ complete up to isomorphism.  The walk is its own validator (after
 Burton, "Enumeration of non-orientable 3-manifolds using face-pairing
 graphs and union-find", 2007): an undoable signed union-find over edge
 slots and tetrahedra cuts every partial gluing that reverses an edge,
-or breaks the orientation when only orientable complexes are asked
-for, and tells which leaves are connected; those are adopted unchecked.
+and tells which leaves are connected; those are adopted unchecked.
+When only orientable complexes are asked for, two faces of tetrahedra
+already joined are glued only by the 3 of the 6 permutations that keep
+the orientation.
 For ``closed_admissible`` and ``torus_links_only`` the same union-find
 counts the edge classes, and cuts a partial gluing as soon as they rule
 out a torus link at every vertex, or an edge of degree below 3.
@@ -53,6 +55,12 @@ from .triangulation import (
 # _PERMS_TAKING[f1][f2]: the permutations taking face f1 to face f2.
 _PERMS_TAKING = tuple(tuple(tuple(p for p in S4 if p[f1] == f2)
                             for f2 in range(4)) for f1 in range(4))
+# _PERMS_BY_FLIP[f1][f2][flip]: those of them whose gluing of face f1
+# flips the tetrahedron sign by ``flip``, the flip of ``_TET_MOVES``.
+_PERMS_BY_FLIP = tuple(tuple(tuple(
+    tuple(p for p in perms if _TET_MOVES[p][f1][0][2] == flip)
+    for flip in (False, True)) for perms in row)
+    for f1, row in enumerate(_PERMS_TAKING))
 
 
 def enumerate_complexes(n, predicate=None, boundary_faces=0,
@@ -70,8 +78,13 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     one table, and keeps a ``triangulation._union_find`` over edge
     slots ``6t + k`` and tetrahedra ``6n + t``, merged by the moves of
     ``triangulation._EDGE_MOVES`` and ``_TET_MOVES``, every item signed.
-    A reversed edge cuts the whole subtree; ``orientable`` only decides
-    whether a contradiction on the tetrahedra cuts too.  A leaf is
+    A reversed edge cuts the whole subtree.  ``orientable`` picks the
+    permutations: when the two faces' tetrahedra already share a root,
+    with signs s1 and s2, only the 3 perms of ``_PERMS_BY_FLIP`` whose
+    ``_TET_MOVES`` flip is s1 ^ s2 keep the orientation, and the
+    orientable walk tries only those; otherwise all 6 perms of
+    ``_PERMS_TAKING`` are tried.  ``glue`` makes the edge moves, and
+    the tetrahedra are linked once it accepts a gluing.  A leaf is
     connected when tetrahedron 0's root holds all n tetrahedra, and is
     then adopted through ``triangulation._from_table``.  The visit order
     is that of the unpruned walk, so the result is the unpruned walk's.
@@ -124,9 +137,9 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
     low = 3 if predicate is closed_admissible else 0
 
     def glue(t1, f1, t2, perm, closed, roots):
-        """Merge the items of one gluing made with ``closed`` edge classes
-        closed and ``roots`` edge roots; their counts after it, or None
-        when its subtree is cut."""
+        """Merge the edge slots of one gluing made with ``closed`` edge
+        classes closed and ``roots`` edge roots; their counts after it,
+        or None when its subtree is cut."""
         for i, j, flip in _EDGE_MOVES[perm][f1]:
             (a, sa), (b, sb) = find(6 * t1 + i), find(6 * t2 + j)
             if a != b:
@@ -139,13 +152,6 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
                 if size[a] < low:
                     return None
         if counted and (closed > n or roots < n):
-            return None
-        # Always merged, for connectivity; a contradiction merges nothing.
-        ((_, _, flip),) = _TET_MOVES[perm][f1]
-        (a, sa), (b, sb) = find(6 * n + t1), find(6 * n + t2)
-        if a != b:
-            link(a, b, sa ^ sb ^ flip)
-        elif sa ^ sb != flip and orientable:
             return None
         return closed, roots
 
@@ -179,12 +185,21 @@ def enumerate_complexes(n, predicate=None, boundary_faces=0,
             next_free = None if free_left is None else free_left - 1
             rows[t1][f1] = None
             recurse(rest, next_free, closed, roots)
+        r1, s1 = find(6 * n + t1)
         for i, (t2, f2) in enumerate(rest):
             remaining = rest[:i] + rest[i + 1:]
-            for perm in _PERMS_TAKING[f1][f2]:
+            r2, s2 = find(6 * n + t2)
+            if r1 == r2 and orientable:
+                perms = _PERMS_BY_FLIP[f1][f2][s1 ^ s2]
+            else:
+                perms = _PERMS_TAKING[f1][f2]
+            for perm in perms:
                 mark = len(attached)
                 counts = glue(t1, f1, t2, perm, closed, roots)
                 if counts is not None:
+                    if r1 != r2:    # for connectivity, and the signs
+                        ((_, _, flip),) = _TET_MOVES[perm][f1]
+                        link(r1, r2, s1 ^ s2 ^ flip)
                     rows[t1][f1] = (t2, perm)
                     rows[t2][f2] = (t1, inverse(perm))
                     recurse(remaining, free_left, *counts)

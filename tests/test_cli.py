@@ -357,6 +357,42 @@ def test_long_monodromy_reports_are_frozen():
     assert "".join(reports) == golden.read_text(encoding="utf-8")
 
 
+def _long_signature():
+    """The 72-tetrahedron cover of ``LONG_WORDS[1]``; like every
+    signature of 63 or more tetrahedra, it starts with "-"."""
+    golden = (pathlib.Path(__file__).parent / "golden"
+              / "monodromy_long_reports.txt")
+    line = golden.read_text(encoding="utf-8").splitlines()[1]
+    return json.loads(line)["signature"]
+
+
+@pytest.mark.parametrize("command", SWEEP_COMMANDS)
+def test_signature_that_starts_with_a_dash_is_the_input(command):
+    sig = _long_signature()
+    assert sig.startswith("-")
+    extra = ["--cap", "3", "--depth", "1"] if command == "minsearch" else []
+    code, out = invoke([command, sig, *extra])
+    assert code == EXIT_OK
+    assert json.loads(out)["signature"] == sig
+    assert invoke([command, *extra, "--", sig]) == (code, out)
+
+
+def test_decode_and_minsearch_read_a_72_tetrahedron_signature():
+    sig = _long_signature()
+    code, out = invoke(["decode", sig])
+    assert code == EXIT_OK
+    assert json.loads(out)["tetrahedra"] == 72
+    # options may come before the signature too
+    code, out = invoke(["minsearch", "--cap", "3", sig, "--depth", "1"])
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert payload["start_tetrahedra"] == payload["min_tetrahedra"] == 72
+    # a dashed argument is read as a signature, so a bad one is malformed
+    code, out = invoke(["decode", "-cb"])
+    assert code == EXIT_MALFORMED
+    assert json.loads(out)["error"]["kind"] == "malformed-signature"
+
+
 @pytest.mark.parametrize("command", ["decode", "analyze", "certificate"])
 def test_closed_pipe_exits_quietly(command):
     # the reader closes its end before the first line is written, so

@@ -284,10 +284,19 @@ def test_certificate_independent_of_basis_choice():
 
 
 def test_cocycles_of_different_triangulations_do_not_add():
+    phi = cocycle_space(decode(CENSUS_FIXTURES[1])).vectors[0]
+    psi = cocycle_space(decode(CENSUS_FIXTURES[2])).vectors[0]
+    with pytest.raises(ParityError, match="different triangulations"):
+        phi + psi
+
+
+def test_cocycles_of_two_decodes_of_one_signature_add():
+    # equal gluing tables give equal edge classes, so the masks agree
     phi = cocycle_space(decode(CENSUS_FIXTURES[0])).vectors[0]
     psi = cocycle_space(decode(CENSUS_FIXTURES[0])).vectors[0]
-    with pytest.raises(ValueError, match="different triangulations"):
-        phi + psi
+    assert phi.tri is not psi.tri
+    assert (phi + psi).is_zero()
+    assert (phi + psi).tri is phi.tri
 
 
 def test_orientation_types_need_an_orientable_triangulation():

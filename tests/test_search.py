@@ -172,6 +172,28 @@ def test_two_tet_bounded_walk_matches_unpruned_walk(orientable):
     assert len(found[6]) == 1
 
 
+@pytest.mark.parametrize("boundary", [0, 2])
+def test_two_tet_orientable_walk_matches_unpruned_walk(boundary):
+    # the walks in which most gluings join two faces of one tetrahedron
+    # root, where the orientable walk tries only 3 of the 6 perms
+    ref = reference_results(2, _orientable_only(None), boundary)
+    found = enumerate_complexes(2, None, boundary, orientable=True)
+    assert list(found.items()) == list(ref.items())
+
+
+def test_perms_by_flip_split_each_face_pair_by_tetrahedron_flip():
+    for f1, f2 in itertools.product(range(4), repeat=2):
+        taking = search._PERMS_TAKING[f1][f2]
+        by_flip = search._PERMS_BY_FLIP[f1][f2]
+        assert len(by_flip) == 2
+        for flip, perms in enumerate(by_flip):
+            assert len(perms) == 3
+            # the perms of `taking` with this flip, in its order
+            assert perms == tuple(
+                p for p in taking
+                if triangulation._TET_MOVES[p][f1] == ((0, 0, bool(flip)),))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 @example(1, 1)      # one vertex, a sphere link, 2 edge classes
